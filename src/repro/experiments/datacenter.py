@@ -44,7 +44,9 @@ the equivalence hold by construction rather than by luck.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
+import os
 import traceback
 from dataclasses import dataclass, replace
 from multiprocessing import connection as mp_connection
@@ -741,10 +743,21 @@ def _worker_main(
     window_stride: int,
     adaptive: bool,
     packed: bool,
+    cpu: Optional[int],
 ) -> None:
     """One group worker: build its shard domains, run the exchange
-    loop, ship results."""
+    loop, ship results.
+
+    The cyclic collector stays off for the worker's whole life: its
+    garbage dies by reference counting (finished processes are not
+    cycles), and the process exits right after shipping, so nothing is
+    ever unfrozen or swept.  ``cpu``, if set, is the one CPU this
+    worker runs on (:func:`_worker_cpus`).
+    """
+    gc.disable()
     try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
         sim = Simulator()
         counter = EventCounter()
         sim.attach_hooks(counter)
@@ -821,8 +834,10 @@ def _worker_main(
             # always present on the incoming side.
             reverse=[in_rank.get(cid ^ 1) for cid in out_cids],
         )
-        with _population_frozen():
-            runner.run()
+        # The kernel's batched generation-1 collections then skip the
+        # constructed world.
+        gc.freeze()
+        runner.run()
         member_payloads = []
         for position, index in enumerate(members):
             domain = domains[position]
@@ -863,6 +878,22 @@ def _worker_main(
         )
     except BaseException:
         result_conn.send(("error", members[0], traceback.format_exc()))
+
+
+def _worker_cpus(workers: int) -> List[Optional[int]]:
+    """The CPU each of ``workers`` shard workers pins itself to.
+
+    Worker ``g`` gets the ``g``-th CPU this process may run on, so no
+    two workers share a core and a frame send never wakes the peer onto
+    the sender's CPU.  With more workers than allowed CPUs, or without
+    ``os.sched_setaffinity``, no worker is pinned (all ``None``).
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return [None] * workers
+    allowed = sorted(os.sched_getaffinity(0))
+    if workers > len(allowed):
+        return [None] * workers
+    return allowed[:workers]
 
 
 def run_datacenter(
@@ -917,7 +948,7 @@ def run_datacenter(
         chan_send[cid] = w
     result_conns = []
     workers = []
-    for members in groups:
+    for members, cpu in zip(groups, _worker_cpus(len(groups))):
         member_set = set(members)
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         out_conns = {
@@ -942,6 +973,7 @@ def run_datacenter(
                 stride,
                 adaptive,
                 packed,
+                cpu,
             ),
             name=f"shard-{members[0]}-{scenario.shards[members[0]].host}",
         )
@@ -952,6 +984,10 @@ def run_datacenter(
     payloads: Dict[int, dict] = {}
     pending = set(result_conns)
     failure: Optional[str] = None
+    # Payloads are megabytes of pickled requests: unpickle them without
+    # the collector re-walking every freshly built batch.
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         while pending and failure is None:
             for conn in mp_connection.wait(list(pending)):
@@ -988,6 +1024,8 @@ def run_datacenter(
                 worker.terminate()
         for worker in workers:
             worker.join()
+        if gc_enabled:
+            gc.enable()
     if failure is not None:
         raise RuntimeError(f"sharded run failed:\n{failure}")
 

@@ -62,16 +62,20 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
   cadence (every ~700 allocations) costs ~15% of kernel wall time at
   population scale.  :meth:`Simulator.run` therefore disables the
   cyclic collector for the duration of the loop and runs one
-  generation-1 collection every ``_GC_EVENT_BATCH`` dispatched events.
+  generation-1 collection every ``_GC_EVENT_BATCH`` dispatched events,
+  counted across :meth:`Simulator.run` calls (a sharded run is
+  hundreds of short ``run(until=…)`` windows).
   Generation 1 (not a full sweep) matters at scale: survivors are
   promoted to generation 2 and never re-scanned, so each periodic
   collection only walks objects allocated since the previous one — a
   traced run retains ~1M span rows, and full sweeps would re-walk all
   of them every batch.  Young cycles (aborted generator frames,
   exception tracebacks) are still reclaimed, which bounds garbage
-  accumulation.  Pure memory management: simulation results are
-  identical either way, and a caller that already disabled GC is left
-  alone.
+  accumulation.  Finished processes are not cycles — ``_resume`` drops
+  the cached bound method on exit — so they die by reference counting
+  even where the collector never runs.  Pure memory management:
+  simulation results are identical either way, and a caller that
+  already disabled GC is left alone.
 """
 
 from __future__ import annotations
@@ -352,10 +356,19 @@ class Process(Event):
                     target = generator.throw(event._value)
             except StopIteration as stop:
                 sim._active_process = None
+                # The generator is done: drop the cached bound method
+                # so the finished process is not a self-cycle and dies
+                # by reference counting, not by the cyclic collector.
+                self._presume = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 sim._active_process = None
+                self._presume = None
+                # The traceback's head is this frame, whose locals hold
+                # ``self``; the process keeps ``exc`` as its value, so
+                # unlink the frame to keep the pair acyclic.
+                exc.__traceback__ = exc.__traceback__.tb_next
                 self.fail(exc)
                 return
 
@@ -487,6 +500,7 @@ class Simulator:
         "_hooks",
         "_hook_stride",
         "_hook_countdown",
+        "_gc_budget",
     )
 
     def __init__(
@@ -525,6 +539,9 @@ class Simulator:
         self._hooks: Optional[Any] = None
         self._hook_stride = 1
         self._hook_countdown = 1
+        #: Events left before the next batched collection; persists
+        #: across run() calls so short safe windows keep the cadence.
+        self._gc_budget = _GC_EVENT_BATCH
 
     @property
     def now(self) -> float:
@@ -920,55 +937,58 @@ class Simulator:
         imm = self._imm
         imm_pop = imm.popleft
         buckets = self._buckets
-        budget = _GC_EVENT_BATCH
+        budget = self._gc_budget
         # Loop-hoisted: hooks (if any) are attached before run() — the
         # attach/detach API is not meant to be called from callbacks.
         hooks = self._hooks
-        while True:
-            if imm:
-                event = imm_pop()
-            else:
-                pos = self._active_pos
-                bucket = buckets[self._active_idx]
-                if pos < len(bucket):
-                    entry = bucket[pos]
-                    self._active_pos = pos + 1
-                    self._timed_count -= 1
-                elif self._timed_count:
-                    self._normalize_wheel()
-                    continue
-                elif self._spill:
-                    self._rotate_to_spill()
-                    continue
+        try:
+            while True:
+                if imm:
+                    event = imm_pop()
                 else:
-                    return
-                self._now = entry[0]
-                event = entry[2]
-            if hooks is not None:
-                countdown = self._hook_countdown - 1
-                if countdown:
-                    self._hook_countdown = countdown
+                    pos = self._active_pos
+                    bucket = buckets[self._active_idx]
+                    if pos < len(bucket):
+                        entry = bucket[pos]
+                        self._active_pos = pos + 1
+                        self._timed_count -= 1
+                    elif self._timed_count:
+                        self._normalize_wheel()
+                        continue
+                    elif self._spill:
+                        self._rotate_to_spill()
+                        continue
+                    else:
+                        return
+                    self._now = entry[0]
+                    event = entry[2]
+                if hooks is not None:
+                    countdown = self._hook_countdown - 1
+                    if countdown:
+                        self._hook_countdown = countdown
+                    else:
+                        self._hook_countdown = self._hook_stride
+                        hooks.on_events(
+                            self._hook_stride, self._now, self.pending_events
+                        )
+                budget -= 1
+                if not budget:
+                    _gc.collect(1)
+                    budget = _GC_EVENT_BATCH
+                callbacks = event.callbacks
+                if callbacks is None:
+                    event.fire()
+                    continue
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](event)
                 else:
-                    self._hook_countdown = self._hook_stride
-                    hooks.on_events(
-                        self._hook_stride, self._now, self.pending_events
-                    )
-            budget -= 1
-            if not budget:
-                _gc.collect(1)
-                budget = _GC_EVENT_BATCH
-            callbacks = event.callbacks
-            if callbacks is None:
-                event.fire()
-                continue
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+                    for callback in callbacks:
+                        callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+        finally:
+            self._gc_budget = budget
 
     def _run(self, until: Any) -> Any:
         if until is None:
@@ -1002,56 +1022,59 @@ class Simulator:
         imm = self._imm
         imm_pop = imm.popleft
         buckets = self._buckets
-        budget = _GC_EVENT_BATCH
+        budget = self._gc_budget
         hooks = self._hooks
-        while True:
-            if imm:
-                event = imm_pop()
-            else:
-                pos = self._active_pos
-                bucket = buckets[self._active_idx]
-                if pos < len(bucket):
-                    entry = bucket[pos]
-                    if entry[0] > horizon:
-                        break
-                    self._active_pos = pos + 1
-                    self._timed_count -= 1
-                elif self._timed_count:
-                    self._normalize_wheel()
-                    continue
-                elif self._spill:
-                    if self._spill[0][0] > horizon:
-                        break
-                    self._rotate_to_spill()
-                    continue
+        try:
+            while True:
+                if imm:
+                    event = imm_pop()
                 else:
-                    break
-                self._now = entry[0]
-                event = entry[2]
-            if hooks is not None:
-                countdown = self._hook_countdown - 1
-                if countdown:
-                    self._hook_countdown = countdown
+                    pos = self._active_pos
+                    bucket = buckets[self._active_idx]
+                    if pos < len(bucket):
+                        entry = bucket[pos]
+                        if entry[0] > horizon:
+                            break
+                        self._active_pos = pos + 1
+                        self._timed_count -= 1
+                    elif self._timed_count:
+                        self._normalize_wheel()
+                        continue
+                    elif self._spill:
+                        if self._spill[0][0] > horizon:
+                            break
+                        self._rotate_to_spill()
+                        continue
+                    else:
+                        break
+                    self._now = entry[0]
+                    event = entry[2]
+                if hooks is not None:
+                    countdown = self._hook_countdown - 1
+                    if countdown:
+                        self._hook_countdown = countdown
+                    else:
+                        self._hook_countdown = self._hook_stride
+                        hooks.on_events(
+                            self._hook_stride, self._now, self.pending_events
+                        )
+                budget -= 1
+                if not budget:
+                    _gc.collect(1)
+                    budget = _GC_EVENT_BATCH
+                callbacks = event.callbacks
+                if callbacks is None:
+                    event.fire()
+                    continue
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](event)
                 else:
-                    self._hook_countdown = self._hook_stride
-                    hooks.on_events(
-                        self._hook_stride, self._now, self.pending_events
-                    )
-            budget -= 1
-            if not budget:
-                _gc.collect(1)
-                budget = _GC_EVENT_BATCH
-            callbacks = event.callbacks
-            if callbacks is None:
-                event.fire()
-                continue
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+                    for callback in callbacks:
+                        callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+        finally:
+            self._gc_budget = budget
         self._now = horizon
         return None

@@ -2,12 +2,19 @@
 refactor must not break: condition events with pre-triggered members,
 zero-delay timeout vs. urgent ordering, interrupt-during-resume, and
 the wheel/spill machinery itself (window rotation, cursor demotion,
-re-entry after a horizon stop)."""
+re-entry after a horizon stop), and the kernel's memory discipline
+(finished processes are acyclic; the batched-GC cadence spans run()
+calls)."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.sim import core
 from repro.sim.core import (
     Interrupt,
+    Process,
     SimulationError,
     Simulator,
 )
@@ -349,3 +356,119 @@ class TestCalendarQueueMachinery:
         # _Initialize + 5 timeouts + the process-completion event = 7
         assert hooks.events == 7
         assert hooks.processes == 1
+
+
+class _WeakProcess(Process):
+    """A process that can be weakly referenced (``Process`` cannot)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def gc_off():
+    """Run with the cyclic collector disabled; restore it afterwards."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestProcessMemory:
+    """A terminated process is freed by reference counting alone — the
+    collector is off in shard workers, so a self-cycle would leak one
+    process per cross-host RPC."""
+
+    def test_finished_process_dies_with_last_reference(self, sim, gc_off):
+        def body(sim):
+            yield sim.timeout(1.0)
+            return "done"
+
+        proc = _WeakProcess(sim, body(sim))
+        sim.run()
+        assert proc.value == "done"
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+
+    def test_failed_process_dies_with_last_reference(self, sim, gc_off):
+        def body(sim):
+            yield sim.timeout(1.0)
+            raise ValueError("boom")
+
+        proc = _WeakProcess(sim, body(sim))
+        proc.defuse()
+        sim.run()
+        assert isinstance(proc.value, ValueError)
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+
+    def test_interrupted_process_dies_with_last_reference(self, sim, gc_off):
+        def body(sim):
+            yield sim.timeout(10.0)
+
+        proc = _WeakProcess(sim, body(sim))
+        proc.defuse()
+        sim.run(until=1.0)
+        proc.interrupt("stop")
+        sim.run()
+        assert isinstance(proc.value, Interrupt)
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+
+
+class TestBatchedGcCadence:
+    """The batched-collection budget counts events across run() calls,
+    so a run cut into safe windows collects as often as one long run."""
+
+    EVENTS = 100
+    BATCH = 7
+
+    def _collections(self, monkeypatch, windows: bool) -> int:
+        monkeypatch.setattr(core, "_GC_EVENT_BATCH", self.BATCH)
+        sim = Simulator()
+        step = 0.01
+        for k in range(1, self.EVENTS + 1):
+            sim.timeout(k * step)
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        enabled = gc.isenabled()
+        # With the collector off only the kernel's explicit batched
+        # collections run, so every callback is one of them.
+        gc.disable()
+        gc.callbacks.append(on_gc)
+        try:
+            if windows:
+                for k in range(1, self.EVENTS + 1):
+                    sim.run(until=k * step)
+            else:
+                sim.run()
+        finally:
+            gc.callbacks.remove(on_gc)
+            if enabled:
+                gc.enable()
+        assert set(starts) <= {1}
+        return len(starts)
+
+    def test_windows_match_one_long_run(self, monkeypatch):
+        long_run = self._collections(monkeypatch, windows=False)
+        assert long_run == self.EVENTS // self.BATCH
+        assert self._collections(monkeypatch, windows=True) == long_run
+
+    def test_budget_carries_from_horizon_loop_into_drain(self, monkeypatch):
+        monkeypatch.setattr(core, "_GC_EVENT_BATCH", self.BATCH)
+        sim = Simulator()
+        for k in range(1, self.EVENTS + 1):
+            sim.timeout(k * 0.01)
+        sim.run(until=0.05)
+        assert sim._gc_budget == self.BATCH - 5
+        sim.run()
+        assert sim._gc_budget == self.BATCH - self.EVENTS % self.BATCH

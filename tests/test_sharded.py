@@ -6,9 +6,12 @@ the rack/ToR topology matrix and its lookahead arithmetic, placement
 policies, the cross-host link's synchronous delivery clock, the
 ``Simulator.inject`` boundary contract, the ``ShardRunner`` window
 loop with in-memory transports, the remote tier stub/server RPC pair,
-and the datacenter scenario's layout validation.
+the datacenter scenario's layout validation, and the shard workers'
+host-side execution (CPU pinning, collector state).
 """
 
+import gc
+import os
 from dataclasses import replace
 from functools import partial
 
@@ -22,11 +25,13 @@ from repro.cloud import (
     binpack_placement,
     rack_aware_placement,
 )
+from repro.experiments import datacenter
 from repro.experiments.datacenter import (
     DC_2HOST,
     DC_4HOST,
     DatacenterScenario,
     ShardSpec,
+    _worker_cpus,
     run_datacenter,
 )
 from repro.net import CrossHostLink
@@ -531,6 +536,54 @@ class TestDatacenterScenarioValidation:
                     hybrid=HybridConfig(sample_fraction=0.5),
                 ),
             )
+
+
+class TestShardWorkerHost:
+    """Host-side execution of shard workers: CPU pinning and the
+    coordinator's collector state."""
+
+    def test_workers_get_distinct_cpus_when_they_fit(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2, 9})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        assert _worker_cpus(2) == [2, 5]
+        assert _worker_cpus(3) == [2, 5, 9]
+
+    def test_more_workers_than_cpus_pins_nobody(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        assert _worker_cpus(3) == [None, None, None]
+
+    def test_missing_setaffinity_is_a_no_op(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert _worker_cpus(2) == [None, None]
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+    SHORT = replace(DC_2HOST, base=replace(DC_2HOST.base, duration=1.5))
+
+    def test_gc_state_restored_after_sharded_run(self, gc_state):
+        run = run_datacenter(self.SHORT, shards=2)
+        assert run.shards_used == 2
+        assert gc.isenabled() is gc_state
+
+    def test_gc_state_restored_after_worker_failure(
+        self, gc_state, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise ValueError("domain build failed")
+
+        # Fork workers inherit the patched module.
+        monkeypatch.setattr(datacenter, "_build_domain", broken)
+        with pytest.raises(RuntimeError, match="domain build failed"):
+            run_datacenter(self.SHORT, shards=2)
+        assert gc.isenabled() is gc_state
 
 
 class TestFrameCodec:
