@@ -3,27 +3,21 @@
 Three questions about ``repro.sim.sharded`` + ``run_datacenter``, each
 with a ``--check`` gate:
 
-* **identity** — a sharded run (worker processes synchronized by the
-  safe-window exchange) must be *byte-identical* to the
-  single-process reference in every transport mode: same post-warmup
+* **identity** — a sharded run (one worker process per host,
+  synchronized by the adaptive safe-window exchange) must be
+  *byte-identical* to the single-process reference: same post-warmup
   request CSV, the exact same total dispatched-event count, and an
   identical merged latency sketch.  This gate is unconditional — it
   holds on any box, at any core count, and is the property DESIGN.md
   §12 proves.
-* **sync overhead** — the adaptive safe-window protocol + packed
-  frame transport must cut per-window synchronization work by at
-  least ``SYNC_REDUCTION_FLOOR`` versus the legacy fixed-window
-  pickle wire.  The unit is deterministic and core-count-independent:
-  the legacy wire pays one general pickle per cross-shard *message*
-  plus one send per *frame* (``units = messages + frames``); the
-  packed wire pays one struct-packed buffer per frame and nothing
-  per message (``units = frames``), and adaptive widening/skip makes
-  the frames themselves sparser.  Both runs cover the same simulated
-  duration, so the unit ratio *is* the per-window overhead ratio.
-  Gated in full mode when both modes run (``--mode both``, the
-  default); in quick mode the ratio is recorded but not gated —
-  dc-2host's only cross-host link sits at the base lookahead, so
-  adaptive widening has nothing to cut there.
+* **frame thinning** — adaptive window widening and per-link silence
+  must keep the frames on the wire at most ``FRAME_RATIO_CEILING`` of
+  ``rounds x cross-shard links`` (the one-frame-per-link-per-round
+  exchange a shard would otherwise pay).  The counts are deterministic
+  and core-count-independent.  Gated in full mode (dc-4host, whose
+  spine links are several base windows wide); in quick mode the ratio
+  is recorded but not gated — dc-2host's only cross-host link sits at
+  the base lookahead, so there is nothing to thin.
 * **speedup** — the *parallel leg* runs the scenario at
   ``shards = min(hosts, cores)`` (one pinned CPU per worker) in
   ``PARALLEL_PAIRS`` interleaved (single-process, sharded) pairs; the
@@ -31,10 +25,9 @@ with a ``--check`` gate:
   Wall clock is the one machine-dependent gate: it is only enforced
   on boxes with at least 2 cores; on one core the measured ratio is
   recorded and an explicit ``wall-clock gate skipped (1 core)`` line
-  is printed — byte identity and the sync unit count, not wall clock,
-  are the portable contracts.  The all-hosts mode runs above record
-  their ratio without a gate: with more workers than cores they
-  time-share.
+  is printed — byte identity and the frame counts, not wall clock,
+  are the portable contracts.  The one-worker-per-host run records its
+  ratio without a gate: with more workers than cores they time-share.
 
 Full mode additionally runs the **dc-8host hybrid leg**: every shard
 worker carries a per-host million-user fluid bulk (8M users total),
@@ -46,8 +39,6 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_shard.py            # full run
     PYTHONPATH=src python benchmarks/bench_shard.py --check    # full gate
     PYTHONPATH=src python benchmarks/bench_shard.py --quick --check  # CI
-    PYTHONPATH=src python benchmarks/bench_shard.py --quick --check \
-        --mode fixed                                    # legacy wire only
 
 Results land in ``benchmarks/results/BENCH_shard.json`` (or
 ``BENCH_shard_quick.json`` with ``--quick``).
@@ -75,31 +66,23 @@ RESULTS_DIR = os.path.join(
 #: and kept the collector off, the same leg measured 0.73x).
 #: Contiguous grouping puts apache+tomcat, ~80% of the events, in one
 #: worker, so 2-way parallelism buys little; the floor is that
-#: measurement minus a margin for speed drift.  Quick mode only proves the machinery isn't
-#: pathological — dc-2host finishes single-process in well under a
-#: second, so worker spawn + thousands of window exchanges dominate
-#: any 2-way parallelism; the floor is a 5x-slowdown tripwire, not a
-#: speedup claim.
+#: measurement minus a margin for speed drift.  Quick mode only proves
+#: the machinery isn't pathological — dc-2host finishes single-process
+#: in well under a second, so worker spawn + thousands of window
+#: exchanges dominate any 2-way parallelism; the floor is a
+#: 5x-slowdown tripwire, not a speedup claim.
 SPEEDUP_FLOOR = {"full": 0.9, "quick": 0.2}
 
 #: Interleaved (single-process, sharded) pairs behind the parallel
 #: leg's ratio: pairing cancels most of the box's speed drift.
 PARALLEL_PAIRS = 3
 
-#: Minimum reduction in sync units per window, adaptive+packed versus
-#: fixed+pickle, gated whenever both modes run.
-SYNC_REDUCTION_FLOOR = 5.0
+#: Frames on the wire over ``rounds x cross-shard links``, gated in
+#: full mode.  dc-4host at 4 workers on the committed record: 5340
+#: frames over 1334 rounds x 6 links = 0.67.
+FRAME_RATIO_CEILING = 0.75
 
 SCENARIOS = {"full": "dc-4host", "quick": "dc-2host"}
-
-#: Transport-mode name -> run_datacenter kwargs.  "fixed" is the
-#: legacy lock-step pickle wire; "adaptive" is the per-link
-#: safe-window protocol on struct-packed frames (the default mode of
-#: ``run_datacenter``).
-MODES = {
-    "fixed": {"adaptive": False, "packed": False},
-    "adaptive": {"adaptive": True, "packed": True},
-}
 
 
 def _requests_csv(run) -> str:
@@ -133,48 +116,38 @@ def _sketch_state(run) -> dict:
     }
 
 
-def _measure(scenario, shards: int, **kwargs) -> tuple:
+def _measure(scenario, shards: int) -> tuple:
     from repro.experiments.datacenter import run_datacenter
 
     t0 = time.perf_counter()
-    run = run_datacenter(scenario, shards=shards, **kwargs)
+    run = run_datacenter(scenario, shards=shards)
     wall = time.perf_counter() - t0
     return run, wall
 
 
-def _sync_units(run, mode: str) -> int:
-    """Core-count-independent synchronization work of a sharded run.
-
-    Legacy pickle wire: every cross-shard message is pickled through
-    the general object machinery and every frame is one send.  Packed
-    wire: one struct-packed buffer per frame, per-message cost is a
-    fixed-format pack (counted as zero units — it is bounded by the
-    memcpy the pickle wire *also* pays).
-    """
-    messages = sum(r.sent for r in run.shard_results)
-    frames = run.frames_exchanged
-    return messages + frames if MODES[mode]["packed"] is False else frames
-
-
-def _mode_record(run, wall: float, mode: str, reference) -> dict:
+def _identity(run, reference) -> dict:
     single, single_csv = reference
+    return {
+        "requests_csv": _requests_csv(run) == single_csv,
+        "event_count": run.event_count == single.event_count,
+        "latency_sketch": _sketch_state(run) == _sketch_state(single),
+    }
+
+
+def _sharded_record(run, wall: float, reference) -> dict:
+    links = len(run.scenario.channel_pairs())
     return {
         "wall_seconds": wall,
         "events": run.event_count,
         "completed": len(run.completed),
         "failed": len(run.failed),
         "rounds": run.rounds,
+        "cross_shard_links": links,
         "cross_shard_messages": sum(r.sent for r in run.shard_results),
         "frames": run.frames_exchanged,
         "wire_bytes": run.wire_bytes,
-        "sync_units": _sync_units(run, mode),
-        "identity": {
-            "requests_csv": _requests_csv(run) == single_csv,
-            "event_count": run.event_count == single.event_count,
-            "latency_sketch": (
-                _sketch_state(run) == _sketch_state(single)
-            ),
-        },
+        "frame_ratio": run.frames_exchanged / (run.rounds * links),
+        "identity": _identity(run, reference),
         "per_shard": [
             {
                 "host": r.host,
@@ -189,29 +162,24 @@ def _mode_record(run, wall: float, mode: str, reference) -> dict:
     }
 
 
-def bench_parallel(scenario, mode: str, cores: int) -> dict:
+def bench_parallel(scenario, cores: int) -> dict:
     """The parallel leg: single-process vs ``min(hosts, cores)``
     workers, as the median ratio over interleaved pairs."""
     shards = min(len(scenario.shards), cores)
     pairs = []
     for _ in range(PARALLEL_PAIRS):
         single = _measure(scenario, 1)[1]
-        sharded = (
-            _measure(scenario, shards, **MODES[mode])[1]
-            if shards > 1
-            else single
-        )
+        sharded = _measure(scenario, shards)[1] if shards > 1 else single
         pairs.append([single, sharded])
     ratios = sorted(single / sharded for single, sharded in pairs)
     return {
         "shards": shards,
-        "mode": mode,
         "pairs_wall_seconds": pairs,
         "speedup": ratios[len(ratios) // 2],
     }
 
 
-def bench_shard(quick: bool, modes, cores: int) -> dict:
+def bench_shard(quick: bool, cores: int) -> dict:
     from repro.experiments.datacenter import DATACENTERS
 
     name = SCENARIOS["quick" if quick else "full"]
@@ -220,13 +188,14 @@ def bench_shard(quick: bool, modes, cores: int) -> dict:
     # First, while this process's heap is small: the in-process
     # single-process runs pay a full collection over everything the
     # benchmark still holds.
-    parallel = bench_parallel(scenario, modes[0], cores)
+    parallel = bench_parallel(scenario, cores)
 
     single, single_wall = _measure(scenario, 1)
     single_csv = _requests_csv(single)
-    reference = (single, single_csv)
-
-    report = {
+    run, wall = _measure(scenario, shards)
+    sharded = _sharded_record(run, wall, (single, single_csv))
+    sharded["speedup"] = single_wall / wall
+    return {
         "scenario": name,
         "users": scenario.base.users,
         "sim_seconds": scenario.base.duration,
@@ -239,23 +208,12 @@ def bench_shard(quick: bool, modes, cores: int) -> dict:
             "completed": len(single.completed),
             "failed": len(single.failed),
         },
-        "modes": {},
+        "sharded": sharded,
+        "parallel": parallel,
     }
-    for mode in modes:
-        run, wall = _measure(scenario, shards, **MODES[mode])
-        report["modes"][mode] = _mode_record(run, wall, mode, reference)
-        report["modes"][mode]["speedup"] = single_wall / wall
-    report["parallel"] = parallel
-    if "fixed" in report["modes"] and "adaptive" in report["modes"]:
-        fixed_units = report["modes"]["fixed"]["sync_units"]
-        adaptive_units = report["modes"]["adaptive"]["sync_units"]
-        report["sync_unit_reduction"] = (
-            fixed_units / adaptive_units if adaptive_units else float("inf")
-        )
-    return report
 
 
-def bench_hybrid(modes) -> dict:
+def bench_hybrid() -> dict:
     """The dc-8host hybrid leg: 1M fluid users per host, 8 hosts."""
     from repro.experiments.datacenter import DATACENTERS
 
@@ -263,8 +221,7 @@ def bench_hybrid(modes) -> dict:
     shards = len(scenario.shards)
     single, single_wall = _measure(scenario, 1)
     single_csv = _requests_csv(single)
-    mode = "adaptive" if "adaptive" in modes else "fixed"
-    run, wall = _measure(scenario, shards, **MODES[mode])
+    run, wall = _measure(scenario, shards)
     fluid = run.fluid_totals
     return {
         "scenario": "dc-8host",
@@ -273,18 +230,11 @@ def bench_hybrid(modes) -> dict:
         "bulk_users_total": fluid["bulk_users"] if fluid else 0.0,
         "sim_seconds": scenario.base.duration,
         "shards": shards,
-        "mode": mode,
         "single_wall_seconds": single_wall,
         "sharded_wall_seconds": wall,
         "fluid_completed": fluid["completed"] if fluid else 0.0,
         "fluid_dropped": fluid["dropped"] if fluid else 0.0,
-        "identity": {
-            "requests_csv": _requests_csv(run) == single_csv,
-            "event_count": run.event_count == single.event_count,
-            "latency_sketch": (
-                _sketch_state(run) == _sketch_state(single)
-            ),
-        },
+        "identity": _identity(run, (single, single_csv)),
     }
 
 
@@ -296,21 +246,15 @@ def main() -> int:
              "and no dc-8host hybrid leg",
     )
     parser.add_argument(
-        "--mode", choices=("both", "adaptive", "fixed"), default="both",
-        help="which sharded transport mode(s) to run; the sync-overhead "
-             "reduction gate needs 'both' (default)",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="exit nonzero unless every sharded run is byte-identical "
-             "to the single-process reference, the adaptive wire cuts "
-             "sync units by the floor (when both modes run), and (when "
-             "the box has enough cores) the wall-clock floor holds",
+             "to the single-process reference, frames stay under the "
+             "ceiling (full mode), and (when the box has enough cores) "
+             "the wall-clock floor holds",
     )
     parser.add_argument("--out", default=None, help="output JSON path")
     args = parser.parse_args()
 
-    modes = ("adaptive", "fixed") if args.mode == "both" else (args.mode,)
     # The CPUs this process may run on: what shard workers pin to.
     cpu_count = (
         len(os.sched_getaffinity(0))
@@ -324,7 +268,7 @@ def main() -> int:
         "machine": platform.machine(),
         "cpu_count": cpu_count,
     }
-    result = bench_shard(args.quick, modes, cpu_count)
+    result = bench_shard(args.quick, cpu_count)
     report.update(result)
 
     print(
@@ -333,41 +277,35 @@ def main() -> int:
         f"window {result['window_seconds'] * 1e3:.2f}ms, "
         f"single-process {result['single_process']['wall_seconds']:.2f}s"
     )
-    for mode in modes:
-        rec = result["modes"][mode]
-        identity = rec["identity"]
-        print(
-            f"  {mode:>8}: {rec['wall_seconds']:.2f}s, "
-            f"{rec['rounds']} rounds, {rec['frames']} frames, "
-            f"{rec['cross_shard_messages']} messages, "
-            f"{rec['sync_units']} sync units"
-        )
-        print(
-            f"  {'':>8}  speedup {rec['speedup']:.2f}x; "
-            f"identity: csv={identity['requests_csv']} "
-            f"({result['request_rows']} rows) "
-            f"events={identity['event_count']} ({rec['events']:,}) "
-            f"sketch={identity['latency_sketch']}"
-        )
-    if "sync_unit_reduction" in result:
-        print(
-            f"  sync-unit reduction (fixed/adaptive): "
-            f"{result['sync_unit_reduction']:.1f}x"
-        )
+    rec = result["sharded"]
+    identity = rec["identity"]
+    print(
+        f"  sharded: {rec['wall_seconds']:.2f}s, "
+        f"{rec['rounds']} rounds x {rec['cross_shard_links']} links, "
+        f"{rec['frames']} frames (ratio {rec['frame_ratio']:.2f}), "
+        f"{rec['cross_shard_messages']} messages"
+    )
+    print(
+        f"           speedup {rec['speedup']:.2f}x; "
+        f"identity: csv={identity['requests_csv']} "
+        f"({result['request_rows']} rows) "
+        f"events={identity['event_count']} ({rec['events']:,}) "
+        f"sketch={identity['latency_sketch']}"
+    )
     par = result["parallel"]
     walls = ", ".join(
         f"{single:.2f}s/{sharded:.2f}s"
         for single, sharded in par["pairs_wall_seconds"]
     )
     print(
-        f"  parallel leg: {par['shards']} workers on {cpu_count} cores "
-        f"({par['mode']}), single/sharded {walls}: median speedup "
+        f"  parallel leg: {par['shards']} workers on {cpu_count} cores, "
+        f"single/sharded {walls}: median speedup "
         f"{par['speedup']:.2f}x"
     )
 
     hybrid = None
     if not args.quick:
-        hybrid = bench_hybrid(modes)
+        hybrid = bench_hybrid()
         report["hybrid"] = hybrid
         print(
             f"{hybrid['scenario']} hybrid leg: "
@@ -375,8 +313,7 @@ def main() -> int:
             f"({hybrid['bulk_users_per_host']:,} per host) + "
             f"{hybrid['users']:,} discrete, "
             f"single {hybrid['single_wall_seconds']:.2f}s, "
-            f"{hybrid['shards']} shards {hybrid['sharded_wall_seconds']:.2f}s "
-            f"({hybrid['mode']})"
+            f"{hybrid['shards']} shards {hybrid['sharded_wall_seconds']:.2f}s"
         )
         print(
             f"  fluid: {hybrid['fluid_completed']:.0f} completed, "
@@ -415,7 +352,7 @@ def main() -> int:
             "no post-warmup requests: the identity gates compared "
             "nothing",
         )
-        legs = [(mode, result["modes"][mode]["identity"]) for mode in modes]
+        legs = [("sharded", rec["identity"])]
         if hybrid is not None:
             legs.append(("dc-8host hybrid", hybrid["identity"]))
         for leg, identity in legs:
@@ -426,26 +363,25 @@ def main() -> int:
                     f"[{leg}] {check} differs from single-process "
                     f"reference",
                 )
-        if "sync_unit_reduction" in result:
-            reduction = result["sync_unit_reduction"]
-            if args.quick:
-                # dc-2host's only cross-host link sits at the base
-                # lookahead, so adaptive widening has nothing to cut;
-                # the reduction floor is a dc-4host (full) property.
-                print(
-                    f"SKIP: sync-reduction floor "
-                    f"({SYNC_REDUCTION_FLOOR:g}x) not gated in quick "
-                    f"mode; measured {reduction:.1f}x"
-                )
-            else:
-                gate(
-                    reduction >= SYNC_REDUCTION_FLOOR,
-                    f"sync units per window cut {reduction:.1f}x >= "
-                    f"{SYNC_REDUCTION_FLOOR:g}x (adaptive+packed vs "
-                    f"fixed+pickle)",
-                    f"sync units per window cut only {reduction:.1f}x < "
-                    f"{SYNC_REDUCTION_FLOOR:g}x",
-                )
+        ratio = rec["frame_ratio"]
+        budget = (
+            f"{rec['frames']} frames over {rec['rounds']} rounds x "
+            f"{rec['cross_shard_links']} links"
+        )
+        if args.quick:
+            # dc-2host's only cross-host link sits at the base
+            # lookahead, so there is nothing to thin; the ceiling is a
+            # dc-4host (full) property.
+            print(
+                f"SKIP: frame ceiling ({FRAME_RATIO_CEILING:g}) not "
+                f"gated in quick mode; {budget} = {ratio:.2f}"
+            )
+        else:
+            gate(
+                ratio <= FRAME_RATIO_CEILING,
+                f"{budget} = {ratio:.2f} <= {FRAME_RATIO_CEILING:g}",
+                f"{budget} = {ratio:.2f} > {FRAME_RATIO_CEILING:g}",
+            )
         floor = SPEEDUP_FLOOR["quick" if args.quick else "full"]
         where = f"{par['shards']} workers on {cpu_count} cores"
         if cpu_count >= 2:

@@ -495,18 +495,14 @@ def _run_datacenter(args, name) -> int:
 
     scenario = _datacenter_scenario(args, name)
     shards = _resolve_shards(args, scenario)
-    adaptive = not args.fixed_window
-    mode = "adaptive" if adaptive else "fixed"
     print(
         f"running datacenter scenario {name!r} "
         f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
         f"{scenario.base.duration:.0f}s, shards={shards}, "
-        f"window={scenario.window * 1e3:.2f}ms, {mode} windows)..."
+        f"window={scenario.window * 1e3:.2f}ms)..."
     )
     started = time.time()
-    run = run_datacenter(
-        scenario, shards=shards, adaptive=adaptive, packed=adaptive
-    )
+    run = run_datacenter(scenario, shards=shards)
     wall = time.time() - started
     for result in run.shard_results:
         tiers = ",".join(result.tiers)
@@ -555,21 +551,19 @@ def _monitor_datacenter(args, name) -> int:
 
     Subscribes to the ``shard.window`` bus topic the sharded runner
     publishes at every progress stride and prints one row per
-    completed lock-step stride with a column per shard — the live view
-    of the conservative-window protocol advancing.
+    completed exchange-round stride with a column per shard — the live
+    view of the conservative-window protocol advancing.
     """
     from .experiments.datacenter import run_datacenter
     from .obs.bus import EventBus
 
     scenario = _datacenter_scenario(args, name)
     shards = _resolve_shards(args, scenario)
-    adaptive = not args.fixed_window
     print(
         f"monitoring datacenter scenario {name!r} "
         f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
         f"{scenario.base.duration:.0f}s, shards={shards}, "
-        f"window={scenario.window * 1e3:.2f}ms, "
-        f"{'adaptive' if adaptive else 'fixed'} windows)..."
+        f"window={scenario.window * 1e3:.2f}ms)..."
     )
     if shards == 1:
         print(
@@ -610,9 +604,7 @@ def _monitor_datacenter(args, name) -> int:
     bus = EventBus()
     bus.subscribe("shard.window", show)
     started = time.time()
-    run = run_datacenter(
-        scenario, shards=shards, bus=bus, adaptive=adaptive, packed=adaptive
-    )
+    run = run_datacenter(scenario, shards=shards, bus=bus)
     wall = time.time() - started
     requests = run.client_requests()
     print(
@@ -916,13 +908,6 @@ def main(argv=None) -> int:
              "('run'/'monitor' on dc-* scenarios; default: one per "
              "host, 1 = single-process reference mode, 'auto' = "
              "min(hosts, cpu cores))",
-    )
-    parser.add_argument(
-        "--fixed-window",
-        action="store_true",
-        help="disable the adaptive safe-window protocol and packed "
-             "frame transport for dc-* runs (fixed lock-step windows "
-             "on the pickle wire; byte-identical results either way)",
     )
     parser.add_argument(
         "--out",

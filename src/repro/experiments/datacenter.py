@@ -21,11 +21,9 @@ identical to the reference in every mode, so request CSVs and event
 counts match byte for byte (``tests/test_determinism.py``) while the
 wall clock drops with the core count (``benchmarks/bench_shard.py``).
 
-By default workers exchange **adaptive** windows over the **packed**
-frame transport (struct rows + per-link string interning instead of
-per-message pickling); ``adaptive=False`` / ``packed=False`` select
-the fixed-window protocol and the PR-9 pickle wire — all four
-combinations are byte-identical to the reference.
+Workers exchange **adaptive** safe windows over the **packed** frame
+transport (struct rows + per-link string interning instead of
+per-message pickling), byte-identical to the reference.
 
 Scenarios may carry a :class:`ShardBulk`: every shard worker then
 hosts a per-host million-user fluid bulk
@@ -553,7 +551,7 @@ class ShardResult:
     fluid: Optional[Dict[str, float]] = None
     #: Frames this shard's group put on the wire (0 when unsharded).
     frames: int = 0
-    #: Packed-transport bytes the group sent (0 on the pickle wire).
+    #: Frame bytes the group put on the wire (0 when unsharded).
     wire_bytes: int = 0
 
 
@@ -568,9 +566,6 @@ class DatacenterRun:
     #: Client-side requests from the front shard, completion order.
     completed: List[Request]
     failed: List[Request]
-    #: Synchronization mode the run used (recorded for benchmarks).
-    adaptive: bool = True
-    packed: bool = True
 
     @property
     def event_count(self) -> int:
@@ -584,7 +579,7 @@ class DatacenterRun:
 
     @property
     def wire_bytes(self) -> int:
-        """Total packed-transport bytes sent (0 on the pickle wire)."""
+        """Total frame bytes sent across all cross-group links."""
         return sum(result.wire_bytes for result in self.shard_results)
 
     @property
@@ -728,8 +723,6 @@ def _run_single(
         shard_results=results,
         completed=list(front.app.completed),
         failed=list(front.app.failed),
-        adaptive=False,
-        packed=False,
     )
 
 
@@ -741,8 +734,6 @@ def _worker_main(
     in_conns: Dict[int, Any],
     result_conn: Any,
     window_stride: int,
-    adaptive: bool,
-    packed: bool,
     cpu: Optional[int],
 ) -> None:
     """One group worker: build its shard domains, run the exchange
@@ -807,9 +798,6 @@ def _worker_main(
                 )
             )
 
-        def transport(conn: Any) -> Any:
-            return PackedConnection(conn) if packed else conn
-
         out_cids = sorted(cross_out)
         in_cids = sorted(cross_in)
         in_rank = {cid: rank for rank, cid in enumerate(in_cids)}
@@ -818,21 +806,19 @@ def _worker_main(
             duration=scenario.base.duration,
             window=window,
             outgoing=[
-                (transport(out_conns[cid]), cross_out[cid])
+                (PackedConnection(out_conns[cid]), cross_out[cid])
                 for cid in out_cids
             ],
             incoming=[
-                (transport(in_conns[cid]), cross_in[cid])
+                (PackedConnection(in_conns[cid]), cross_in[cid])
                 for cid in in_cids
             ],
-            on_window=on_window,
-            window_stride=window_stride,
-            adaptive=adaptive,
-            packed=packed,
             # A channel's reverse (same host pair, opposite direction)
             # is cid ^ 1; it crosses the same group boundary, so it is
             # always present on the incoming side.
-            reverse=[in_rank.get(cid ^ 1) for cid in out_cids],
+            reverse=[in_rank[cid ^ 1] for cid in out_cids],
+            on_window=on_window,
+            window_stride=window_stride,
         )
         # The kernel's batched generation-1 collections then skip the
         # constructed world.
@@ -902,17 +888,13 @@ def run_datacenter(
     progress: Optional[Callable[[ShardWindow], None]] = None,
     bus: Any = None,
     window_stride: Optional[int] = None,
-    adaptive: bool = True,
-    packed: bool = True,
 ) -> DatacenterRun:
     """Execute a datacenter scenario.
 
     ``shards=1`` runs the unsharded reference (one simulator);
     ``shards=K`` for ``2 <= K <= n`` runs ``K`` worker processes over
     contiguous shard groups (``K = n``, the default, is one worker per
-    host).  ``adaptive`` selects promise-driven windows, ``packed``
-    the struct-packed frame transport; every combination is
-    byte-identical to the reference.  ``progress`` and/or ``bus``
+    host), byte-identical to the reference.  ``progress`` and/or ``bus``
     receive :class:`~repro.sim.sharded.ShardWindow` reports — the bus
     on topic ``"shard.window"`` — throttled to roughly one per group
     per simulated second (override with ``window_stride``).
@@ -971,8 +953,6 @@ def run_datacenter(
                 in_conns,
                 child_conn,
                 stride,
-                adaptive,
-                packed,
                 cpu,
             ),
             name=f"shard-{members[0]}-{scenario.shards[members[0]].host}",
@@ -1063,8 +1043,6 @@ def run_datacenter(
         shard_results=results,
         completed=completed,
         failed=failed,
-        adaptive=adaptive,
-        packed=packed,
     )
 
 

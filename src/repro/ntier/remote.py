@@ -24,12 +24,12 @@ an RPC pair:
   (or the overflow's drop tier) travel back in the reply frame, and the
   stub merges them into the original request.
 
-Both ends exchange only plain tuples of scalars, so frames pickle
+Both ends exchange only plain tuples of scalars, so frames pack
 cheaply across worker processes — and the *same* marshalling runs in
 the unsharded single-simulator mode, which is what makes a sharded run
 byte-identical to its unsharded reference.
 
-**Packed wire contract.**  The batched frame transport
+**Wire contract.**  The frame codec
 (:class:`~repro.sim.sharded.FrameCodec`) recognizes exactly the two
 payload shapes this module emits and struct-packs them instead of
 pickling:
@@ -37,19 +37,20 @@ pickling:
 * *call*: ``(call_id, rid, page, demands, weight)`` — ``call_id`` and
   ``rid`` ints, ``page`` a str (interned per link, so a repeated RPC
   shape costs 2 bytes after its first frame), ``demands`` a
-  ``{tier: float}`` dict whose key tuple is interned the same way, and
-  ``weight`` a float.
+  ``{tier: float}`` dict whose key tuple is interned the same way (a
+  key containing ``"\\x1f"``, the interning separator, sends the call
+  as a pickle row instead), and ``weight`` a float.
 * *reply*: ``(call_id, True, [(tier, [(start, end), ...]), ...])`` on
   success, ``(call_id, False, tier)`` on a remote overflow.
 
 Every float crosses as a raw IEEE-754 double (``struct`` ``"d"``), so
-packing is bit-exact and the packed wire stays byte-identical to the
-pickle wire.  Any *other* payload shape transparently falls back to a
-length-prefixed pickle row — extending the RPC surface never breaks
-the transport, it just forgoes the fast path until the codec learns
-the new shape.  When changing the tuples above, update the codec's
-structural sniffing (and its wire-format table in DESIGN.md §12) in
-the same commit.
+decoded payloads equal the originals bit for bit and a sharded run
+stays byte-identical to the unsharded one.  Any *other* payload shape
+transparently falls back to a length-prefixed pickle row — extending
+the RPC surface never breaks the transport, it just forgoes the fast
+path until the codec learns the new shape.  When changing the tuples
+above, update the codec's structural sniffing (and its wire-format
+table in DESIGN.md §12) in the same commit.
 """
 
 from __future__ import annotations

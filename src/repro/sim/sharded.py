@@ -7,60 +7,54 @@ sharded, or side by side in one simulator when not — and cross-host
 RPCs travel as timestamped event messages over per-link ordered
 channels.
 
-Two synchronization modes share one runner (DESIGN.md §12, proof
-sketches there):
+Synchronization (DESIGN.md §12, proof sketches there):
 
-**Fixed windows** (the PR-9 protocol, still the reference):
+**The base grid.**  Every cross-shard link guarantees a *lookahead*
+``L``: a message sent at time ``s`` delivers no earlier than ``s + L``
+(serialization through idle queues plus propagation; load only adds
+delay).  Let ``W = min L over every cross-shard link``.  Window ``k``
+of the grid ``t_k = k * W`` covers the half-open interval
+``(t_{k-1}, t_k]`` — ``run(until=h)`` executes events with timestamp
+``<= h``, so an event at exactly ``t_{k-1}`` ran in the previous
+window.  Every send in window ``k`` happens at ``s > t_{k-1}``, hence
+delivers at ``>= s + L > t_{k-1} + W = t_k`` — strictly inside a
+*future* window.  Exchanging each link's buffered frame at every grid
+boundary therefore injects every remote event before the window that
+must dispatch it; the adaptive protocol below only ever *coarsens*
+that schedule.
 
-* Every cross-shard link guarantees a *lookahead* ``L``: a message
-  sent at time ``s`` delivers no earlier than ``s + L`` (serialization
-  through idle queues plus propagation; load only adds delay).
-* All shards advance in lock-step windows of width
-  ``W = min L over every cross-shard link``.  Window ``k`` covers the
-  half-open interval ``(t_{k-1}, t_k]`` — ``run(until=h)`` executes
-  events with timestamp ``<= h``, so an event at exactly ``t_{k-1}``
-  ran in the previous window.
-* Every send in window ``k`` happens at ``s > t_{k-1}``, hence delivers
-  at ``>= s + L > t_{k-1} + W = t_k`` — strictly inside a *future*
-  window.  Exchanging each link's buffered frame once per window
-  boundary (an empty frame doubles as the null message) therefore
-  injects every remote event before the window that must dispatch it.
-
-**Adaptive windows** (``adaptive=True``): instead of one global width,
+**Adaptive windows.**  Instead of exchanging at every grid boundary,
 every frame header carries a per-link *promise* — a strict lower bound
 on the delivery time of every message in any *future* frame on that
 link.  A shard's safe horizon is the minimum promise over its live
 inbound links; it widens its next window to the largest integer
-multiple of the base width ``W`` below that horizon (capped at the
-horizon itself — promises are strict, so running *to* the bound is
-safe).  Promises are renegotiated in every header from the sender's
-clock, its next pending local event (``Simulator.peek``) and its own
-inbound horizon, so all shards agree on the schedule deterministically,
-without wall-clock input.  Senders additionally declare ``skip`` — how
-many lock-step rounds they will stay silent on a link — which thins
-the exchange on wide links; termination is a final-flag handshake
-(a shard that reached the duration promises ``+inf`` and marks the
-link closed; the peer stops receiving on it).
+multiple of ``W`` below that horizon (capped at the horizon itself —
+promises are strict, so running *to* the bound is safe).  Promises are
+renegotiated in every header from the sender's clock, its next pending
+local event (``Simulator.peek``) and its own inbound horizon, so all
+shards agree on the schedule deterministically, without wall-clock
+input.  Senders additionally declare ``skip`` — how many rounds they
+will stay silent on a link — which thins the exchange on wide links;
+termination is a final-flag handshake (a shard that reached the
+duration promises ``+inf`` and marks the link closed; the peer stops
+receiving on it).
 
-In both modes: within one link, delivery timestamps are
-non-decreasing (the link's serialization horizon is monotone), so
-per-link frames are ordered; across links, received events are sorted
-by ``(delivery time, link rank, intra-frame index)`` before injection.
-Exchange is symmetric — every shard sends on all its due outgoing
-links, then receives on all its due incoming links, once per round —
-so the blocking reads cannot deadlock as long as frames stay smaller
-than the pipe buffer.
+Within one link, delivery timestamps are non-decreasing (the link's
+serialization horizon is monotone), so per-link frames are ordered;
+across links, received events are sorted by ``(delivery time, link
+rank, intra-frame index)`` before injection.  Exchange is symmetric —
+every shard sends on all its due outgoing links, then receives on all
+its due incoming links, once per round — so the blocking reads cannot
+deadlock as long as frames stay smaller than the pipe buffer.
 
-**Wire formats** — a transport is anything with ``send(obj)`` /
-``recv()`` (a multiprocessing ``Connection``, a queue shim in tests):
-
-* pickle wire, fixed mode: the bare frame list (PR-9 compatible);
-* pickle wire, adaptive mode: ``(promise, clock, flags, skip, frame)``;
-* packed wire (``packed=True``): one :class:`FrameCodec` byte buffer
-  per frame — a struct-packed header plus per-message rows with all
-  repeated strings (page names, demand-key shapes, tier names)
-  interned per link, so the ``Connection`` hot path serializes one
-  ``bytes`` object per window instead of pickling every RPC tuple.
+**Wire format.**  A transport is anything with ``send(bytes)`` /
+``recv() -> bytes`` (a :class:`PackedConnection` over a
+multiprocessing ``Connection``, a list or queue shim in tests).  Each
+frame is one :class:`FrameCodec` byte buffer — a struct-packed header
+plus per-message rows with all repeated strings (page names,
+demand-key shapes, tier names) interned per link, so the
+``Connection`` hot path serializes one ``bytes`` object per frame
+instead of pickling every RPC tuple.
 """
 
 from __future__ import annotations
@@ -261,7 +255,14 @@ class FrameCodec:
                     and type(page) is str
                     and type(demands) is dict
                     and type(weight) is float
-                    and all(type(v) is float for v in demands.values())
+                    # A key holding the separator would split apart in
+                    # the decoded shape: such a call travels raw.
+                    and all(
+                        type(k) is str
+                        and _SHAPE_SEP not in k
+                        and type(v) is float
+                        for k, v in demands.items()
+                    )
                 ):
                     keys = list(demands.keys())
                     page_id = self._intern(page, fresh)
@@ -401,7 +402,7 @@ class FrameCodec:
                 values = struct.unpack_from(f"<{n_keys}d", buf, pos)
                 pos += 8 * n_keys
                 shape = strings[shape_id]
-                keys = shape.split(_SHAPE_SEP) if shape else []
+                keys = shape.split(_SHAPE_SEP) if n_keys else []
                 payload: Any = (
                     call_id,
                     rid,
@@ -464,7 +465,7 @@ class PackedConnection:
 
 # -- the runner -------------------------------------------------------------
 
-#: Upper bound on declared per-link silence, in lock-step rounds.
+#: Upper bound on declared per-link silence, in exchange rounds.
 MAX_SKIP = 4
 
 #: Relative strictness guard on promises derived from a pending-event
@@ -476,21 +477,20 @@ _PEEK_GUARD = 1e-9
 
 
 class ShardRunner:
-    """One shard's lock-step exchange loop (fixed or adaptive windows).
+    """One shard's exchange loop over adaptive safe windows.
 
     ``outgoing`` / ``incoming`` pair each channel with its transport
-    (any object with ``send(obj)`` / ``recv()`` — a multiprocessing
-    ``Connection`` in production, a queue shim in tests).  **Ordering
+    (any object with ``send(bytes)`` / ``recv() -> bytes`` — a
+    :class:`PackedConnection` in production, a list or queue shim in
+    tests); every link gets its own :class:`FrameCodec`.  **Ordering
     contract:** ``incoming`` must list channels in the same global
     rank order on every shard and every run — the rank is the
     cross-link tie-breaker for simultaneous deliveries.
 
-    ``adaptive=True`` switches to the promise-driven protocol described
-    in the module docstring; ``packed=True`` routes frames through a
-    per-link :class:`FrameCodec` (transports then carry ``bytes``).
-    ``reverse`` optionally maps each outgoing-link index to the
-    incoming-link index of the same host pair — required only for the
-    silence (``skip``) policy, which stays off without it.
+    ``reverse`` maps each outgoing-link index to the incoming-link
+    index of the same host pair (every RPC channel has a reply
+    channel); the silence (``skip``) policy reads the peer's clock from
+    it.
     """
 
     def __init__(
@@ -500,12 +500,9 @@ class ShardRunner:
         window: float,
         outgoing: Sequence[Tuple[Any, FrameChannel]],
         incoming: Sequence[Tuple[Any, Any]],
+        reverse: Sequence[int],
         on_window: Optional[Callable[[int, float, int, int], None]] = None,
         window_stride: int = 1,
-        adaptive: bool = False,
-        packed: bool = False,
-        reverse: Optional[Sequence[Optional[int]]] = None,
-        max_skip: int = MAX_SKIP,
     ):
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
@@ -516,12 +513,9 @@ class ShardRunner:
         self.window = window
         self.outgoing = list(outgoing)
         self.incoming = list(incoming)
+        self.reverse = list(reverse)
         self.on_window = on_window
         self.window_stride = max(1, int(window_stride))
-        self.adaptive = adaptive
-        self.packed = packed
-        self.reverse = list(reverse) if reverse is not None else None
-        self.max_skip = max(0, int(max_skip))
         self.windows = 0
         self.sent = 0
         self.received = 0
@@ -530,83 +524,12 @@ class ShardRunner:
         self.frames_received = 0
         #: Per-incoming-link delivered message counts (rank order).
         self.received_per_link = [0] * len(self.incoming)
-        self._encoders = (
-            [FrameCodec() for _ in self.outgoing] if packed else []
-        )
-        self._decoders = (
-            [FrameCodec() for _ in self.incoming] if packed else []
-        )
+        self._encoders = [FrameCodec() for _ in self.outgoing]
+        self._decoders = [FrameCodec() for _ in self.incoming]
 
     @property
     def bytes_sent(self) -> int:
         return sum(codec.bytes for codec in self._encoders)
-
-    def run(self) -> None:
-        if self.adaptive:
-            self._run_adaptive()
-        else:
-            self._run_fixed()
-
-    # -- fixed windows (PR-9 protocol) ---------------------------------
-
-    def _run_fixed(self) -> None:
-        """Advance to ``duration`` in lock-step safe windows."""
-        sim = self.sim
-        inject = sim.inject
-        duration = self.duration
-        width = self.window
-        on_window = self.on_window
-        stride = self.window_stride
-        packed = self.packed
-        t = 0.0
-        index = 0
-        while t < duration:
-            t_end = t + width
-            if t_end > duration:
-                t_end = duration
-            sim.run(until=t_end)
-            # Send-all, then receive-all: the symmetric exchange that
-            # doubles as the null-message barrier.
-            for i, (transport, channel) in enumerate(self.outgoing):
-                frame = channel.drain()
-                self.sent += len(frame)
-                self.frames_sent += 1
-                if packed:
-                    transport.send(
-                        self._encoders[i].encode(t_end, t_end, 0, 0, frame)
-                    )
-                else:
-                    transport.send(frame)
-            staged: List[Tuple[float, int, int, Any, Any]] = []
-            for rank, (transport, channel) in enumerate(self.incoming):
-                wire = transport.recv()
-                self.frames_received += 1
-                if packed:
-                    _, _, _, _, frame = self._decoders[rank].decode(wire)
-                else:
-                    frame = wire
-                self.received += len(frame)
-                self.received_per_link[rank] += len(frame)
-                deliver = channel.deliver
-                for idx, (time, payload) in enumerate(frame):
-                    staged.append((time, rank, idx, deliver, payload))
-            if staged:
-                if len(staged) > 1:
-                    staged.sort(key=_stage_key)
-                # inject refuses timestamps before t_end — a violation
-                # of the lookahead bound aborts loudly instead of
-                # silently reordering dispatch.
-                for time, _, _, deliver, payload in staged:
-                    inject(time, partial(deliver, payload))
-            index += 1
-            t = t_end
-            if on_window is not None and (
-                index % stride == 0 or t >= duration
-            ):
-                on_window(index, t, self.sent, self.received)
-        self.windows = index
-
-    # -- adaptive windows ----------------------------------------------
 
     def _safe_target(self, t: float, bound: float) -> float:
         """Largest safe horizon: grid multiple of ``W`` capped at the
@@ -627,18 +550,19 @@ class ShardRunner:
             target = bound
         return target
 
-    def _run_adaptive(self) -> None:
+    def run(self) -> None:
+        """Advance to ``duration``, exchanging frames every round."""
         sim = self.sim
         inject = sim.inject
         duration = self.duration
         width = self.window
         on_window = self.on_window
         stride = self.window_stride
-        packed = self.packed
         n_out = len(self.outgoing)
         n_in = len(self.incoming)
         reverse = self.reverse
-        max_skip = self.max_skip
+        encoders = self._encoders
+        decoders = self._decoders
         guard = _PEEK_GUARD * width
 
         promise_out = [0.0] * n_out
@@ -653,7 +577,8 @@ class ShardRunner:
 
         t = 0.0
         rounds = 0
-        while open_out or open_in:
+        done = False
+        while not done:
             bound = inf
             for j in range(n_in):
                 if not final_in[j] and bound_in[j] < bound:
@@ -681,8 +606,8 @@ class ShardRunner:
                     # done: promise infinity and close it.
                     final_sent[i] = True
                     open_out -= 1
-                    self._send_frame(
-                        transport, i, inf, t, FLAG_FINAL, 0, frame
+                    transport.send(
+                        encoders[i].encode(inf, t, FLAG_FINAL, 0, frame)
                     )
                     continue
                 # Earliest time any *future* send on this link can
@@ -701,24 +626,19 @@ class ShardRunner:
                     promise = promise_out[i]
                 else:
                     promise_out[i] = promise
-                skip = 0
-                if max_skip and reverse is not None:
-                    rev = reverse[i]
-                    if rev is not None:
-                        # peer_clock is ~two rounds stale (sampled from
-                        # last round's frame, acted on next round) and
-                        # the peer advances up to one quantum per
-                        # round, so discount two quanta: a link at the
-                        # base lookahead never skips (skipping would
-                        # stall its receiver), a double-width link
-                        # skips every other round.
-                        skip = int((promise - peer_clock[rev]) / width) - 2
-                        if skip < 0:
-                            skip = 0
-                        elif skip > max_skip:
-                            skip = max_skip
+                # peer_clock is ~two rounds stale (sampled from last
+                # round's frame, acted on next round) and the peer
+                # advances up to one quantum per round, so discount two
+                # quanta: a link at the base lookahead never skips
+                # (skipping would stall its receiver), a double-width
+                # link skips every other round.
+                skip = int((promise - peer_clock[reverse[i]]) / width) - 2
+                if skip < 0:
+                    skip = 0
+                elif skip > MAX_SKIP:
+                    skip = MAX_SKIP
                 next_send[i] = rounds + 1 + skip
-                self._send_frame(transport, i, promise, t, 0, skip, frame)
+                transport.send(encoders[i].encode(promise, t, 0, skip, frame))
 
             # Receive phase: every open link whose sender declared a
             # frame for this round.
@@ -727,14 +647,10 @@ class ShardRunner:
                 if final_in[rank] or next_recv[rank] != rounds:
                     continue
                 transport, channel = self.incoming[rank]
-                wire = transport.recv()
+                promise, clock, flags, skip, frame = decoders[rank].decode(
+                    transport.recv()
+                )
                 self.frames_received += 1
-                if packed:
-                    promise, clock, flags, skip, frame = self._decoders[
-                        rank
-                    ].decode(wire)
-                else:
-                    promise, clock, flags, skip, frame = wire
                 if promise > bound_in[rank]:
                     bound_in[rank] = promise
                 peer_clock[rank] = clock
@@ -751,33 +667,18 @@ class ShardRunner:
             if staged:
                 if len(staged) > 1:
                     staged.sort(key=_stage_key)
+                # inject refuses timestamps before the shard's clock —
+                # a violation of the lookahead bound aborts loudly
+                # instead of silently reordering dispatch.
                 for time, _, _, deliver, payload in staged:
                     inject(time, partial(deliver, payload))
 
-            if on_window is not None and (
-                rounds % stride == 0 or not (open_out or open_in)
-            ):
+            # Outgoing links close only at the duration; the clock test
+            # covers shards without any.
+            done = t >= duration and not (open_out or open_in)
+            if on_window is not None and (rounds % stride == 0 or done):
                 on_window(rounds, t, self.sent, self.received)
         self.windows = rounds
-
-    def _send_frame(
-        self,
-        transport: Any,
-        index: int,
-        promise: float,
-        clock: float,
-        flags: int,
-        skip: int,
-        frame: Sequence[Tuple[float, Any]],
-    ) -> None:
-        if self.packed:
-            transport.send(
-                self._encoders[index].encode(
-                    promise, clock, flags, skip, frame
-                )
-            )
-        else:
-            transport.send((promise, clock, flags, skip, list(frame)))
 
 
 def _stage_key(entry: Tuple) -> Tuple[float, int, int]:

@@ -95,7 +95,6 @@ class TestDatacenterCli:
         ) == 0
         out = capsys.readouterr().out
         assert "shards=1" in out
-        assert "adaptive windows" in out
 
     def test_shards_auto_caps_at_host_count(self, capsys, monkeypatch):
         import os
@@ -108,13 +107,6 @@ class TestDatacenterCli:
         # dc-2host has two hosts, so auto never exceeds 2 shards.
         assert "shards=2" in out
         assert "transport:" in out
-
-    def test_fixed_window_mode(self, capsys):
-        assert main(
-            ["run", "dc-2host", "--shards", "1", "--fixed-window",
-             *self.DC_ARGS]
-        ) == 0
-        assert "fixed windows" in capsys.readouterr().out
 
     def test_shards_rejects_non_integer(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,6 +7,8 @@ protocol behaviors (RTO retransmission, exhaustion, ECN marking,
 background contention) with deterministic scenarios.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,12 @@ from repro.net import (
 from repro.ntier import RetransmissionPolicy, TierOverflowError
 from repro.sim import Simulator
 from repro.sim.core import Timeout
-from repro.sim.sharded import FrameChannel, ShardRunner
+from repro.sim.sharded import (
+    FLAG_FINAL,
+    FrameChannel,
+    FrameCodec,
+    ShardRunner,
+)
 
 
 def drive(sim, chain, start, results, count=1):
@@ -268,7 +275,7 @@ class TestProtocolBehaviors:
 
 
 class _Preloaded:
-    """Test transport: hand back the staged frame at each window."""
+    """Test transport: hand back the staged frame at each round."""
 
     def __init__(self, frames):
         self._frames = list(frames)
@@ -464,14 +471,23 @@ class TestShardBoundaryProperties:
         x, y = FrameChannel(None), FrameChannel(None)
         x.bind(order.append)
         y.bind(order.append)
-        frames_x = [[(t, ("x", i)) for i, t in enumerate(times_x)], []]
-        frames_y = [[(t, ("y", i)) for i, t in enumerate(times_y)], []]
+
+        def closing_frame(tag, times):
+            # One frame that delivers everything and closes the link.
+            messages = [(t, (tag, i)) for i, t in enumerate(times)]
+            codec = FrameCodec()
+            return [codec.encode(math.inf, 0.0, FLAG_FINAL, 0, messages)]
+
         runner = ShardRunner(
             sim,
             duration=0.2,
             window=0.1,
             outgoing=[],
-            incoming=[(_Preloaded(frames_x), x), (_Preloaded(frames_y), y)],
+            incoming=[
+                (_Preloaded(closing_frame("x", times_x)), x),
+                (_Preloaded(closing_frame("y", times_y)), y),
+            ],
+            reverse=[],
         )
         runner.run()
         staged = [

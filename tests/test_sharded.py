@@ -14,6 +14,7 @@ import gc
 import os
 from dataclasses import replace
 from functools import partial
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ from repro.ntier.remote import (
 from repro.ntier.request import Request
 from repro.sim import SimulationError, Simulator
 from repro.sim.core import Timeout
-from repro.sim.sharded import FrameChannel, ShardRunner
+from repro.sim.sharded import FLAG_FINAL, FrameChannel, FrameCodec, ShardRunner
 
 TOPO = RackTopology(racks=(("r1", ("a", "b")), ("r2", ("c", "d"))))
 
@@ -211,56 +212,86 @@ class ListTransport:
         return self._frames.pop(0)
 
 
+def packed(*headers):
+    """Encode ``(promise, clock, flags, skip, messages)`` frames in
+    order through one link's codec — what a peer shard would send."""
+    codec = FrameCodec()
+    return [codec.encode(*header) for header in headers]
+
+
 class TestShardRunner:
     WINDOW = 0.1
 
+    def lockstep_peer(self, windows, last=()):
+        """A peer promising one more base window per round for
+        ``windows`` rounds, then closing the link (its final frame
+        carrying ``last``)."""
+        w = self.WINDOW
+        headers = [((k + 1) * w, k * w, 0, 0, []) for k in range(windows)]
+        headers.append((inf, windows * w, FLAG_FINAL, 0, list(last)))
+        return packed(*headers)
+
     def run_sender(self, sends, duration=0.4):
-        """Drive a sender shard; return the per-window frames it shipped."""
+        """Drive a sender shard against a lock-step peer; return the
+        runner, the buffers it shipped, and their decoded frames."""
         sim = Simulator()
         channel = FrameChannel(ConstantLink(self.WINDOW))
         transport = ListTransport()
         for t, payload in sends:
             sim.defer_at(t, partial(channel.send, t, payload))
+        peer = ListTransport(self.lockstep_peer(3))
         runner = ShardRunner(
             sim,
             duration=duration,
             window=self.WINDOW,
             outgoing=[(transport, channel)],
-            incoming=[],
+            incoming=[(peer, FrameChannel(None))],
+            reverse=[0],
         )
         runner.run()
-        return runner, transport.sent
+        decoder = FrameCodec()
+        frames = [decoder.decode(buf) for buf in transport.sent]
+        return runner, transport.sent, frames
 
     def test_sends_land_in_their_windows_frames(self):
         sends = [(0.05, "a"), (0.11, "b"), (0.19, "c"), (0.23, "d")]
-        runner, frames = self.run_sender(sends)
-        assert runner.windows == 4
+        runner, _, frames = self.run_sender(sends)
+        # Four grid windows plus the closing round at the duration.
+        assert runner.windows == 5
         assert runner.sent == 4
-        assert len(frames) == 4  # one frame per window, empties included
-        # A send at s in window (t_{k-1}, t_k] stamps delivery s + L,
-        # strictly past t_k — the protocol's safe-window invariant.
-        for k, frame in enumerate(frames):
-            t_end = (k + 1) * self.WINDOW
-            for time, _ in frame:
-                assert time > t_end
-        assert [p for f in frames for _, p in f] == ["a", "b", "c", "d"]
+        assert len(frames) == 5  # one frame per round, empties included
+        for k, (promise, clock, flags, _, messages) in enumerate(frames):
+            # A send at s <= clock stamps delivery s + L, strictly past
+            # the horizon the shard advanced to before shipping it...
+            for time, _ in messages:
+                assert time > clock
+            # ...and past every promise an earlier frame made.
+            for earlier in frames[:k]:
+                for time, _ in messages:
+                    assert time > earlier[0]
+            assert bool(flags & FLAG_FINAL) == (k == len(frames) - 1)
+        assert frames[-1][0] == inf
+        assert [p for f in frames for _, p in f[4]] == ["a", "b", "c", "d"]
 
     def test_receiver_dispatches_at_stamped_times(self):
         sends = [(0.05, "a"), (0.11, "b"), (0.19, "c"), (0.23, "d")]
-        _, frames = self.run_sender(sends)
+        _, wire, _ = self.run_sender(sends)
         sim = Simulator()
-        channel = FrameChannel(ConstantLink(self.WINDOW))
+        channel = FrameChannel(None)
         seen = []
         channel.bind(lambda payload: seen.append((sim.now, payload)))
+        reply = FrameChannel(ConstantLink(self.WINDOW))
         runner = ShardRunner(
             sim,
             duration=0.4,
             window=self.WINDOW,
-            outgoing=[],
-            incoming=[(ListTransport(frames), channel)],
+            outgoing=[(ListTransport(), reply)],
+            incoming=[(ListTransport(wire), channel)],
+            reverse=[0],
         )
         runner.run()
         assert runner.received == 4
+        assert runner.frames_received == len(wire)
         assert seen == [
             (pytest.approx(t + self.WINDOW), p) for t, p in sends
         ]
@@ -271,8 +302,12 @@ class TestShardRunner:
         order = []
         x.bind(lambda p: order.append(p))
         y.bind(lambda p: order.append(p))
-        frames_x = [[(0.15, "x0"), (0.15, "x1")], []]
-        frames_y = [[(0.15, "y0"), (0.17, "y-later")], []]
+        frames_x = packed(
+            (inf, 0.0, FLAG_FINAL, 0, [(0.15, "x0"), (0.15, "x1")])
+        )
+        frames_y = packed(
+            (inf, 0.0, FLAG_FINAL, 0, [(0.15, "y0"), (0.17, "y-later")])
+        )
         runner = ShardRunner(
             sim,
             duration=0.2,
@@ -282,6 +317,7 @@ class TestShardRunner:
                 (ListTransport(frames_x), x),
                 (ListTransport(frames_y), y),
             ],
+            reverse=[],
         )
         runner.run()
         # Equal stamps break ties by (link rank, intra-frame index).
@@ -291,15 +327,16 @@ class TestShardRunner:
         sim = Simulator()
         channel = FrameChannel(None)
         channel.bind(lambda p: None)
-        # Stamped *inside* window 1: by the time the frame is injected
-        # the shard already advanced past it.
-        frames = [[(0.05, "late")], []]
+        # Stamped *inside* the first window: by the time the closing
+        # frame is injected the shard already advanced past it.
+        frames = self.lockstep_peer(1, last=[(0.05, "late")])
         runner = ShardRunner(
             sim,
             duration=0.2,
             window=self.WINDOW,
             outgoing=[],
             incoming=[(ListTransport(frames), channel)],
+            reverse=[],
         )
         with pytest.raises(SimulationError):
             runner.run()
@@ -307,28 +344,36 @@ class TestShardRunner:
     def test_on_window_honors_stride_and_final_flush(self):
         calls = []
         sim = Simulator()
+        peer = ListTransport(self.lockstep_peer(3))
         runner = ShardRunner(
             sim,
-            duration=0.35,  # 4 windows, last one short
+            duration=0.35,  # 3 grid windows, then a short last one
             window=self.WINDOW,
             outgoing=[],
-            incoming=[],
+            incoming=[(peer, FrameChannel(None))],
+            reverse=[],
             on_window=lambda *a: calls.append(a),
             window_stride=2,
         )
         runner.run()
-        assert runner.windows == 4
+        assert runner.windows == 5
         indices = [index for index, *_ in calls]
         # Every stride boundary plus the mandatory final report.
-        assert indices == [2, 4]
+        assert indices == [2, 4, 5]
         assert calls[-1][1] == pytest.approx(0.35)
 
     def test_rejects_degenerate_geometry(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            ShardRunner(sim, duration=1.0, window=0.0, outgoing=[], incoming=[])
+            ShardRunner(
+                sim, duration=1.0, window=0.0, outgoing=[], incoming=[],
+                reverse=[],
+            )
         with pytest.raises(ValueError):
-            ShardRunner(sim, duration=0.0, window=0.1, outgoing=[], incoming=[])
+            ShardRunner(
+                sim, duration=0.0, window=0.1, outgoing=[], incoming=[],
+                reverse=[],
+            )
 
 
 class DirectChannel:
@@ -607,7 +652,12 @@ class TestFrameCodec:
             (
                 0.503,
                 (9, 1207, "StoriesOfTheDay", {"mysql": 0.0215}, 1.0),
-            )
+            ),
+            (0.504, (10, 1208, "StoriesOfTheDay", {}, 1.0)),
+            # An empty key is still one key.
+            (0.505, (11, 1209, "StoriesOfTheDay", {"": 0.5}, 1.0)),
+            # A key holding the shape separator must not split.
+            (0.506, (12, 1210, "StoriesOfTheDay", {"a\x1fb": 0.5}, 1.0)),
         ]
         out, _, _ = self.roundtrip(frame)
         assert out == frame
@@ -627,6 +677,7 @@ class TestFrameCodec:
             (0.2, {"not": "an rpc"}),
             (0.3, (1, 2)),  # tuple of the wrong arity
             (0.4, (9, 1, "page", {"mysql": 1}, 1.0)),  # int demand
+            (0.5, (9, 1, "page", {1: 0.5}, 1.0)),  # non-str demand key
         ]
         out, _, _ = self.roundtrip(frame)
         assert out == frame
@@ -695,8 +746,6 @@ def run_shard_pair(
     lookahead_ba,
     duration,
     window,
-    adaptive,
-    packed=False,
 ):
     """Two ShardRunner threads exchanging over queue transports.
 
@@ -733,8 +782,6 @@ def run_shard_pair(
                 window=window,
                 outgoing=[(QueueTransport(out_q, in_q), out_ch)],
                 incoming=[(QueueTransport(out_q, in_q), in_ch)],
-                adaptive=adaptive,
-                packed=packed,
                 reverse=[0],
             )
             runner.run()
@@ -759,7 +806,7 @@ def expected_deliveries(sends, lookahead, duration=1.0):
 
     Deliveries stamped past ``duration`` are injected but never
     dispatched (the receiving simulator stops at the horizon), so they
-    do not appear in any mode's log.
+    do not appear in the log.
     """
     stamped = [
         (t + lookahead, i, p) for i, (t, p) in enumerate(sorted(sends))
@@ -769,77 +816,57 @@ def expected_deliveries(sends, lookahead, duration=1.0):
 
 
 class TestAdaptiveRunner:
-    """The promise-driven protocol delivers the fixed-width order.
+    """The promise-driven protocol delivers the reference order.
 
     The harness pits two runner threads against each other over queue
     transports: every (send schedule, link asymmetry) must produce the
-    identical delivery log under fixed windows, adaptive windows, and
-    the packed wire — including sends landing exactly on window
-    boundaries (where retry timers such as link-RTO expiries fire) and
-    frames straddling the widened multi-window rounds of the adaptive
-    mode.
+    delivery log of :func:`expected_deliveries` — the order one shared
+    simulator would dispatch — including sends landing exactly on
+    window boundaries (where retry timers such as link-RTO expiries
+    fire) and frames straddling widened multi-window rounds.
     """
 
     W = 0.1
     DURATION = 1.0
 
-    def run_modes(self, sends_a, sends_b, la, lb):
-        fixed, _, fixed_frames = run_shard_pair(
-            sends_a, sends_b, la, lb, self.DURATION, self.W, adaptive=False
+    def exchange(self, sends_a, sends_b, la, lb):
+        logs, rounds, frames = run_shard_pair(
+            sends_a, sends_b, la, lb, self.DURATION, self.W
         )
-        adaptive, _, frames = run_shard_pair(
-            sends_a, sends_b, la, lb, self.DURATION, self.W, adaptive=True
-        )
-        packed, _, _ = run_shard_pair(
-            sends_a,
-            sends_b,
-            la,
-            lb,
-            self.DURATION,
-            self.W,
-            adaptive=True,
-            packed=True,
-        )
-        assert adaptive == fixed
-        assert packed == fixed
-        return fixed, (fixed_frames, frames)
+        assert logs[0] == expected_deliveries(sends_b, lb, self.DURATION)
+        assert logs[1] == expected_deliveries(sends_a, la, self.DURATION)
+        return logs, rounds, frames
 
     def test_symmetric_chatter_is_identical(self):
         sends_a = [(0.05 * i, f"a{i}") for i in range(18)]
         sends_b = [(0.07 * i, f"b{i}") for i in range(14)]
-        logs, _ = self.run_modes(sends_a, sends_b, self.W, self.W)
+        logs, _, _ = self.exchange(sends_a, sends_b, self.W, self.W)
         assert logs[1] == [
             (pytest.approx(t + self.W), p) for t, p in sends_a
         ]
 
     def test_wide_links_widen_rounds_without_reordering(self):
-        # Lookahead 5x the base window: the adaptive mode runs multi-
-        # window rounds, and frames straddle the widened boundaries.
+        # Lookahead 5x the base window: rounds widen to several
+        # windows, and frames straddle the widened boundaries.
         la = lb = 5 * self.W
         sends_a = [(0.033 * i, f"a{i}") for i in range(28)]
         sends_b = [(0.051 * i, f"b{i}") for i in range(18)]
-        logs, (fixed_frames, frames) = self.run_modes(
-            sends_a, sends_b, la, lb
-        )
-        assert logs[0] == expected_deliveries(sends_b, lb)
-        assert logs[1] == expected_deliveries(sends_a, la)
-        # The point of widening + silence: far fewer frames on the
-        # wire than the one-per-window the fixed protocol ships.
-        assert max(fixed_frames) >= 10
-        assert max(frames) < max(fixed_frames)
+        _, rounds, frames = self.exchange(sends_a, sends_b, la, lb)
+        # The point of silence: fewer frames than rounds x links (each
+        # side sends on one link).
+        for side in (0, 1):
+            assert frames[side] < rounds[side]
 
     def test_window_edge_sends_are_exact(self):
         # Sends exactly at k*W — the stamp class retry timers (e.g.
         # link-RTO expiries rescheduled a whole RTO apart) produce.
         sends_a = [(k * self.W, f"edge{k}") for k in range(1, 9)]
         sends_b = [(k * self.W / 2, f"half{k}") for k in range(1, 17)]
-        logs, _ = self.run_modes(sends_a, sends_b, self.W, 2 * self.W)
-        assert logs[1] == expected_deliveries(sends_a, self.W)
-        assert logs[0] == expected_deliveries(sends_b, 2 * self.W)
+        self.exchange(sends_a, sends_b, self.W, 2 * self.W)
 
     def test_silent_side_uses_null_frames(self):
         sends_a = [(0.21, "lonely")]
-        logs, _ = self.run_modes(sends_a, [], self.W, self.W)
+        logs, _, _ = self.exchange(sends_a, [], self.W, self.W)
         assert logs[1] == [(pytest.approx(0.31), "lonely")]
         assert logs[0] == []
 
@@ -866,8 +893,9 @@ class TestAdaptiveRunner:
         self, grid_a, grid_b, la_quarters, lb_quarters
     ):
         """Random quarter-window grids (boundary hits included) and
-        asymmetric lookaheads: identical (time, rank, idx) injection
-        order in every mode."""
+        asymmetric lookaheads: the adaptive exchange injects in the
+        order the fixed base-window grid defines — delivery stamp,
+        ties in send order."""
         quarter = self.W / 4
         sends_a = [
             (k * quarter, ("a", i, k, j))
@@ -877,8 +905,6 @@ class TestAdaptiveRunner:
             (k * quarter, ("b", i, k, j))
             for i, (k, j) in enumerate(grid_b)
         ]
-        la = la_quarters * quarter
-        lb = lb_quarters * quarter
-        logs, _ = self.run_modes(sends_a, sends_b, la, lb)
-        assert logs[1] == expected_deliveries(sends_a, la)
-        assert logs[0] == expected_deliveries(sends_b, lb)
+        self.exchange(
+            sends_a, sends_b, la_quarters * quarter, lb_quarters * quarter
+        )
