@@ -328,7 +328,7 @@ def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
     from ..sim.rng import RandomStreams
     from ..workload.rubbos import RubbosWorkload
     from ..ntier.client import UserPopulation
-    from ..cloud.platform import CloudDeployment, rubbos_3tier
+    from ..cloud.platform import CloudDeployment
     from ..core.attack import MemCAAttack
     from ..monitoring.sampler import UtilizationMonitor
     from ..sim.core import Simulator
@@ -337,16 +337,7 @@ def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
     scenario = _replace(PRIVATE_CLOUD, duration=duration)
     streams = RandomStreams(scenario.seed)
     sim = Simulator()
-    deployment = CloudDeployment(
-        sim,
-        rubbos_3tier(
-            apache_threads=scenario.apache_threads,
-            apache_backlog=scenario.apache_backlog,
-            tomcat_threads=scenario.tomcat_threads,
-            mysql_connections=scenario.mysql_connections,
-            host_spec=scenario.host_spec,
-        ),
-    )
+    deployment = CloudDeployment(sim, scenario.deployment_config())
     workload = RubbosWorkload(
         rng=streams.get("workload"), distribution=distribution
     )
@@ -432,23 +423,14 @@ def _measure_dual_tier_point(
     from ..sim.rng import RandomStreams
     from ..sim.core import Simulator
     from ..ntier.client import UserPopulation
-    from ..cloud.platform import CloudDeployment, rubbos_3tier
+    from ..cloud.platform import CloudDeployment
     from ..workload.rubbos import RubbosWorkload
     from .configs import PRIVATE_CLOUD
 
     scenario = _replace(PRIVATE_CLOUD, duration=duration)
     streams = RandomStreams(scenario.seed)
     sim = Simulator()
-    deployment = CloudDeployment(
-        sim,
-        rubbos_3tier(
-            apache_threads=scenario.apache_threads,
-            apache_backlog=scenario.apache_backlog,
-            tomcat_threads=scenario.tomcat_threads,
-            mysql_connections=scenario.mysql_connections,
-            host_spec=scenario.host_spec,
-        ),
-    )
+    deployment = CloudDeployment(sim, scenario.deployment_config())
     workload = RubbosWorkload(rng=streams.get("workload"))
     UserPopulation(
         sim, deployment.app, workload.make_request,

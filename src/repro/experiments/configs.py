@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from ..cloud.platform import DeploymentConfig, rubbos_3tier
 from ..hardware.topology import EC2_E5_2680, XEON_E5_2603_V3, CpuSpec
 from ..model.parameters import AttackBurst, SystemModel, TierModel
 from ..net import NetworkConfig
@@ -99,6 +100,17 @@ class RubbosScenario:
     #: through the finite queue chain and, like ``hybrid``, flows into
     #: ``stable_hash`` for the sweep cache.
     network: Optional[NetworkConfig] = None
+
+    def deployment_config(self) -> DeploymentConfig:
+        """The full-chain 3-tier deployment this scenario describes."""
+        return rubbos_3tier(
+            apache_threads=self.apache_threads,
+            apache_backlog=self.apache_backlog,
+            tomcat_threads=self.tomcat_threads,
+            mysql_connections=self.mysql_connections,
+            host_spec=self.host_spec,
+            vcpus=self.tier_vcpus,
+        )
 
     def paper_scale(self) -> "RubbosScenario":
         """The paper's literal 3500-user population."""

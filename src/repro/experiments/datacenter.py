@@ -25,16 +25,24 @@ Workers exchange **adaptive** safe windows over the **packed** frame
 transport (struct rows + per-link string interning instead of
 per-message pickling), byte-identical to the reference.
 
-Scenarios may carry a :class:`ShardBulk`: every shard worker then
-hosts a per-host million-user fluid bulk
+Scenarios may carry a :class:`ShardBulk`: every shard then hosts a
+per-host million-user fluid bulk
 (:class:`~repro.sim.hybrid.FluidEngine` over the shard's local tier
 slice), coupled into the discrete tiers as background load — the
 datacenter flavour of the hybrid engine, closed-loop per host so no
 fluid mass crosses shard boundaries (the cross-host traffic stays
 fully discrete and exactly synchronized).
 
-Both modes build *identical* per-shard domains — same construction
-order, same marshalled RPC frames, same name-addressed RNG streams
+Every shard's world comes from the one RUBBoS world builder,
+:func:`~repro.experiments.runner.build_world` — the function
+``run_rubbos`` builds the full chain with — over the shard's tier
+slice, in its fixed order: deployment, population (front shard only),
+memory adversary (attack shard only), fluid bulk.  The boundary
+wiring follows (remote stubs, replica dispatcher, remote-call server),
+none of which schedules an event when built.  Both modes build every
+group through one function, :func:`_build_group`: *identical*
+per-shard domains — same construction order, same marshalled RPC
+frames, same name-addressed RNG streams
 (:class:`~repro.sim.rng.RandomStreams` substreams depend only on
 ``(seed, name)``, never on draw order elsewhere) — which is what makes
 the equivalence hold by construction rather than by luck.
@@ -50,17 +58,14 @@ from dataclasses import dataclass, replace
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..cloud.platform import CloudDeployment, DeploymentConfig, rubbos_3tier
 from ..cloud.topology import RackTopology
-from ..core.attack import MemCAAttack
 from ..net.fabric import CrossHostLink
-from ..ntier.client import UserPopulation
 from ..ntier.remote import RemoteTierServer, RemoteTierStub
 from ..ntier.replicated import ReplicatedTier
 from ..ntier.request import Request
 from ..obs.sketch import LogHistogram
 from ..sim.core import Simulator
-from ..sim.hybrid import FluidEngine, HybridConfig, fluid_tiers_for
+from ..sim.hybrid import HybridConfig
 from ..sim.rng import RandomStreams
 from ..sim.sharded import (
     EventCounter,
@@ -70,11 +75,11 @@ from ..sim.sharded import (
     ShardRunner,
     ShardWindow,
 )
-from ..workload.rubbos import RubbosWorkload
 from .configs import AttackSpec, RubbosScenario
 from .runner import (
+    World,
     _population_frozen,
-    make_attack_program,
+    build_world,
     split_attack_program,
 )
 from .summary import completed_after_warmup
@@ -111,13 +116,12 @@ class ShardBulk:
     users over its *local* tier slice — background load for the
     discrete cross-host traffic, per host, so the fluid state never
     crosses a shard boundary and the safe-window protocol is untouched.
+    The engine runs at :class:`~repro.sim.hybrid.HybridConfig`'s
+    defaults (Euler tick, bulk RTO, publish window).
     """
 
     users_per_host: int
     think_time: float
-    fluid_tick: float = 0.02
-    rto: float = 1.0
-    publish_window: float = 1.0
 
     def __post_init__(self) -> None:
         if self.users_per_host < 1:
@@ -127,10 +131,6 @@ class ShardBulk:
         if self.think_time <= 0:
             raise ValueError(
                 f"think_time must be positive: {self.think_time}"
-            )
-        if self.fluid_tick <= 0:
-            raise ValueError(
-                f"fluid_tick must be positive: {self.fluid_tick}"
             )
 
 
@@ -194,7 +194,7 @@ class DatacenterScenario:
 
     def chain(self) -> Tuple[str, ...]:
         """The full tier chain, front-to-back."""
-        return tuple(t.name for t in _tier_configs(self.base).tiers)
+        return tuple(t.name for t in self.base.deployment_config().tiers)
 
     def layout(self) -> Tuple[Tuple[_Edge, ...], Tuple[int, ...]]:
         """Validate the shard tiling; return (edges, replica shards).
@@ -275,18 +275,6 @@ class DatacenterScenario:
         raise ValueError(f"attack target {target!r} is on no shard")
 
 
-def _tier_configs(base: RubbosScenario) -> DeploymentConfig:
-    """The full-chain deployment config a base scenario describes."""
-    return rubbos_3tier(
-        apache_threads=base.apache_threads,
-        apache_backlog=base.apache_backlog,
-        tomcat_threads=base.tomcat_threads,
-        mysql_connections=base.mysql_connections,
-        host_spec=base.host_spec,
-        vcpus=base.tier_vcpus,
-    )
-
-
 #: Channel ids: edge ``e`` owns call channel ``2e`` (upstream →
 #: downstream) and reply channel ``2e + 1`` (downstream → upstream) —
 #: a channel's reverse is always ``cid ^ 1``.
@@ -361,19 +349,16 @@ def _group_window(
 
 @dataclass
 class _Domain:
-    """One shard's built world (either execution mode)."""
+    """One shard's built world plus its boundary wiring."""
 
-    deployment: CloudDeployment
-    population: Optional[UserPopulation]
-    attack: Optional[MemCAAttack]
+    world: World
     server: Optional[RemoteTierServer]
     stubs: List[RemoteTierStub]
     sketch: LogHistogram
-    fluid: Optional[FluidEngine] = None
 
     @property
     def app(self):
-        return self.deployment.app
+        return self.world.deployment.app
 
 
 def _build_domain(
@@ -385,23 +370,31 @@ def _build_domain(
 ) -> _Domain:
     """Construct shard ``index``'s world on ``sim``.
 
+    The world is :func:`~repro.experiments.runner.build_world` over the
+    shard's tier slice — the builder ``run_rubbos`` uses — carrying the
+    adversary only on the attack shard and the per-host bulk on every
+    shard.  The boundary wiring follows: remote stubs (edge order) for
+    the next tier down, then the server for the calls coming in.
     ``out_channels`` / ``in_channels`` map channel ids to channel
     objects (``LocalChannel`` or ``FrameChannel`` — same surface).
-    Construction order is fixed and identical across modes: deployment,
-    boundary stubs (edge order), server, population, attack, fluid
-    bulk.
+    Neither stubs nor server schedule events when built.
     """
     spec = scenario.shards[index]
     base = scenario.base
-    full = _tier_configs(base)
-    sub = DeploymentConfig(
-        tiers=tuple(t for t in full.tiers if t.name in spec.tiers),
-        host_spec=full.host_spec,
-        pin_package=full.pin_package,
-    )
-    concurrency = {t.name: t.concurrency for t in full.tiers}
+    if scenario.attack_shard() != index:
+        base = replace(base, attack=None)
+    bulk = None
+    if scenario.bulk is not None:
+        bulk = (
+            scenario.bulk.users_per_host,
+            scenario.bulk.think_time,
+            HybridConfig(sample_fraction=1.0),
+        )
     streams = RandomStreams(base.seed)
-    deployment = CloudDeployment(sim, sub)
+    world = build_world(
+        sim, base, streams, users=base.users, bulk=bulk, tiers=spec.tiers
+    )
+    app = world.deployment.app
     sketch = LogHistogram()
     edges, _ = scenario.layout()
 
@@ -409,6 +402,9 @@ def _build_domain(
     my_calls = [e for e in edges if e.upstream == index]
     if my_calls:
         remote_name = my_calls[0].tier
+        concurrency = {
+            t.name: t.concurrency for t in base.deployment_config().tiers
+        }
         for edge in my_calls:
             stub = RemoteTierStub(
                 sim,
@@ -424,105 +420,18 @@ def _build_domain(
             )
         else:
             remote = stubs[0]
-        deployment.app.tiers[-1].downstream = remote
+        app.tiers[-1].downstream = remote
 
     server: Optional[RemoteTierServer] = None
     my_serves = [e for e in edges if e.downstream == index]
     if my_serves:
         (edge,) = my_serves
         server = RemoteTierServer(
-            sim,
-            deployment.app.front,
-            out_channels[2 * edge.id + 1],
-            sketch=sketch,
+            sim, app.front, out_channels[2 * edge.id + 1], sketch=sketch
         )
         in_channels[2 * edge.id].bind(server.dispatch)
 
-    population: Optional[UserPopulation] = None
-    if index == 0:
-        workload = RubbosWorkload(rng=streams.get("workload"))
-        population = UserPopulation(
-            sim,
-            deployment.app,
-            workload.make_request,
-            users=base.users,
-            think_time=base.think_time,
-            rng=streams.get("users"),
-        )
-        population.start()
-
-    attack: Optional[MemCAAttack] = None
-    if scenario.attack_shard() == index:
-        aspec = base.attack
-        target = aspec.target_tier
-        if target is None:
-            target = scenario.chain()[-1]
-        mem_program, _ = split_attack_program(aspec.program)
-        program = make_attack_program(
-            AttackSpec(
-                program=mem_program,
-                length=aspec.length,
-                interval=aspec.interval,
-                intensity=aspec.intensity,
-                jitter=aspec.jitter,
-                adversaries=aspec.adversaries,
-                target_tier=target,
-            ),
-            base.host_spec.mem_bandwidth_mbps,
-        )
-        attack = MemCAAttack(
-            sim,
-            deployment,
-            program=program,
-            length=aspec.length,
-            interval=aspec.interval,
-            intensity=aspec.intensity,
-            adversaries=aspec.adversaries,
-            target_tier=target,
-            jitter=aspec.jitter,
-            rng=streams.get("attack"),
-            monitor_interval=base.monitor_interval,
-        )
-        attack.launch()
-
-    fluid: Optional[FluidEngine] = None
-    if scenario.bulk is not None:
-        bulk = scenario.bulk
-        # The bulk's mean demands come from the workload model, not a
-        # random stream — RNG-free, so the engine never perturbs the
-        # discrete substreams (same invariant as the hybrid runner).
-        demand_model = RubbosWorkload()
-        fluid = FluidEngine(
-            sim,
-            tiers=fluid_tiers_for(
-                deployment.app.tiers, demand_model.mean_demand
-            ),
-            bulk_users=bulk.users_per_host,
-            think_time=bulk.think_time,
-            config=HybridConfig(
-                sample_fraction=1.0,
-                fluid_tick=bulk.fluid_tick,
-                couple=True,
-                rto=bulk.rto,
-                publish_window=bulk.publish_window,
-            ),
-        )
-        # Re-step exactly on attack ON/OFF edges (registered after the
-        # deployment wired the VMs, so the engine steps with the
-        # pre-change speeds it cached).
-        for memory in deployment.memories.values():
-            fluid.watch(memory)
-        fluid.start()
-
-    return _Domain(
-        deployment=deployment,
-        population=population,
-        attack=attack,
-        server=server,
-        stubs=stubs,
-        sketch=sketch,
-        fluid=fluid,
-    )
+    return _Domain(world=world, server=server, stubs=stubs, sketch=sketch)
 
 
 @dataclass
@@ -553,6 +462,148 @@ class ShardResult:
     frames: int = 0
     #: Frame bytes the group put on the wire (0 when unsharded).
     wire_bytes: int = 0
+
+
+@dataclass
+class _Group:
+    """A contiguous run of shard domains sharing one simulator.
+
+    The unsharded reference is the one group holding every shard; a
+    sharded run builds one group per worker.
+    """
+
+    members: List[int]
+    domains: List[_Domain]
+    counter: EventCounter
+    #: member -> {channel id: channel} it sends on / receives from.
+    out_channels: Dict[int, Dict[int, Any]]
+    in_channels: Dict[int, Dict[int, Any]]
+    #: Cross-group channels (frame-buffered), by channel id.
+    cross_out: Dict[int, FrameChannel]
+    cross_in: Dict[int, FrameChannel]
+
+    def results(
+        self,
+        scenario: DatacenterScenario,
+        windows: int = 0,
+        frames: int = 0,
+        wire_bytes: int = 0,
+        cross_received: Optional[Dict[int, int]] = None,
+    ) -> List[ShardResult]:
+        """Per-member results after the run.
+
+        Every member reports the group's ``windows``; the event count,
+        ``frames`` and ``wire_bytes`` land on the first member only.
+        ``cross_received`` counts the messages that arrived on each
+        cross-group channel (its receiver-side shell sends nothing).
+        """
+        cross_received = cross_received or {}
+        results = []
+        for position, (index, domain) in enumerate(
+            zip(self.members, self.domains)
+        ):
+            first = position == 0
+            if domain.world.population is not None:
+                # Front shard: observe every client response time.
+                for request in domain.app.completed:
+                    rt = request.response_time
+                    if rt is not None:
+                        domain.sketch.observe(rt)
+            engine = domain.world.fluid
+            fluid = None
+            if engine is not None:
+                fluid = {
+                    "bulk_users": float(engine.bulk_users),
+                    "completed": engine.completed,
+                    "dropped": engine.dropped,
+                }
+            results.append(
+                ShardResult(
+                    index=index,
+                    host=scenario.shards[index].host,
+                    tiers=scenario.shards[index].tiers,
+                    events=self.counter.count if first else 0,
+                    windows=windows,
+                    sent=sum(
+                        ch.sent for ch in self.out_channels[index].values()
+                    ),
+                    received=sum(
+                        cross_received.get(cid, ch.sent)
+                        for cid, ch in self.in_channels[index].items()
+                    ),
+                    tier_stats={
+                        tier.name: (
+                            tier.arrivals,
+                            tier.completions,
+                            tier.drops,
+                        )
+                        for tier in domain.app.tiers
+                    },
+                    sketch=domain.sketch,
+                    fluid=fluid,
+                    frames=frames if first else 0,
+                    wire_bytes=wire_bytes if first else 0,
+                )
+            )
+        return results
+
+    def client_requests(self) -> Tuple[List[Request], List[Request]]:
+        """(completed, failed) client requests; empty off the front."""
+        front = self.domains[0]
+        if front.world.population is None:
+            return [], []
+        return list(front.app.completed), list(front.app.failed)
+
+
+def _build_group(
+    scenario: DatacenterScenario, members: List[int], sim: Simulator
+) -> _Group:
+    """Build the shard domains ``members`` on ``sim``.
+
+    Channels are built in global channel-id order: channels inside the
+    group stay direct (:class:`~repro.sim.sharded.LocalChannel`),
+    cross-group channels buffer frames (a receiver-side
+    :class:`~repro.sim.sharded.FrameChannel` is a shell carrying only
+    the bound handler — the sender's link computed the delivery
+    timestamps).  Domains follow in member order.
+    """
+    counter = EventCounter()
+    sim.attach_hooks(counter)
+    member_set = set(members)
+    out_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
+    in_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
+    cross_out: Dict[int, FrameChannel] = {}
+    cross_in: Dict[int, FrameChannel] = {}
+    for cid, sender, receiver, src, dst in _channel_specs(scenario):
+        if sender in member_set and receiver in member_set:
+            channel: Any = LocalChannel(
+                _make_link(scenario, sim, src, dst), sim
+            )
+            out_channels[sender][cid] = channel
+            in_channels[receiver][cid] = channel
+        elif sender in member_set:
+            channel = FrameChannel(_make_link(scenario, sim, src, dst))
+            out_channels[sender][cid] = channel
+            cross_out[cid] = channel
+        elif receiver in member_set:
+            channel = FrameChannel(None)
+            in_channels[receiver][cid] = channel
+            cross_in[cid] = channel
+    domains = [
+        _build_domain(
+            scenario, index, sim, out_channels[index], in_channels[index]
+        )
+        for index in members
+    ]
+    return _Group(
+        members=members,
+        domains=domains,
+        counter=counter,
+        out_channels=out_channels,
+        in_channels=in_channels,
+        cross_out=cross_out,
+        cross_in=cross_in,
+    )
 
 
 @dataclass
@@ -631,98 +682,25 @@ class DatacenterRun:
         return tuple(totals)
 
 
-def _domain_stats(domain: _Domain) -> Dict[str, Tuple[int, int, int]]:
-    return {
-        tier.name: (tier.arrivals, tier.completions, tier.drops)
-        for tier in domain.app.tiers
-    }
-
-
-def _domain_fluid(domain: _Domain) -> Optional[Dict[str, float]]:
-    engine = domain.fluid
-    if engine is None:
-        return None
-    return {
-        "bulk_users": float(engine.bulk_users),
-        "completed": engine.completed,
-        "dropped": engine.dropped,
-    }
-
-
-def _finish_front_sketch(domain: _Domain) -> None:
-    """Front shard: observe every client response time post-run."""
-    if domain.population is None:
-        return
-    for request in domain.app.completed:
-        rt = request.response_time
-        if rt is not None:
-            domain.sketch.observe(rt)
-
-
 def _default_stride(scenario: DatacenterScenario) -> int:
     """Progress roughly once per simulated second."""
     return max(1, int(round(1.0 / scenario.window)))
 
 
-def _run_single(
-    scenario: DatacenterScenario,
-    progress: Optional[Callable[[ShardWindow], None]],
-    bus: Any,
-) -> DatacenterRun:
+def _run_single(scenario: DatacenterScenario) -> DatacenterRun:
     """Reference mode: every shard domain in one shared simulator."""
     sim = Simulator()
-    counter = EventCounter()
-    sim.attach_hooks(counter)
-    channels: Dict[int, LocalChannel] = {}
-    senders: Dict[int, int] = {}
-    receivers: Dict[int, int] = {}
-    for cid, sender, receiver, src, dst in _channel_specs(scenario):
-        channels[cid] = LocalChannel(_make_link(scenario, sim, src, dst), sim)
-        senders[cid] = sender
-        receivers[cid] = receiver
-    domains = [
-        _build_domain(
-            scenario,
-            index,
-            sim,
-            {cid: ch for cid, ch in channels.items() if senders[cid] == index},
-            {cid: ch for cid, ch in channels.items() if receivers[cid] == index},
-        )
-        for index in range(len(scenario.shards))
-    ]
+    group = _build_group(scenario, list(range(len(scenario.shards))), sim)
     with _population_frozen():
         sim.run(until=scenario.base.duration)
-    results = []
-    for index, domain in enumerate(domains):
-        _finish_front_sketch(domain)
-        sent = sum(
-            ch.sent for cid, ch in channels.items() if senders[cid] == index
-        )
-        received = sum(
-            ch.sent for cid, ch in channels.items() if receivers[cid] == index
-        )
-        results.append(
-            ShardResult(
-                index=index,
-                host=scenario.shards[index].host,
-                tiers=scenario.shards[index].tiers,
-                events=counter.count if index == 0 else 0,
-                windows=0,
-                sent=sent,
-                received=received,
-                tier_stats=_domain_stats(domain),
-                sketch=domain.sketch,
-                fluid=_domain_fluid(domain),
-            )
-        )
-    front = domains[0]
+    completed, failed = group.client_requests()
     return DatacenterRun(
         scenario=scenario,
         shards_used=1,
         window=scenario.window,
-        shard_results=results,
-        completed=list(front.app.completed),
-        failed=list(front.app.failed),
+        shard_results=group.results(scenario),
+        completed=completed,
+        failed=failed,
     )
 
 
@@ -737,7 +715,7 @@ def _worker_main(
     cpu: Optional[int],
 ) -> None:
     """One group worker: build its shard domains, run the exchange
-    loop, ship results.
+    loop, ship its shard results and client requests.
 
     The cyclic collector stays off for the worker's whole life: its
     garbage dies by reference counting (finished processes are not
@@ -750,39 +728,9 @@ def _worker_main(
         if cpu is not None:
             os.sched_setaffinity(0, {cpu})
         sim = Simulator()
-        counter = EventCounter()
-        sim.attach_hooks(counter)
-        member_set = set(members)
+        group = _build_group(scenario, members, sim)
+        counter = group.counter
         host = scenario.shards[members[0]].host
-        # Channel construction in global cid order: intra-group
-        # channels stay direct, cross-group channels buffer frames.
-        out_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
-        in_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
-        cross_out: Dict[int, FrameChannel] = {}
-        cross_in: Dict[int, FrameChannel] = {}
-        for cid, sender, receiver, src, dst in _channel_specs(scenario):
-            if sender in member_set and receiver in member_set:
-                channel: Any = LocalChannel(
-                    _make_link(scenario, sim, src, dst), sim
-                )
-                out_channels[sender][cid] = channel
-                in_channels[receiver][cid] = channel
-            elif sender in member_set:
-                channel = FrameChannel(_make_link(scenario, sim, src, dst))
-                out_channels[sender][cid] = channel
-                cross_out[cid] = channel
-            elif receiver in member_set:
-                # Receiver-side shell: carries only the bound handler
-                # (the sender's link computed the delivery timestamps).
-                channel = FrameChannel(None)
-                in_channels[receiver][cid] = channel
-                cross_in[cid] = channel
-        domains = [
-            _build_domain(
-                scenario, index, sim, out_channels[index], in_channels[index]
-            )
-            for index in members
-        ]
 
         def on_window(win: int, now: float, sent: int, received: int):
             result_conn.send(
@@ -798,19 +746,19 @@ def _worker_main(
                 )
             )
 
-        out_cids = sorted(cross_out)
-        in_cids = sorted(cross_in)
+        out_cids = sorted(group.cross_out)
+        in_cids = sorted(group.cross_in)
         in_rank = {cid: rank for rank, cid in enumerate(in_cids)}
         runner = ShardRunner(
             sim,
             duration=scenario.base.duration,
             window=window,
             outgoing=[
-                (PackedConnection(out_conns[cid]), cross_out[cid])
+                (PackedConnection(out_conns[cid]), group.cross_out[cid])
                 for cid in out_cids
             ],
             incoming=[
-                (PackedConnection(in_conns[cid]), cross_in[cid])
+                (PackedConnection(in_conns[cid]), group.cross_in[cid])
                 for cid in in_cids
             ],
             # A channel's reverse (same host pair, opposite direction)
@@ -824,43 +772,18 @@ def _worker_main(
         # constructed world.
         gc.freeze()
         runner.run()
-        member_payloads = []
-        for position, index in enumerate(members):
-            domain = domains[position]
-            _finish_front_sketch(domain)
-            sent = sum(ch.sent for ch in out_channels[index].values())
-            received = 0
-            for cid, ch in in_channels[index].items():
-                if cid in in_rank:
-                    received += runner.received_per_link[in_rank[cid]]
-                else:
-                    received += ch.sent
-            front = domain.population is not None
-            member_payloads.append(
-                {
-                    "host": scenario.shards[index].host,
-                    "tiers": scenario.shards[index].tiers,
-                    "sent": sent,
-                    "received": received,
-                    "tier_stats": _domain_stats(domain),
-                    "sketch": domain.sketch,
-                    "fluid": _domain_fluid(domain),
-                    "completed": list(domain.app.completed) if front else [],
-                    "failed": list(domain.app.failed) if front else [],
-                }
-            )
+        results = group.results(
+            scenario,
+            windows=runner.windows,
+            frames=runner.frames_sent,
+            wire_bytes=runner.bytes_sent,
+            cross_received={
+                cid: runner.received_per_link[rank]
+                for cid, rank in in_rank.items()
+            },
+        )
         result_conn.send(
-            (
-                "done",
-                members[0],
-                {
-                    "events": counter.count,
-                    "windows": runner.windows,
-                    "frames": runner.frames_sent,
-                    "wire_bytes": runner.bytes_sent,
-                    "members": member_payloads,
-                },
-            )
+            ("done", members[0], (results, group.client_requests()))
         )
     except BaseException:
         result_conn.send(("error", members[0], traceback.format_exc()))
@@ -903,7 +826,7 @@ def run_datacenter(
     if shards is None:
         shards = n
     if shards == 1:
-        return _run_single(scenario, progress, bus)
+        return _run_single(scenario)
     if not 1 <= shards <= n:
         raise ValueError(
             f"{scenario.name} has {n} shards; run with 1 <= shards <= "
@@ -961,7 +884,7 @@ def run_datacenter(
         result_conns.append(parent_conn)
         workers.append(worker)
 
-    payloads: Dict[int, dict] = {}
+    payloads: Dict[int, Any] = {}
     pending = set(result_conns)
     failure: Optional[str] = None
     # Payloads are megabytes of pickled requests: unpickle them without
@@ -1010,32 +933,10 @@ def run_datacenter(
         raise RuntimeError(f"sharded run failed:\n{failure}")
 
     results: List[ShardResult] = []
-    completed: List[Request] = []
-    failed: List[Request] = []
     for members in groups:
-        payload = payloads[members[0]]
-        for position, index in enumerate(members):
-            member = payload["members"][position]
-            first = position == 0
-            results.append(
-                ShardResult(
-                    index=index,
-                    host=member["host"],
-                    tiers=member["tiers"],
-                    events=payload["events"] if first else 0,
-                    windows=payload["windows"],
-                    sent=member["sent"],
-                    received=member["received"],
-                    tier_stats=member["tier_stats"],
-                    sketch=member["sketch"],
-                    fluid=member["fluid"],
-                    frames=payload["frames"] if first else 0,
-                    wire_bytes=payload["wire_bytes"] if first else 0,
-                )
-            )
-            if index == 0:
-                completed = member["completed"]
-                failed = member["failed"]
+        results.extend(payloads[members[0]][0])
+    # Contiguous groups: shard 0, the front, is the first group's.
+    completed, failed = payloads[groups[0][0]][1]
     return DatacenterRun(
         scenario=scenario,
         shards_used=shards,

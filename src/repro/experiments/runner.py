@@ -1,8 +1,11 @@
 """Shared experiment machinery: build, run, and package a scenario.
 
-``run_rubbos`` executes a closed-loop RUBBoS scenario (with or without
-MemCA) and returns a :class:`RubbosRun` carrying the application, the
-attack handle, and all monitors.  ``run_model`` executes an open-loop
+``build_world`` is the one RUBBoS world builder (deployment, network,
+population, adversaries, fluid bulk in a fixed order), shared by
+``run_rubbos`` and every datacenter shard.  ``run_rubbos`` executes a
+closed-loop RUBBoS scenario (with or without MemCA) and returns a
+:class:`RubbosRun` carrying the application, the attack handle, and
+all monitors.  ``run_model`` executes an open-loop
 queueing-network scenario in one of the three service disciplines the
 paper's Figs 6/7 compare.
 """
@@ -11,10 +14,10 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cloud.platform import CloudDeployment, DeploymentConfig, TierConfig, rubbos_3tier
+from ..cloud.platform import CloudDeployment, DeploymentConfig, TierConfig
 from ..core.attack import MemCAAttack
 from ..core.burst import OnOffAttacker
 from ..core.programs import (
@@ -31,14 +34,16 @@ from ..obs import LiveTelemetry, Observability, TelemetryConfig
 from ..ntier.request import Request
 from ..ntier.client import UserPopulation
 from ..sim.core import Simulator
-from ..sim.hybrid import FluidEngine, FluidTier, HybridConfig, fluid_tiers_for
+from ..sim.hybrid import FluidEngine, HybridConfig, fluid_tiers_for
 from ..sim.rng import RandomStreams
 from ..workload.generator import OpenLoopGenerator, exponential_request_factory
 from ..workload.rubbos import RubbosWorkload
-from .configs import AttackSpec, ModelScenario, RubbosScenario
+from .configs import ModelScenario, RubbosScenario
 from .summary import completed_after_warmup
 
 __all__ = [
+    "World",
+    "build_world",
     "RubbosRun",
     "run_rubbos",
     "ModelRun",
@@ -74,24 +79,24 @@ def _population_frozen():
 
 
 def make_attack_program(
-    spec: AttackSpec,
+    program: str,
     host_bandwidth_mbps: float,
     nic_rate_pps: Optional[float] = None,
 ) -> AttackProgram:
-    """Instantiate the attack program a spec names."""
-    if spec.program == "lock":
+    """Instantiate the attack program named ``program``."""
+    if program == "lock":
         return MemoryLockAttack()
-    if spec.program == "saturate":
+    if program == "saturate":
         return MemoryBusSaturation(
             stream_bandwidth_mbps=host_bandwidth_mbps
         )
-    if spec.program == "cleanse":
+    if program == "cleanse":
         return LLCCleansingAttack()
-    if spec.program == "nic":
+    if program == "nic":
         if nic_rate_pps is not None:
             return NicSaturation(line_rate_pps=nic_rate_pps)
         return NicSaturation()
-    raise ValueError(f"unknown attack program {spec.program!r}")
+    raise ValueError(f"unknown attack program {program!r}")
 
 
 def split_attack_program(program: str) -> Tuple[Optional[str], bool]:
@@ -110,6 +115,173 @@ def split_attack_program(program: str) -> Tuple[Optional[str], bool]:
             f"at most one memory program per spec: {program!r}"
         )
     return (memory[0] if memory else None), wants_nic
+
+
+@dataclass
+class World:
+    """One built RUBBoS world: a deployment slice and what drives it.
+
+    Returned by :func:`build_world`; every field but ``deployment`` and
+    ``workload`` is ``None`` when the slice or scenario does not call
+    for it (no front tier → no population, no attack spec → no
+    adversary, no ``network=`` → no queue chains, no bulk → no fluid).
+    """
+
+    deployment: CloudDeployment
+    workload: RubbosWorkload
+    population: Optional[UserPopulation]
+    attack: Optional[MemCAAttack]
+    network: Optional[TierNetwork]
+    net_attack: Optional[OnOffAttacker]
+    fluid: Optional[FluidEngine]
+
+
+#: A fluid bulk population: (bulk users, think time, engine config).
+Bulk = Tuple[int, float, HybridConfig]
+
+
+def build_world(
+    sim: Simulator,
+    scenario: RubbosScenario,
+    streams: RandomStreams,
+    users: int,
+    weight: float = 1.0,
+    bulk: Optional[Bulk] = None,
+    tiers: Optional[Sequence[str]] = None,
+    observer=None,
+) -> World:
+    """Build one RUBBoS world on ``sim`` in the canonical order.
+
+    The single way a world is assembled — by :func:`run_rubbos` over
+    the full chain and by every datacenter shard over its slice —
+    so both run exactly the same construction sequence:
+
+    1. the deployment for ``tiers`` (default: the whole chain), then
+       ``observer`` (an :class:`~repro.obs.Observability` or
+       :class:`~repro.obs.LiveTelemetry`) attached to its app;
+    2. the scenario's tier network, when configured (fed by the
+       observer's bus);
+    3. the closed-loop population of ``users`` DES clients, each
+       request weighted ``weight`` — only when the slice holds the
+       chain's front tier — then started;
+    4. the memory attack of ``scenario.attack``, then launched;
+    5. the NIC attacker, for programs naming ``nic``;
+    6. the fluid ``bulk``: the engine watches every memory subsystem
+       (so it re-steps exactly on attack edges), then starts.
+
+    Every random draw comes from a name-addressed substream of
+    ``streams``, so a slice draws exactly what the same tiers draw in a
+    full-chain world.
+    """
+    config = scenario.deployment_config()
+    front = config.tiers[0].name
+    if tiers is not None:
+        config = replace(
+            config, tiers=tuple(t for t in config.tiers if t.name in tiers)
+        )
+    deployment = CloudDeployment(sim, config)
+    app = deployment.app
+    bus = None
+    if observer is not None:
+        observer.attach(sim, app)
+        bus = observer.bus
+
+    network = None
+    if scenario.network is not None:
+        network = TierNetwork(
+            sim,
+            scenario.network,
+            tuple(tier.name for tier in app.tiers),
+            bus=bus,
+        )
+        network.attach(app)
+
+    workload = RubbosWorkload(rng=streams.get("workload"))
+    population = None
+    if app.front.name == front:
+        population = UserPopulation(
+            sim,
+            app,
+            workload.make_request,
+            users=users,
+            think_time=scenario.think_time,
+            rng=streams.get("users"),
+            weight=weight,
+        )
+        population.start()
+
+    attack = None
+    net_attack = None
+    spec = scenario.attack
+    if spec is not None:
+        bandwidth = scenario.host_spec.mem_bandwidth_mbps
+        mem_program, wants_nic = split_attack_program(spec.program)
+        if mem_program is not None:
+            attack = MemCAAttack(
+                sim,
+                deployment,
+                program=make_attack_program(mem_program, bandwidth),
+                length=spec.length,
+                interval=spec.interval,
+                intensity=spec.intensity,
+                adversaries=spec.adversaries,
+                target_tier=spec.target_tier,
+                jitter=spec.jitter,
+                rng=streams.get("attack"),
+                monitor_interval=scenario.monitor_interval,
+            )
+            attack.launch()
+        if wants_nic:
+            if network is None:
+                raise ValueError(
+                    f"attack program {spec.program!r} needs a scenario "
+                    "with network= set (there is no NIC to contend on)"
+                )
+            net_attack = OnOffAttacker(
+                sim,
+                network.nics[spec.target_tier or app.back.name],
+                [f"net-adversary{i + 1}" for i in range(spec.adversaries)],
+                make_attack_program(
+                    "nic", bandwidth, scenario.network.nic_rate
+                ),
+                length=spec.length,
+                interval=spec.interval,
+                intensity=spec.intensity,
+                jitter=spec.jitter,
+                rng=streams.get("netattack"),
+            )
+            net_attack.start()
+
+    fluid = None
+    if bulk is not None:
+        bulk_users, think_time, hybrid = bulk
+        # The bulk's mean demands are a workload-model property, not a
+        # random draw: the engine is RNG-free and never perturbs the
+        # discrete substreams.
+        fluid = FluidEngine(
+            sim,
+            tiers=fluid_tiers_for(app.tiers, workload.mean_demand),
+            bulk_users=bulk_users,
+            think_time=think_time,
+            config=hybrid,
+            bus=bus,
+        )
+        # Registered after the deployment wired the VMs and the
+        # adversary, so the engine's callback runs last and steps with
+        # the pre-change speeds it cached.
+        for memory in deployment.memories.values():
+            fluid.watch(memory)
+        fluid.start()
+
+    return World(
+        deployment=deployment,
+        workload=workload,
+        population=population,
+        attack=attack,
+        network=network,
+        net_attack=net_attack,
+        fluid=fluid,
+    )
 
 
 @dataclass
@@ -163,6 +335,12 @@ def run_rubbos(
 ) -> RubbosRun:
     """Build and execute one closed-loop RUBBoS scenario.
 
+    The world comes from :func:`build_world` over the full chain (the
+    same builder every datacenter shard uses); this function adds the
+    observers around it — the observability stack before, then the
+    attack's feedback controller, per-tier utilization monitors, the
+    queue sampler and the LLC profiler, in that order — and runs it.
+
     ``tracing=True`` attaches a full observability stack
     (:class:`repro.obs.Observability`): per-request span trees, the
     metrics registry, and kernel self-profiling.  Tracing is purely
@@ -181,7 +359,9 @@ def run_rubbos(
     ``millibottleneck.onset`` bus topics.  Like tracing, telemetry is
     passive (no events, no RNG), so results are byte-identical with it
     on or off.  ``tracing`` and ``telemetry`` are mutually exclusive —
-    both want to own ``app.tracer``.
+    both want to own ``app.tracer``.  The attached stack's bus also
+    carries the network's ``net.*`` and the fluid bulk's
+    ``fluid.window`` topics.
 
     ``hybrid=HybridConfig(...)`` (or the scenario's own ``hybrid``
     field; the argument wins) runs the scenario in hybrid fluid/DES
@@ -202,79 +382,41 @@ def run_rubbos(
         telemetry = TelemetryConfig()
     if hybrid is None:
         hybrid = scenario.hybrid
-    streams = RandomStreams(scenario.seed)
-    sim = Simulator()
-    deployment = CloudDeployment(
-        sim,
-        rubbos_3tier(
-            apache_threads=scenario.apache_threads,
-            apache_backlog=scenario.apache_backlog,
-            tomcat_threads=scenario.tomcat_threads,
-            mysql_connections=scenario.mysql_connections,
-            host_spec=scenario.host_spec,
-            vcpus=scenario.tier_vcpus,
-        ),
-    )
     obs = None
     live = None
     if tracing:
         obs = Observability(
             sample_every=trace_sample_every, columnar=trace_columnar
         )
-        obs.attach(sim, deployment.app)
     elif telemetry is not None:
         live = LiveTelemetry(telemetry)
-        live.attach(sim, deployment.app)
-    net = None
-    if scenario.network is not None:
-        bus = None
-        if obs is not None:
-            bus = obs.bus
-        elif live is not None:
-            bus = live.bus
-        net = TierNetwork(
-            sim,
-            scenario.network,
-            tuple(tier.name for tier in deployment.app.tiers),
-            bus=bus,
-        )
-        net.attach(deployment.app)
-    workload = RubbosWorkload(rng=streams.get("workload"))
-    fluid = None
+    users, weight, bulk = scenario.users, 1.0, None
     if hybrid is not None:
         split = hybrid.split(scenario.users)
-        discrete_users = split.sampled
-        weight = split.weight
+        users, weight = split.sampled, split.weight
         if split.bulk > 0:
-            fluid = FluidEngine(
-                sim,
-                tiers=fluid_tiers_for(
-                    deployment.app.tiers, workload.mean_demand
-                ),
-                bulk_users=split.bulk,
-                think_time=scenario.think_time,
-                config=hybrid,
-                bus=live.bus if live is not None else None,
-            )
-            # Re-step exactly on attack ON/OFF edges.  Registered after
-            # the deployment wired the VMs, so the engine's callback
-            # runs last and steps with the pre-change speeds it cached.
-            for memory in deployment.memories.values():
-                fluid.watch(memory)
-            fluid.start()
-    else:
-        discrete_users = scenario.users
-        weight = 1.0
-    population = UserPopulation(
+            bulk = (split.bulk, scenario.think_time, hybrid)
+    streams = RandomStreams(scenario.seed)
+    sim = Simulator()
+    world = build_world(
         sim,
-        deployment.app,
-        workload.make_request,
-        users=discrete_users,
-        think_time=scenario.think_time,
-        rng=streams.get("users"),
+        scenario,
+        streams,
+        users=users,
         weight=weight,
+        bulk=bulk,
+        observer=obs or live,
     )
-    population.start()
+    deployment = world.deployment
+    attack = world.attack
+    fluid = world.fluid
+
+    if attack is not None and feedback_goals is not None:
+        attack.enable_feedback(
+            world.workload.make_request,
+            goals=feedback_goals,
+            rng=streams.get("prober"),
+        )
 
     util_monitors = {}
     for tier_name, vm in deployment.vms.items():
@@ -313,69 +455,7 @@ def run_rubbos(
     )
     queue_sampler.start()
 
-    attack = None
-    net_attacker = None
     llc_profiler = None
-    if scenario.attack is not None:
-        spec = scenario.attack
-        mem_program, wants_nic = split_attack_program(spec.program)
-        if mem_program is not None:
-            program = make_attack_program(
-                AttackSpec(
-                    program=mem_program,
-                    length=spec.length,
-                    interval=spec.interval,
-                    intensity=spec.intensity,
-                    jitter=spec.jitter,
-                    adversaries=spec.adversaries,
-                    target_tier=spec.target_tier,
-                ),
-                scenario.host_spec.mem_bandwidth_mbps,
-            )
-            attack = MemCAAttack(
-                sim,
-                deployment,
-                program=program,
-                length=spec.length,
-                interval=spec.interval,
-                intensity=spec.intensity,
-                adversaries=spec.adversaries,
-                target_tier=spec.target_tier,
-                jitter=spec.jitter,
-                rng=streams.get("attack"),
-                monitor_interval=scenario.monitor_interval,
-            )
-            attack.launch()
-            if feedback_goals is not None:
-                attack.enable_feedback(
-                    workload.make_request,
-                    goals=feedback_goals,
-                    rng=streams.get("prober"),
-                )
-        if wants_nic:
-            if net is None:
-                raise ValueError(
-                    f"attack program {spec.program!r} needs a scenario "
-                    "with network= set (there is no NIC to contend on)"
-                )
-            target = spec.target_tier
-            if target is None:
-                target = deployment.app.back.name
-            net_attacker = OnOffAttacker(
-                sim,
-                net.nics[target],
-                [
-                    f"net-adversary{i + 1}"
-                    for i in range(spec.adversaries)
-                ],
-                NicSaturation(line_rate_pps=scenario.network.nic_rate),
-                length=spec.length,
-                interval=spec.interval,
-                intensity=spec.intensity,
-                jitter=spec.jitter,
-                rng=streams.get("netattack"),
-            )
-            net_attacker.start()
     if collect_llc:
         mysql_vm = deployment.vm("mysql")
         assert mysql_vm.llc is not None
@@ -395,8 +475,8 @@ def run_rubbos(
         scenario=scenario,
         sim=sim,
         deployment=deployment,
-        workload=workload,
-        population=population,
+        workload=world.workload,
+        population=world.population,
         attack=attack,
         util_monitors=util_monitors,
         queue_sampler=queue_sampler,
@@ -404,8 +484,8 @@ def run_rubbos(
         obs=obs,
         telemetry=live,
         fluid=fluid,
-        network=net,
-        net_attack=net_attacker,
+        network=world.network,
+        net_attack=world.net_attack,
     )
 
 

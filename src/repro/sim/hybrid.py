@@ -63,8 +63,8 @@ def fluid_tiers_for(
     chain slice the engine's bulk flows through — the whole app in a
     single-host run, one shard's local slice in a datacenter run);
     ``mean_demand`` maps a tier name to the bulk's mean CPU demand
-    there.  Shared by the experiment runner and the hybrid-bulk shard
-    workers so both modes couple the bulk through identical wiring.
+    there.  Called by the experiment runner's world builder, which
+    single-host runs and datacenter shards share.
     """
     return [
         FluidTier(

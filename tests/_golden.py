@@ -25,6 +25,7 @@ from repro.analysis.attribution import attribute_run
 from repro.analysis.export import requests_to_rows
 from repro.experiments.configs import PRIVATE_CLOUD, NetworkConfig
 from repro.experiments.runner import run_rubbos
+from repro.sim.hybrid import HybridConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -64,6 +65,20 @@ GOLDEN_NET = replace(
         PRIVATE_CLOUD.attack, program="nic", length=0.4, interval=1.5
     ),
 )
+
+
+#: The hybrid family's golden: 100k users, 2% sampled as DES clients,
+#: the rest a fluid bulk coupled into the tiers — pins ``run_rubbos``'s
+#: fluid path (engine wiring, attack-edge re-steps, background load)
+#: through its effect on the discrete requests.
+GOLDEN_HYBRID = replace(
+    PRIVATE_CLOUD.with_users(100_000),
+    name="golden-hybrid",
+    duration=8.0,
+    warmup=2.0,
+    seed=37,
+)
+GOLDEN_HYBRID_CONFIG = HybridConfig(sample_fraction=0.02)
 
 
 #: The multi-host family's golden: the 2-host datacenter scenario.
@@ -133,11 +148,16 @@ def run_golden_net(tracing: bool = False, **kwargs):
     return run_rubbos(GOLDEN_NET, tracing=tracing, **kwargs)
 
 
+def run_golden_hybrid(**kwargs):
+    return run_rubbos(GOLDEN_HYBRID, hybrid=GOLDEN_HYBRID_CONFIG, **kwargs)
+
+
 #: golden file name -> callable producing its current text.
 def snapshots() -> dict:
     fig2 = run_golden_fig2()
     fig9 = run_golden_fig9()
     net = run_golden_net()
+    hybrid = run_golden_hybrid()
     dc = run_golden_dc()
     dc8 = run_golden_dc8()
     return {
@@ -146,6 +166,7 @@ def snapshots() -> dict:
         "fig9_sketch.json": sketch_json_text(fig9),
         "fig9_attribution.txt": attribution_text(fig9),
         "net_requests.csv": requests_csv_text(net),
+        "hybrid_requests.csv": requests_csv_text(hybrid),
         "dc2_requests.csv": requests_csv_text(dc),
         "dc8_requests.csv": requests_csv_text(dc8),
     }

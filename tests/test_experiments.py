@@ -8,7 +8,6 @@ from repro.experiments import (
     EC2_CLOUD,
     MODEL_3TIER,
     PRIVATE_CLOUD,
-    AttackSpec,
     ModelScenario,
     RubbosScenario,
     make_attack_program,
@@ -61,15 +60,13 @@ class TestConfigs:
         assert PRIVATE_CLOUD.paper_scale().users == 3500
 
     def test_make_attack_program(self):
-        lock = make_attack_program(AttackSpec(program="lock"), 20000.0)
-        saturate = make_attack_program(
-            AttackSpec(program="saturate"), 20000.0
-        )
+        lock = make_attack_program("lock", 20000.0)
+        saturate = make_attack_program("saturate", 20000.0)
         assert isinstance(lock, MemoryLockAttack)
         assert isinstance(saturate, MemoryBusSaturation)
         assert saturate.stream_bandwidth_mbps == 20000.0
         with pytest.raises(ValueError):
-            make_attack_program(AttackSpec(program="rowhammer"), 1.0)
+            make_attack_program("rowhammer", 1.0)
 
 
 class TestFig3Harness:

@@ -8,6 +8,11 @@ with every field populated, and the scenario's ``stable_hash`` is
 deterministic and collision-free across the registry.  A new scenario
 family added to the registry is automatically tested here — that is
 the point: the registry *is* the conformance surface.
+
+The datacenter registry (``repro.experiments.datacenter.DATACENTERS``)
+gets the same treatment: every multi-host scenario, shrunk, runs once
+through the single-process reference (``shards=1``) and must conserve
+requests per tier and tile the chain with its shards.
 """
 
 import pickle
@@ -16,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.configs import SCENARIOS
+from repro.experiments.datacenter import DATACENTERS, run_datacenter
 from repro.experiments.parallel import stable_hash
 from repro.experiments.runner import run_rubbos, split_attack_program
 from repro.experiments.summary import summarize_rubbos
@@ -196,3 +202,72 @@ def test_registry_names_match_scenarios(name):
     # point (ec2 -> amazon-ec2).
     scenario = SCENARIOS[name]
     assert scenario.name in (name, "amazon-ec2")
+
+
+# -- datacenter scenarios -----------------------------------------------------
+
+
+def shrink_datacenter(scenario):
+    base = scenario.base
+    users = min(base.users, USERS)
+    bulk = scenario.bulk
+    if bulk is not None:
+        # ``with_users`` co-scales the tier capacities; the per-host
+        # bulk must shrink by the same ratio or it swamps them.
+        bulk = replace(
+            bulk,
+            users_per_host=round(bulk.users_per_host * users / base.users),
+        )
+    return replace(
+        scenario,
+        base=replace(base.with_users(users), duration=DURATION, warmup=WARMUP),
+        bulk=bulk,
+    )
+
+
+@pytest.fixture(scope="module")
+def dc_matrix():
+    """name -> (shrunk datacenter scenario, its shards=1 run)."""
+    out = {}
+    for name, scenario in DATACENTERS.items():
+        small = shrink_datacenter(scenario)
+        out[name] = (small, run_datacenter(small, shards=1))
+    return out
+
+
+datacenter_names = pytest.mark.parametrize("name", sorted(DATACENTERS))
+
+
+@datacenter_names
+class TestDatacenterConformance:
+    def test_client_requests_conserve(self, dc_matrix, name):
+        scenario, run = dc_matrix[name]
+        assert len(run.completed) > 0
+        front_arrivals = run.tier_stat(scenario.chain()[0])[0]
+        assert len(run.completed) + len(run.failed) <= front_arrivals
+
+    def test_tier_counters_conserve(self, dc_matrix, name):
+        scenario, run = dc_matrix[name]
+        for tier in scenario.chain():
+            arrivals, completions, drops = run.tier_stat(tier)
+            assert arrivals > 0
+            assert completions <= arrivals
+            assert drops <= arrivals
+
+    def test_shards_tile_the_chain(self, dc_matrix, name):
+        scenario, run = dc_matrix[name]
+        assert [r.index for r in run.shard_results] == list(
+            range(len(scenario.shards))
+        )
+        tiles = []
+        for result in run.shard_results:
+            assert tuple(result.tier_stats) == result.tiers
+            # Consecutive identical slices are replicas of one tile.
+            if not tiles or tiles[-1] != result.tiers:
+                tiles.append(result.tiers)
+        assert sum(tiles, ()) == scenario.chain()
+
+
+@datacenter_names
+def test_datacenter_registry_names_match(name):
+    assert DATACENTERS[name].name == name

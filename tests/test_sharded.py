@@ -567,8 +567,6 @@ class TestDatacenterScenarioValidation:
             ShardBulk(users_per_host=0, think_time=1.0)
         with pytest.raises(ValueError, match="think_time"):
             ShardBulk(users_per_host=10, think_time=0.0)
-        with pytest.raises(ValueError, match="fluid_tick"):
-            ShardBulk(users_per_host=10, think_time=1.0, fluid_tick=0.0)
 
     def test_hybrid_base_rejected_in_favor_of_bulk(self):
         from repro.sim.hybrid import HybridConfig
@@ -625,7 +623,7 @@ class TestShardWorkerHost:
             raise ValueError("domain build failed")
 
         # Fork workers inherit the patched module.
-        monkeypatch.setattr(datacenter, "_build_domain", broken)
+        monkeypatch.setattr(datacenter, "_build_group", broken)
         with pytest.raises(RuntimeError, match="domain build failed"):
             run_datacenter(self.SHORT, shards=2)
         assert gc.isenabled() is gc_state
