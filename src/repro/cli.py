@@ -498,12 +498,12 @@ def _run_datacenter(args, name) -> int:
     print(
         f"running datacenter scenario {name!r} "
         f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
-        f"{scenario.base.duration:.0f}s, shards={shards}, "
-        f"window={scenario.window * 1e3:.2f}ms)..."
+        f"{scenario.base.duration:.0f}s, shards={shards})..."
     )
     started = time.time()
     run = run_datacenter(scenario, shards=shards)
     wall = time.time() - started
+    print(_groups_line(run))
     for result in run.shard_results:
         tiers = ",".join(result.tiers)
         print(
@@ -546,15 +546,31 @@ def _run_datacenter(args, name) -> int:
     return 0
 
 
+def _group_label(scenario, members) -> str:
+    """``host:tiers`` of each shard in one worker group."""
+    return " ".join(
+        f"{scenario.shards[i].host}:{','.join(scenario.shards[i].tiers)}"
+        for i in members
+    )
+
+
+def _groups_line(run) -> str:
+    """The worker groups a datacenter run used and its base window."""
+    groups = " | ".join(
+        f"[{_group_label(run.scenario, members)}]" for members in run.groups
+    )
+    return f"groups: {groups}; window={run.window * 1e3:.2f}ms"
+
+
 def _monitor_datacenter(args, name) -> int:
-    """``monitor`` on a multi-host scenario: per-shard window progress.
+    """``monitor`` on a multi-host scenario: per-group window progress.
 
     Subscribes to the ``shard.window`` bus topic the sharded runner
     publishes at every progress stride and prints one row per
-    completed exchange-round stride with a column per shard — the live
-    view of the conservative-window protocol advancing.
+    completed exchange-round stride with a column per worker group —
+    the live view of the conservative-window protocol advancing.
     """
-    from .experiments.datacenter import run_datacenter
+    from .experiments.datacenter import run_datacenter, shard_groups
     from .obs.bus import EventBus
 
     scenario = _datacenter_scenario(args, name)
@@ -562,18 +578,18 @@ def _monitor_datacenter(args, name) -> int:
     print(
         f"monitoring datacenter scenario {name!r} "
         f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
-        f"{scenario.base.duration:.0f}s, shards={shards}, "
-        f"window={scenario.window * 1e3:.2f}ms)..."
+        f"{scenario.base.duration:.0f}s, shards={shards})..."
     )
     if shards == 1:
         print(
             "note: --shards 1 runs one simulator with no window "
-            "boundaries; per-shard progress rows only appear for "
+            "boundaries; per-group progress rows only appear for "
             "shards > 1"
         )
-    columns = [
-        f"{spec.host}:{','.join(spec.tiers)}" for spec in scenario.shards
-    ]
+    # One column per worker group, keyed by its first shard (the index
+    # its ShardWindow reports carry).
+    groups = shard_groups(scenario, shards)
+    columns = [_group_label(scenario, members) for members in groups]
     width = max(26, max(len(c) for c in columns) + 2)
     print(
         f"{'sim time':>9}  {'window':>7}  "
@@ -584,15 +600,15 @@ def _monitor_datacenter(args, name) -> int:
 
     def show(window) -> None:
         latest[window.shard] = window
-        if len(latest) < len(scenario.shards):
+        if len(latest) < len(groups):
             return
         common = min(w.index for w in latest.values())
         if common <= printed[0]:
             return
         printed[0] = common
         cells = []
-        for index in range(len(scenario.shards)):
-            w = latest[index]
+        for members in groups:
+            w = latest[members[0]]
             cells.append(
                 f"ev={w.events} tx={w.sent} rx={w.received}".rjust(width)
             )
@@ -606,9 +622,10 @@ def _monitor_datacenter(args, name) -> int:
     started = time.time()
     run = run_datacenter(scenario, shards=shards, bus=bus)
     wall = time.time() - started
+    print("\n" + _groups_line(run))
     requests = run.client_requests()
     print(
-        f"\ncumulative: {run.event_count} events, "
+        f"cumulative: {run.event_count} events, "
         f"{len(requests)} completed requests, "
         f"{len(run.failed)} failed"
     )

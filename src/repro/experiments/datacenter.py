@@ -15,7 +15,11 @@ at send time) — the reference interleaving.  ``shards=K`` for
 *group* of shard domains in one simulator: channels inside a group
 stay direct (:class:`~repro.sim.sharded.LocalChannel`), only
 cross-group channels go through the frame exchange, whose base window
-is the min lookahead over the *cross-group* links.  ``K == n`` is the
+is the min lookahead over the *cross-group* links.  The groups balance
+*estimated events*, not host counts (:func:`shard_groups`): each
+shard's weight is the processor-sharing bursts its tiers serve per
+client request (:meth:`DatacenterScenario.shard_weights`), and the
+cuts minimise the heaviest group.  ``K == n`` is the
 one-host-per-worker sharding; dispatch order within each simulator is
 identical to the reference in every mode, so request CSVs and event
 counts match byte for byte (``tests/test_determinism.py``) while the
@@ -56,7 +60,8 @@ import os
 import traceback
 from dataclasses import dataclass, replace
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from math import inf
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cloud.topology import RackTopology
 from ..net.fabric import CrossHostLink
@@ -74,6 +79,11 @@ from ..sim.sharded import (
     PackedConnection,
     ShardRunner,
     ShardWindow,
+)
+from ..workload.rubbos import (
+    RUBBOS_PAGES,
+    RUBBOS_TRANSITIONS,
+    markov_stationary,
 )
 from .configs import AttackSpec, RubbosScenario
 from .runner import (
@@ -96,6 +106,7 @@ __all__ = [
     "ShardResult",
     "ShardSpec",
     "run_datacenter",
+    "shard_groups",
 ]
 
 
@@ -262,6 +273,41 @@ class DatacenterScenario:
         """The conservative safe-window width (min link lookahead)."""
         return self.topology.min_lookahead(self.channel_pairs())
 
+    def shard_weights(self) -> Tuple[float, ...]:
+        """Estimated kernel work per client request, per shard.
+
+        A tier's weight is its expected processor-sharing bursts per
+        client request under the RUBBoS page mix: a page reaches a tier
+        only if every tier up to it has a non-zero mean demand (apache
+        1.0, tomcat 0.92, mysql 0.92 of the stationary mix), and a
+        visit that also calls downstream burns its demand in two bursts
+        (``Tier.work_split``: before and after the call).  A replicated
+        tier's weight splits evenly across its replicas; a shard's
+        weight is its tiers' sum.  dc-4host: 0.41/0.39/0.10/0.10 of the
+        total, against 0.40/0.40/0.10/0.10 of the events measured at
+        one worker per host.
+        """
+        chain = self.chain()
+        reached = list(
+            zip(markov_stationary(RUBBOS_TRANSITIONS), RUBBOS_PAGES)
+        )
+        tier_weight: Dict[str, float] = {}
+        for i, tier in enumerate(chain):
+            reached = [(p, page) for p, page in reached if page.mean(tier) > 0]
+            below = chain[i + 1] if i + 1 < len(chain) else None
+            tier_weight[tier] = float(
+                sum(
+                    p * (2 if below and page.mean(below) > 0 else 1)
+                    for p, page in reached
+                )
+            )
+        _, replicas = self.layout()
+        weights = []
+        for index, spec in enumerate(self.shards):
+            share = 1.0 / len(replicas) if index in replicas else 1.0
+            weights.append(share * sum(tier_weight[t] for t in spec.tiers))
+        return tuple(weights)
+
     def attack_shard(self) -> Optional[int]:
         """Index of the shard the adversary co-locates with."""
         if self.base.attack is None:
@@ -324,16 +370,52 @@ def _make_link(
 # -- execution groups -------------------------------------------------------
 
 
-def _partition(n: int, k: int) -> List[List[int]]:
-    """Contiguous split of shard indices ``0..n-1`` into ``k`` groups."""
-    base, extra = divmod(n, k)
+def _min_max_partition(weights: Sequence[float], k: int) -> List[List[int]]:
+    """Split ``0..n-1`` into ``k`` contiguous non-empty groups whose
+    heaviest group weight is least (the linear-partition DP,
+    O(k·n²)); among equally heavy splits, each cut sits earliest."""
+    n = len(weights)
+    prefix = [0.0]
+    for weight in weights:
+        prefix.append(prefix[-1] + weight)
+    # best[j][i]: least heaviest-group weight over splits of the first
+    # i items into j groups; start[j][i]: where the last group begins.
+    best = [[inf] * (n + 1) for _ in range(k + 1)]
+    start = [[0] * (n + 1) for _ in range(k + 1)]
+    best[0][0] = 0.0
+    for j in range(1, k + 1):
+        for i in range(j, n - (k - j) + 1):
+            for s in range(j - 1, i):
+                cost = max(best[j - 1][s], prefix[i] - prefix[s])
+                if cost < best[j][i]:
+                    best[j][i] = cost
+                    start[j][i] = s
     groups: List[List[int]] = []
-    start = 0
-    for g in range(k):
-        size = base + (1 if g < extra else 0)
-        groups.append(list(range(start, start + size)))
-        start += size
-    return groups
+    end = n
+    for j in range(k, 0, -1):
+        groups.append(list(range(start[j][end], end)))
+        end = start[j][end]
+    return groups[::-1]
+
+
+def shard_groups(scenario: DatacenterScenario, shards: int) -> List[List[int]]:
+    """The worker groups ``run_datacenter`` uses for ``shards`` workers.
+
+    Groups are contiguous runs of shard indices — shard 0, the front,
+    always leads group 0 — cut to minimise the heaviest group's
+    :meth:`~DatacenterScenario.shard_weights` sum.  dc-4host at two
+    workers is ``[[0], [1, 2, 3]]``: apache alone, tomcat with both
+    mysql replicas, leaving the spine link as the only cross-group
+    one.  ``shards=1`` is the one group of every shard; ``shards=n``
+    one group per shard.
+    """
+    n = len(scenario.shards)
+    if not 1 <= shards <= n:
+        raise ValueError(
+            f"{scenario.name} has {n} shards; run with 1 <= shards <= "
+            f"{n}, got {shards}"
+        )
+    return _min_max_partition(scenario.shard_weights(), shards)
 
 
 def _group_window(
@@ -469,7 +551,8 @@ class _Group:
     """A contiguous run of shard domains sharing one simulator.
 
     The unsharded reference is the one group holding every shard; a
-    sharded run builds one group per worker.
+    sharded run builds one group per worker, as cut by
+    :func:`shard_groups`.
     """
 
     members: List[int]
@@ -612,7 +695,11 @@ class DatacenterRun:
 
     scenario: DatacenterScenario
     shards_used: int
+    #: Base safe-window width: min lookahead over cross-group links
+    #: (over every link when unsharded).
     window: float
+    #: Shard indices per worker group (:func:`shard_groups`).
+    groups: List[List[int]]
     shard_results: List[ShardResult]
     #: Client-side requests from the front shard, completion order.
     completed: List[Request]
@@ -682,9 +769,9 @@ class DatacenterRun:
         return tuple(totals)
 
 
-def _default_stride(scenario: DatacenterScenario) -> int:
-    """Progress roughly once per simulated second."""
-    return max(1, int(round(1.0 / scenario.window)))
+def _default_stride(window: float) -> int:
+    """Progress roughly once per simulated second of ``window``s."""
+    return max(1, int(round(1.0 / window)))
 
 
 def _run_single(scenario: DatacenterScenario) -> DatacenterRun:
@@ -698,6 +785,7 @@ def _run_single(scenario: DatacenterScenario) -> DatacenterRun:
         scenario=scenario,
         shards_used=1,
         window=scenario.window,
+        groups=[group.members],
         shard_results=group.results(scenario),
         completed=completed,
         failed=failed,
@@ -816,28 +904,24 @@ def run_datacenter(
 
     ``shards=1`` runs the unsharded reference (one simulator);
     ``shards=K`` for ``2 <= K <= n`` runs ``K`` worker processes over
-    contiguous shard groups (``K = n``, the default, is one worker per
-    host), byte-identical to the reference.  ``progress`` and/or ``bus``
-    receive :class:`~repro.sim.sharded.ShardWindow` reports — the bus
-    on topic ``"shard.window"`` — throttled to roughly one per group
-    per simulated second (override with ``window_stride``).
+    the contiguous, event-weighted groups of :func:`shard_groups`
+    (``K = n``, the default, is one worker per host), byte-identical to
+    the reference.  ``progress`` and/or ``bus`` receive
+    :class:`~repro.sim.sharded.ShardWindow` reports — the bus on topic
+    ``"shard.window"`` — throttled to roughly one per group per
+    simulated second of the run's base window (override with
+    ``window_stride``).
     """
-    n = len(scenario.shards)
     if shards is None:
-        shards = n
+        shards = len(scenario.shards)
+    groups = shard_groups(scenario, shards)
     if shards == 1:
         return _run_single(scenario)
-    if not 1 <= shards <= n:
-        raise ValueError(
-            f"{scenario.name} has {n} shards; run with 1 <= shards <= "
-            f"{n}, got {shards}"
-        )
-    groups = _partition(n, shards)
     group_of = {
         index: g for g, members in enumerate(groups) for index in members
     }
     window = _group_window(scenario, group_of)
-    stride = window_stride or _default_stride(scenario)
+    stride = window_stride or _default_stride(window)
     ctx = mp.get_context("fork")
     # One pipe per cross-group channel, endpoints handed to the two
     # workers; one result pipe per worker back to the coordinator.
@@ -881,6 +965,9 @@ def run_datacenter(
             name=f"shard-{members[0]}-{scenario.shards[members[0]].host}",
         )
         worker.start()
+        # Only the worker may hold the write end: a worker that dies
+        # without reporting then reads as EOF here instead of a hang.
+        child_conn.close()
         result_conns.append(parent_conn)
         workers.append(worker)
 
@@ -922,7 +1009,9 @@ def run_datacenter(
                     failure = message[2]
                     break
     finally:
-        if failure is not None:
+        # A failure, or an exception out of the loop, leaves workers
+        # unreported: stop them rather than join a blocked exchange.
+        if pending:
             for worker in workers:
                 worker.terminate()
         for worker in workers:
@@ -941,6 +1030,7 @@ def run_datacenter(
         scenario=scenario,
         shards_used=shards,
         window=window,
+        groups=groups,
         shard_results=results,
         completed=completed,
         failed=failed,

@@ -27,6 +27,7 @@ __all__ = [
     "RUBBOS_PAGES",
     "RUBBOS_TRANSITIONS",
     "RubbosWorkload",
+    "markov_stationary",
 ]
 
 
@@ -89,6 +90,18 @@ def _check_stochastic(matrix: np.ndarray) -> None:
 _check_stochastic(RUBBOS_TRANSITIONS)
 
 
+def markov_stationary(transitions: np.ndarray) -> np.ndarray:
+    """Stationary visit probabilities of a row-stochastic matrix."""
+    pi = np.full(len(transitions), 1.0 / len(transitions))
+    for _ in range(500):
+        nxt = pi @ transitions
+        if np.allclose(nxt, pi, atol=1e-12):
+            pi = nxt
+            break
+        pi = nxt
+    return pi / pi.sum()
+
+
 class RubbosWorkload:
     """Samples RUBBoS pages and builds requests with random demands.
 
@@ -149,14 +162,7 @@ class RubbosWorkload:
     def stationary_distribution(self) -> np.ndarray:
         """Stationary page-visit probabilities of the Markov chain."""
         if self._stationary is None:
-            pi = np.full(len(self.pages), 1.0 / len(self.pages))
-            for _ in range(500):
-                nxt = pi @ self.transitions
-                if np.allclose(nxt, pi, atol=1e-12):
-                    pi = nxt
-                    break
-                pi = nxt
-            self._stationary = pi / pi.sum()
+            self._stationary = markov_stationary(self.transitions)
         return self._stationary
 
     def _cdf_of(self, p: np.ndarray) -> np.ndarray:

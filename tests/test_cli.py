@@ -108,6 +108,26 @@ class TestDatacenterCli:
         assert "shards=2" in out
         assert "transport:" in out
 
+    def test_run_prints_weighted_groups_and_their_window(self, capsys):
+        assert main(["run", "dc-4host", "--shards", "2", *self.DC_ARGS]) == 0
+        out = capsys.readouterr().out
+        # Apache alone, tomcat with both replicas: only the spine link
+        # crosses workers, so the window is the spine lookahead.
+        assert (
+            "groups: [h1:apache] | [h3:tomcat h2:mysql h4:mysql]; "
+            "window=12.02ms"
+        ) in out
+
+    def test_monitor_shows_one_column_per_group(self, capsys):
+        assert main(
+            ["monitor", "dc-4host", "--shards", "2", *self.DC_ARGS]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if "sim time" in line)
+        assert "h3:tomcat h2:mysql h4:mysql" in header
+        rows = [line for line in lines if "ev=" in line]
+        assert rows and all(row.count("ev=") == 2 for row in rows)
+
     def test_shards_rejects_non_integer(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "dc-2host", "--shards", "many"])

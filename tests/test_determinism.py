@@ -26,6 +26,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.export import chrome_trace_events, write_spans_jsonl
+from repro.experiments.datacenter import (
+    DC_4HOST,
+    DC_8HOST,
+    _channel_specs,
+    run_datacenter,
+)
 from tests._golden import (
     GOLDEN_DIR,
     GOLDEN_FIG2,
@@ -379,6 +385,48 @@ class TestShardedDeterminism:
         assert sharded_run.wire_bytes > 0
 
 
+class TestWeightedGroupDeterminism:
+    """Event-weighted groupings are byte-identical to one simulator.
+
+    dc-2host has only one possible split, so the weighted cuts are
+    pinned on a shortened dc-4host: ``shards=2`` groups apache alone
+    against tomcat and both mysql replicas, ``shards=3`` splits off the
+    replica pair — both uneven in host count, both exactly the
+    reference's request CSV, event count and merged latency sketch.
+    """
+
+    SCENARIO = replace(
+        DC_4HOST, base=replace(DC_4HOST.base, duration=2.0)
+    )
+
+    @pytest.fixture(scope="class")
+    def single_run(self):
+        return run_datacenter(self.SCENARIO, shards=1)
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["k2", "k3"])
+    def grouped_run(self, request):
+        return run_datacenter(self.SCENARIO, shards=request.param)
+
+    def test_groups_are_weighted_not_equal_count(self, grouped_run):
+        expected = {2: [[0], [1, 2, 3]], 3: [[0], [1], [2, 3]]}
+        assert grouped_run.groups == expected[grouped_run.shards_used]
+
+    def test_requests_byte_identical(self, single_run, grouped_run):
+        text = requests_csv_text(single_run)
+        assert text.count("\n") > 1
+        assert requests_csv_text(grouped_run) == text
+
+    def test_event_count_exact(self, single_run, grouped_run):
+        assert single_run.event_count > 0
+        assert grouped_run.event_count == single_run.event_count
+
+    def test_latency_sketch_identical(self, single_run, grouped_run):
+        a, b = single_run.latency, grouped_run.latency
+        assert b.count == a.count
+        assert b.buckets == a.buckets
+        assert b.total == a.total
+
+
 class TestHybridShardDeterminism:
     """dc-8host's per-host fluid bulk preserves byte-identity.
 
@@ -388,8 +436,9 @@ class TestHybridShardDeterminism:
     grouped sharded run must reproduce the single-simulator reference
     byte for byte — including the coupling's effect on the discrete
     requests — and the per-host fluid aggregates must agree bit for
-    bit.  Grouped at shards=3 so the suite also exercises the
-    mixed LocalChannel/FrameChannel partition on a replicated chain.
+    bit.  Grouped at shards=2 — apache alone, tomcat with its six
+    replicas — so the suite also exercises the mixed
+    LocalChannel/FrameChannel partition on a replicated chain.
     """
 
     @pytest.fixture(scope="class")
@@ -402,7 +451,23 @@ class TestHybridShardDeterminism:
     def dc8_grouped(self):
         from tests._golden import run_golden_dc8
 
-        return run_golden_dc8(shards=3)
+        return run_golden_dc8(shards=2)
+
+    def test_dc8_grouping_mixes_local_and_frame_channels(
+        self, dc8_grouped
+    ):
+        assert dc8_grouped.groups == [[0], list(range(1, 8))]
+        group_of = {
+            index: g
+            for g, members in enumerate(dc8_grouped.groups)
+            for index in members
+        }
+        crosses = [
+            group_of[sender] != group_of[receiver]
+            for _, sender, receiver, _, _ in _channel_specs(DC_8HOST)
+        ]
+        # Tomcat<->replica channels stay local; apache<->tomcat frames.
+        assert any(crosses) and not all(crosses)
 
     def test_dc8_matches_committed_golden(self, dc8_single):
         assert requests_csv_text(dc8_single) == golden_text(

@@ -11,7 +11,10 @@ host-side execution (CPU pinning, collector state).
 """
 
 import gc
+import multiprocessing as mp
 import os
+import signal
+import time
 from dataclasses import replace
 from functools import partial
 from math import inf
@@ -28,12 +31,15 @@ from repro.cloud import (
 )
 from repro.experiments import datacenter
 from repro.experiments.datacenter import (
+    DATACENTERS,
     DC_2HOST,
     DC_4HOST,
+    DC_8HOST,
     DatacenterScenario,
     ShardSpec,
     _worker_cpus,
     run_datacenter,
+    shard_groups,
 )
 from repro.net import CrossHostLink
 from repro.ntier import TierOverflowError
@@ -553,8 +559,8 @@ class TestDatacenterScenarioValidation:
             )
 
     def test_run_rejects_out_of_range_shard_counts(self):
-        # Any 1 <= K <= n is a valid contiguous grouping now; only
-        # counts outside that range are rejected.
+        # Any 1 <= K <= n has a contiguous grouping; only counts
+        # outside that range are rejected.
         with pytest.raises(ValueError, match="1 <= shards"):
             run_datacenter(DC_2HOST, shards=3)
         with pytest.raises(ValueError, match="1 <= shards"):
@@ -627,6 +633,133 @@ class TestShardWorkerHost:
         with pytest.raises(RuntimeError, match="domain build failed"):
             run_datacenter(self.SHORT, shards=2)
         assert gc.isenabled() is gc_state
+
+    def test_worker_dying_without_report_fails_fast(
+        self, gc_state, monkeypatch
+    ):
+        build = datacenter._build_group
+
+        def dies_off_front(scenario, members, sim):
+            if 0 not in members:
+                os._exit(3)  # no traceback, no "error" message
+            return build(scenario, members, sim)
+
+        def hung(signum, frame):
+            raise AssertionError("run_datacenter hung on a dead worker")
+
+        # Fork workers inherit the patched module.  The front worker
+        # survives, blocked on the dead one's frames.
+        monkeypatch.setattr(datacenter, "_build_group", dies_off_front)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="died without reporting"):
+                run_datacenter(self.SHORT, shards=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 5.0
+        assert mp.active_children() == []
+        assert gc.isenabled() is gc_state
+
+
+class TestShardGroups:
+    """Event-weighted contiguous grouping of shards into workers."""
+
+    @pytest.mark.parametrize("name", sorted(DATACENTERS))
+    def test_groups_tile_the_shards_contiguously(self, name):
+        scenario = DATACENTERS[name]
+        n = len(scenario.shards)
+        for k in range(1, n + 1):
+            groups = shard_groups(scenario, k)
+            assert len(groups) == k
+            assert all(groups)
+            assert [i for members in groups for i in members] == list(
+                range(n)
+            )
+            for members in groups:
+                assert members == list(range(members[0], members[-1] + 1))
+            assert groups[0][0] == 0
+            assert shard_groups(scenario, k) == groups
+
+    def test_heaviest_group_is_minimal(self):
+        # Against brute force over every contiguous cut placement.
+        from itertools import combinations
+
+        weights = DC_4HOST.shard_weights()
+        for k in range(1, 5):
+            groups = shard_groups(DC_4HOST, k)
+            heaviest = max(sum(weights[i] for i in g) for g in groups)
+            best = min(
+                max(
+                    sum(weights[a:b])
+                    for a, b in zip((0,) + cuts, cuts + (4,))
+                )
+                for cuts in combinations(range(1, 4), k - 1)
+            )
+            assert heaviest == pytest.approx(best)
+
+    def test_two_workers_isolate_the_front(self):
+        assert shard_groups(DC_4HOST, 2) == [[0], [1, 2, 3]]
+        assert shard_groups(DC_8HOST, 2) == [[0], list(range(1, 8))]
+        # One worker per host, and the reference's one group.
+        assert shard_groups(DC_4HOST, 4) == [[0], [1], [2], [3]]
+        assert shard_groups(DC_4HOST, 1) == [[0, 1, 2, 3]]
+
+    def test_out_of_range_counts_rejected(self):
+        with pytest.raises(ValueError, match="1 <= shards"):
+            shard_groups(DC_4HOST, 5)
+        with pytest.raises(ValueError, match="1 <= shards"):
+            shard_groups(DC_4HOST, 0)
+
+    def test_weights_follow_the_page_mix(self):
+        # apache 1.0 reach x (1 + 0.92 calling down), tomcat 0.92 x 2,
+        # mysql 0.92 split over two replicas.
+        weights = DC_4HOST.shard_weights()
+        total = sum(weights)
+        shares = [round(w / total, 2) for w in weights]
+        assert shares == [0.41, 0.39, 0.10, 0.10]
+        assert weights[2] == weights[3]
+        # dc-2host's first shard carries apache and tomcat.
+        two = DC_2HOST.shard_weights()
+        assert two[0] == pytest.approx(weights[0] + weights[1])
+        assert two[1] == pytest.approx(weights[2] + weights[3])
+
+    @pytest.mark.parametrize(
+        "scenario", [DC_4HOST, DC_8HOST], ids=lambda s: s.name
+    )
+    def test_weight_shares_match_measured_events(self, scenario):
+        short = replace(scenario, base=replace(scenario.base, duration=2.0))
+        run = run_datacenter(short, shards=len(short.shards))
+        events = [result.events for result in run.shard_results]
+        weights = short.shard_weights()
+        for event_count, weight in zip(events, weights):
+            assert event_count / sum(events) == pytest.approx(
+                weight / sum(weights), abs=0.05
+            )
+
+    def test_run_reports_its_groups_and_cross_group_window(self):
+        short = replace(DC_4HOST, base=replace(DC_4HOST.base, duration=0.5))
+        run = run_datacenter(short, shards=2)
+        assert run.groups == [[0], [1, 2, 3]]
+        # Only the apache<->tomcat spine link crosses groups: the base
+        # window is the spine lookahead, not the scenario's ToR minimum.
+        spine = short.topology.lookahead("h1", "h3")
+        assert run.window == pytest.approx(spine)
+        assert run.window > short.window
+        single = run_datacenter(short, shards=1)
+        assert single.groups == [[0, 1, 2, 3]]
+        assert single.window == short.window
+
+    def test_progress_stride_follows_the_run_window(self):
+        short = replace(DC_4HOST, base=replace(DC_4HOST.base, duration=2.5))
+        reports = []
+        run_datacenter(short, shards=2, progress=reports.append)
+        front = [r.now for r in reports if r.shard == 0]
+        # Roughly once per simulated second, then the final flush.
+        assert front[:2] == pytest.approx([1.0, 2.0], abs=0.05)
+        assert front[-1] == pytest.approx(2.5)
 
 
 class TestFrameCodec:
