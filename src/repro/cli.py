@@ -358,6 +358,7 @@ def _run_trace(args) -> int:
     from .analysis.attribution import attribute_run
     from .analysis.export import write_chrome_trace, write_spans_jsonl
     from .experiments.runner import run_rubbos
+    from .obs import TelemetryConfig
 
     scenarios = _trace_scenarios()
     if args.scenario is None or args.scenario not in scenarios:
@@ -387,9 +388,12 @@ def _run_trace(args) -> int:
         f"({scenario.users} users, {scenario.duration:.0f}s)..."
     )
     started = time.time()
-    run = run_rubbos(
-        scenario, tracing=True, trace_sample_every=args.sample_every
+    tracing = TelemetryConfig(
+        window=None,
+        base_sample_every=args.sample_every,
+        trace_budget_per_window=None,
     )
+    run = run_rubbos(scenario, tracing=tracing)
     finished = run.app.completed + run.app.failed
 
     os.makedirs(args.out, exist_ok=True)
@@ -786,9 +790,9 @@ def _run_monitor(args) -> int:
     # Build with the clock held at zero so the display callback is in
     # place before the first window closes, then run for real.
     run = run_rubbos(
-        replace(scenario, duration=0.0), telemetry=config, hybrid=hybrid
+        replace(scenario, duration=0.0), tracing=config, hybrid=hybrid
     )
-    live = run.telemetry
+    live = run.obs
     assert live is not None
     # Bulk-population state streamed by the fluid engine: keep the
     # latest fluid.window payload so each telemetry row can show the
@@ -983,8 +987,8 @@ def main(argv=None) -> int:
         "--budget",
         type=int,
         default=8,
-        help="full-trace retention budget per window for the adaptive "
-             "tracer ('monitor' only)",
+        help="base-sample trace retention budget per window "
+             "('monitor' only)",
     )
     parser.add_argument(
         "--threshold",
@@ -996,7 +1000,8 @@ def main(argv=None) -> int:
         "--sample-every",
         type=int,
         default=1,
-        help="trace every n-th request (1 = all)",
+        help="keep every n-th finished request's trace, plus every "
+             "failed or tail-promoted one (1 = all; 'trace' only)",
     )
     parser.add_argument(
         "--profile",

@@ -184,7 +184,7 @@ def run_rubbos_with_defense(
         config = telemetry if telemetry is not None else (
             LATENCY_DEFENSE_TELEMETRY
         )
-        run = run_rubbos(setup, telemetry=config)
+        run = run_rubbos(setup, tracing=config)
     else:
         run = run_rubbos(setup)
     sim = run.sim
@@ -193,7 +193,7 @@ def run_rubbos_with_defense(
         sim, victim, episodes_to_trigger=episodes_to_trigger
     )
     if trigger == "latency":
-        defense.attach_bus(run.telemetry.bus)
+        defense.attach_bus(run.obs.bus)
     else:
         defense.start()
 
@@ -223,8 +223,8 @@ def run_rubbos_with_defense(
         sim.process(chase())
 
     sim.run(until=scenario.duration)
-    if run.telemetry is not None:
-        run.telemetry.finalize(scenario.duration)
+    if run.obs is not None:
+        run.obs.finalize(scenario.duration)
     # Rebuild the run record with the real scenario (durations differ).
     run = RubbosRun(
         scenario=scenario,
@@ -236,6 +236,6 @@ def run_rubbos_with_defense(
         util_monitors=run.util_monitors,
         queue_sampler=run.queue_sampler,
         llc_profiler=run.llc_profiler,
-        telemetry=run.telemetry,
+        obs=run.obs,
     )
     return run, defense, recolocations

@@ -15,7 +15,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cloud.platform import CloudDeployment, DeploymentConfig, TierConfig
 from ..core.attack import MemCAAttack
@@ -30,7 +30,7 @@ from ..core.programs import (
 from ..net import TierNetwork
 from ..monitoring.oprofile import LLCMissProfiler
 from ..monitoring.sampler import PeriodicSampler, UtilizationMonitor
-from ..obs import LiveTelemetry, Observability, TelemetryConfig
+from ..obs import FULL_TRACING, LiveTelemetry, TelemetryConfig
 from ..ntier.request import Request
 from ..ntier.client import UserPopulation
 from ..sim.core import Simulator
@@ -157,8 +157,8 @@ def build_world(
     so both run exactly the same construction sequence:
 
     1. the deployment for ``tiers`` (default: the whole chain), then
-       ``observer`` (an :class:`~repro.obs.Observability` or
-       :class:`~repro.obs.LiveTelemetry`) attached to its app;
+       ``observer`` (a :class:`~repro.obs.LiveTelemetry`) attached to
+       its app;
     2. the scenario's tier network, when configured (fed by the
        observer's bus);
     3. the closed-loop population of ``users`` DES clients, each
@@ -297,10 +297,8 @@ class RubbosRun:
     util_monitors: Dict[str, UtilizationMonitor]
     queue_sampler: PeriodicSampler
     llc_profiler: Optional[LLCMissProfiler]
-    #: Present only when the run was started with ``tracing=True``.
-    obs: Optional[Observability] = None
-    #: Present only when the run was started with ``telemetry=...``.
-    telemetry: Optional[LiveTelemetry] = None
+    #: Present only when the run was started with ``tracing=...``.
+    obs: Optional[LiveTelemetry] = None
     #: Present only in hybrid fluid/DES runs with a non-empty bulk.
     fluid: Optional[FluidEngine] = None
     #: Present only when the scenario carries a ``network=`` config.
@@ -327,10 +325,7 @@ def run_rubbos(
     scenario: RubbosScenario,
     collect_llc: bool = False,
     feedback_goals=None,
-    tracing: bool = False,
-    trace_sample_every: int = 1,
-    trace_columnar: bool = True,
-    telemetry: Optional[TelemetryConfig] = None,
+    tracing: Union[bool, TelemetryConfig] = False,
     hybrid: Optional[HybridConfig] = None,
 ) -> RubbosRun:
     """Build and execute one closed-loop RUBBoS scenario.
@@ -341,27 +336,20 @@ def run_rubbos(
     attack's feedback controller, per-tier utilization monitors, the
     queue sampler and the LLC profiler, in that order — and runs it.
 
-    ``tracing=True`` attaches a full observability stack
-    (:class:`repro.obs.Observability`): per-request span trees, the
-    metrics registry, and kernel self-profiling.  Tracing is purely
-    observational — it schedules no events — so a traced run produces
-    identical measurements to an untraced one at the same seed.
-    ``trace_sample_every`` traces every n-th request to bound memory on
-    very long runs; ``trace_columnar=False`` swaps the columnar span
-    store for per-span :class:`repro.obs.span.Trace` objects (same
-    output, used by the determinism tests).
-
-    ``telemetry=TelemetryConfig(...)`` (or ``True`` for defaults)
-    attaches the *live* stack instead (:class:`repro.obs.LiveTelemetry`):
-    streaming windowed quantile sketches, the adaptive tracer with
-    slow-request promotion, and — when the config carries an SLO — the
+    ``tracing`` attaches the observability stack
+    (:class:`repro.obs.LiveTelemetry`, landing in ``RubbosRun.obs``):
+    ``True`` means :data:`repro.obs.FULL_TRACING` — every finished
+    request keeps its span tree, plus the metrics registry and kernel
+    self-profiling, with no windowed pipeline; a
+    :class:`~repro.obs.TelemetryConfig` means that config — e.g. the
+    default's streaming windowed quantile sketches, base-sampled plus
+    promoted-tail trace retention and, when it carries an SLO, the
     tail-SLO detector publishing ``slo.violation`` /
-    ``millibottleneck.onset`` bus topics.  Like tracing, telemetry is
-    passive (no events, no RNG), so results are byte-identical with it
-    on or off.  ``tracing`` and ``telemetry`` are mutually exclusive —
-    both want to own ``app.tracer``.  The attached stack's bus also
-    carries the network's ``net.*`` and the fluid bulk's
-    ``fluid.window`` topics.
+    ``millibottleneck.onset`` bus topics.  The stack is purely
+    observational — it schedules no events and draws no random numbers
+    — so results are byte-identical with it on or off at the same
+    seed.  Its bus also carries the network's ``net.*`` and the fluid
+    bulk's ``fluid.window`` topics.
 
     ``hybrid=HybridConfig(...)`` (or the scenario's own ``hybrid``
     field; the argument wins) runs the scenario in hybrid fluid/DES
@@ -373,23 +361,11 @@ def run_rubbos(
     the run takes the exact full-DES code path — byte-identical
     results, no RNG-stream perturbation.
     """
-    if telemetry is not None and tracing:
-        raise ValueError(
-            "tracing and telemetry are mutually exclusive; "
-            "the live telemetry stack already traces adaptively"
-        )
-    if telemetry is True:
-        telemetry = TelemetryConfig()
     if hybrid is None:
         hybrid = scenario.hybrid
     obs = None
-    live = None
     if tracing:
-        obs = Observability(
-            sample_every=trace_sample_every, columnar=trace_columnar
-        )
-    elif telemetry is not None:
-        live = LiveTelemetry(telemetry)
+        obs = LiveTelemetry(FULL_TRACING if tracing is True else tracing)
     users, weight, bulk = scenario.users, 1.0, None
     if hybrid is not None:
         split = hybrid.split(scenario.users)
@@ -405,7 +381,7 @@ def run_rubbos(
         users=users,
         weight=weight,
         bulk=bulk,
-        observer=obs or live,
+        observer=obs,
     )
     deployment = world.deployment
     attack = world.attack
@@ -469,8 +445,8 @@ def run_rubbos(
 
     with _population_frozen():
         sim.run(until=scenario.duration)
-    if live is not None:
-        live.finalize(scenario.duration)
+    if obs is not None:
+        obs.finalize(scenario.duration)
     return RubbosRun(
         scenario=scenario,
         sim=sim,
@@ -482,7 +458,6 @@ def run_rubbos(
         queue_sampler=queue_sampler,
         llc_profiler=llc_profiler,
         obs=obs,
-        telemetry=live,
         fluid=fluid,
         network=world.network,
         net_attack=world.net_attack,

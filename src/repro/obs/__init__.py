@@ -2,49 +2,56 @@
 
 The subsystem has three legs (see DESIGN.md "Observability"):
 
-* **Span tracing** (:mod:`repro.obs.span`, :mod:`repro.obs.tracer`) —
-  each client request optionally carries a typed span tree recording
-  where its latency accrued: TCP retransmission waits, per-tier queue
-  waits, processor-sharing service slices (with effective-speed
-  annotations), and inter-tier network hops.
-* **Metrics + event bus** (:mod:`repro.obs.metrics`,
-  :mod:`repro.obs.bus`) — counters/gauges/streaming percentile
-  sketches plus a pub/sub fabric for request lifecycle events.
+* **Span tracing** (:mod:`repro.obs.span`, :mod:`repro.obs.columnar`,
+  :mod:`repro.obs.tracer`) — each client request carries a typed span
+  tree recording where its latency accrued: TCP retransmission waits,
+  per-tier queue waits, processor-sharing service slices (with
+  effective-speed annotations), and inter-tier network hops.  The
+  tracer decides at finish which trees to keep.
+* **Metrics + event bus + streaming tails** (:mod:`repro.obs.metrics`,
+  :mod:`repro.obs.bus`, :mod:`repro.obs.sketch`,
+  :mod:`repro.obs.streaming`) — counters/gauges/percentile sketches, a
+  pub/sub fabric for request lifecycle events, windowed tail quantiles
+  and the tail-SLO detector.
 * **Kernel self-profiling** (:class:`~repro.obs.bus.KernelProfiler`)
   — events dispatched, heap depth, wall-time per sim-second via the
   simulator's hook slot.
 
-:class:`Observability` bundles all three and wires them into a run;
-``repro.experiments.runner.run_rubbos(..., tracing=True)`` uses it, and
-``python -m repro trace <scenario>`` exposes it from the shell.
-Everything is off by default and adds only null-check overhead when
-disabled.
+:class:`LiveTelemetry` bundles all three, configured by one
+:class:`TelemetryConfig`, and wires them into a run:
+``repro.experiments.runner.run_rubbos(..., tracing=True)`` attaches it
+with :data:`FULL_TRACING` (every finished request keeps its trace),
+``tracing=TelemetryConfig(...)`` with that config, and ``python -m
+repro trace|monitor <scenario>`` expose it from the shell.  Everything
+is off by default and adds only null-check overhead when disabled.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .bus import EventBus, KernelProfiler
-from .columnar import SPAN_DTYPE, ColumnarTrace, SpanStore
+from .columnar import ColumnarTrace, SpanStore
 from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from .sketch import LogHistogram, P2Quantile
 from .span import LEAF_KINDS, SPAN_KINDS, Span, Trace
 from .streaming import (
-    AdaptiveTracer,
     LiveTelemetry,
     TailSloDetector,
-    TelemetryConfig,
     TelemetryPipeline,
     WindowReport,
 )
-from .tracer import NULL_TRACER, NullTracer, Tracer
+from .tracer import (
+    FULL_TRACING,
+    NULL_TRACER,
+    NullTracer,
+    TelemetryConfig,
+    Tracer,
+)
 
 __all__ = [
-    "AdaptiveTracer",
     "ColumnarTrace",
     "Counter",
     "EventBus",
+    "FULL_TRACING",
     "Gauge",
     "KernelProfiler",
     "LEAF_KINDS",
@@ -53,9 +60,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "Observability",
     "P2Quantile",
-    "SPAN_DTYPE",
     "SPAN_KINDS",
     "Span",
     "SpanStore",
@@ -67,40 +72,3 @@ __all__ = [
     "Tracer",
     "WindowReport",
 ]
-
-
-class Observability:
-    """One tracer + metrics registry + kernel profiler, wired together."""
-
-    def __init__(
-        self,
-        sample_every: int = 1,
-        kernel_sample_every: int = 1024,
-        columnar: bool = True,
-    ):
-        self.bus = EventBus()
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(
-            sample_every=sample_every,
-            metrics=self.metrics,
-            bus=self.bus,
-            columnar=columnar,
-        )
-        self.kernel = KernelProfiler(
-            sample_every=kernel_sample_every, metrics=self.metrics
-        )
-
-    def attach(self, sim, app=None) -> "Observability":
-        """Hook the kernel profiler into ``sim`` and adopt ``app``."""
-        sim.attach_hooks(self.kernel)
-        if app is not None:
-            app.tracer = self.tracer
-        return self
-
-    def report(self) -> dict:
-        """Kernel summary plus the full metrics snapshot."""
-        return {
-            "kernel": self.kernel.summary(),
-            "metrics": self.metrics.snapshot(),
-            "traces": len(self.tracer.traces),
-        }

@@ -1,13 +1,13 @@
 """Columnar span storage: staged rows instead of per-span objects.
 
-At population scale the object tracer dominates traced-run cost: a 60 s
-run of 10k users creates ~1M :class:`~repro.obs.span.Span` objects plus
-a children list each, and the allocation/GC traffic roughly doubles the
-wall time of the whole simulation.  This module stores every span of a
-run as one *row* — (kind code, interned name id, start, end, parent
-row) plus a sparse attribute side-table — and materializes
-:class:`~repro.obs.span.Span` trees lazily, only for the traces an
-exporter or analysis actually touches.
+At population scale per-span objects dominate traced-run cost: a 60 s
+run of 10k users records ~1M spans, and one
+:class:`~repro.obs.span.Span` plus a children list each roughly doubles
+the wall time of the whole simulation in allocation and GC traffic.
+This module stores every span of a run as one *row* — (kind code,
+interned name id, start, end, parent row) plus a sparse attribute
+side-table — and materializes :class:`~repro.obs.span.Span` trees
+lazily, only for the traces an exporter or analysis actually touches.
 
 Design notes:
 
@@ -22,12 +22,9 @@ Design notes:
   1M rows.  Parent references are trace-local (the row's base offset),
   which keeps the hot path free of any shared-table indirection; the
   :class:`SpanStore` owns what is genuinely shared — the interned name
-  table and the trace registry — and :meth:`SpanStore.columns` packs
-  every staged row into one structured array (:data:`SPAN_DTYPE`, with
-  globalized parent indexes and the owning request id) on demand, in
-  bulk.  Python floats are the source of truth — materialized trees
-  carry the exact values the instrumentation recorded, so JSONL export
-  is byte-identical to the object tracer's.
+  table and the registry of retained traces.  Python floats are the
+  source of truth — materialized trees carry the exact values the
+  instrumentation recorded.
 * **Row order is pre-order.**  Every span row is appended after its
   parent's row and after all rows of earlier siblings' subtrees, so a
   trace's row sequence is exactly the pre-order walk of its finished
@@ -36,44 +33,30 @@ Design notes:
   durations straight off the rows — same keys, same insertion order,
   same sums as ``Trace.leaf_durations`` — without building a single
   ``Span``.
-* **Open spans have ``end is None``** (``NaN`` in the packed array).
-  A truncated trace (simulation horizon hit mid-request) materializes
-  with its open spans' ``end`` set to ``None``, exactly like the
-  object tracer would leave them.
+* **Open spans have ``end is None``.**  A truncated trace (simulation
+  horizon hit mid-request) materializes with its open spans' ``end``
+  set to ``None``.
+* **Traces enter the store only through** :meth:`SpanStore.adopt`,
+  when the tracer's retention decision keeps them at finish.
 
-``ColumnarTrace`` is API-compatible with :class:`~repro.obs.span.Trace`
-(``begin``/``end``/``add``/``root``/``walk``/``spans``/
-``leaf_durations``/``finished``/``depth``), so exporters and
-:mod:`repro.analysis.attribution` work unchanged; equivalence is
-property-tested in ``tests/test_obs_columnar.py``.
+``ColumnarTrace`` is API-compatible with the reference object tree
+:class:`~repro.obs.span.Trace` (``begin``/``end``/``add``/``root``/
+``walk``/``spans``/``leaf_durations``/``finished``/``depth``), so
+exporters and :mod:`repro.analysis.attribution` work on either;
+equivalence is property-tested in ``tests/test_obs_columnar.py``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from .span import LEAF_KINDS, SPAN_KINDS, Span
 
-__all__ = ["SpanStore", "ColumnarTrace", "SPAN_DTYPE", "ROW_STRIDE"]
-
-#: The packed layout :meth:`SpanStore.columns` produces.
-SPAN_DTYPE = np.dtype(
-    [
-        ("kind", np.uint8),      # index into SPAN_KINDS
-        ("name_id", np.int32),   # index into SpanStore.names
-        ("start", np.float64),
-        ("end", np.float64),     # NaN while the span is open
-        ("parent", np.int32),    # parent row (global), -1 for a root
-        ("rid", np.int64),       # owning request id
-    ]
-)
+__all__ = ["SpanStore", "ColumnarTrace", "ROW_STRIDE"]
 
 #: Slot offsets of one staged row inside a trace's flat ``data`` list.
 #: Staged rows carry the *parent row's base offset* (or -1); ``rid``
-#: lives on the trace, and parents are globalized only when
-#: :meth:`SpanStore.columns` packs.
+#: lives on the trace.
 KIND, NAME_ID, START, END, PARENT = range(5)
 
 #: Slots per staged row.
@@ -87,16 +70,15 @@ _RTO_CODE = _KIND_CODES["rto_wait"]
 class SpanStore:
     """The shared backing of every trace in one run.
 
-    Owns the interned span-name table and the registry of traces (in
-    creation order); the rows themselves are staged on the traces and
-    flattened here by :meth:`columns`.
+    Owns the interned span-name table and the registry of retained
+    traces (in retention order); the rows themselves are staged on the
+    traces.
     """
 
     __slots__ = ("traces", "names", "_name_codes")
 
     def __init__(self) -> None:
-        #: Every :class:`ColumnarTrace` backed by this store, in
-        #: creation order — the packing order of :meth:`columns`.
+        #: Every retained :class:`ColumnarTrace`, in adoption order.
         self.traces: List["ColumnarTrace"] = []
         #: Interned span names; ``NAME_ID`` slots index into this.
         self.names: List[str] = []
@@ -115,59 +97,18 @@ class SpanStore:
         return nid
 
     def adopt(self, trace: "ColumnarTrace") -> None:
-        """Register a trace created with ``register=False``.
+        """Retain ``trace``: the one way a trace enters the store.
 
-        The adaptive tracer (:mod:`repro.obs.streaming`) records every
-        request speculatively but *retains* only a budgeted sample plus
-        the promoted tail: traces start unregistered (their rows stage
-        on the trace object only) and enter the store — and therefore
-        :meth:`columns` packing — at the moment the retention decision
-        keeps them.  Unretained traces are simply dropped on the floor
+        The tracer (:mod:`repro.obs.tracer`) records every request
+        speculatively and calls this when its retention decision keeps
+        one at finish.  Until then a trace's rows stage on the trace
+        object only; unretained traces are simply dropped on the floor
         and garbage-collected, which is what bounds traced memory at
         full-population scale.
         """
         if trace.store is not self:
             raise ValueError("trace belongs to a different store")
         self.traces.append(trace)
-
-    def columns(self) -> np.ndarray:
-        """Pack every staged row into one structured array (copies).
-
-        Rows appear trace by trace in creation order, pre-order within
-        each trace; parent indexes are globalized against that order.
-        """
-        out = np.empty(len(self), dtype=SPAN_DTYPE)
-        i = 0
-        for trace in self.traces:
-            offset = i
-            rid = trace.rid
-            data = trace.data
-            for base in range(0, len(data), ROW_STRIDE):
-                end = data[base + END]
-                parent = data[base + PARENT]
-                out[i] = (
-                    data[base + KIND],
-                    data[base + NAME_ID],
-                    data[base + START],
-                    np.nan if end is None else end,
-                    parent if parent < 0 else parent // ROW_STRIDE + offset,
-                    rid,
-                )
-                i += 1
-        return out
-
-    def open_rows(self) -> List[int]:
-        """Global rows of spans never closed (truncated at the horizon),
-        indexed consistently with :meth:`columns` ordering."""
-        out: List[int] = []
-        i = 0
-        for trace in self.traces:
-            data = trace.data
-            for base in range(0, len(data), ROW_STRIDE):
-                if data[base + END] is None:
-                    out.append(i)
-                i += 1
-        return out
 
 
 class ColumnarTrace:
@@ -182,7 +123,7 @@ class ColumnarTrace:
         "store", "rid", "data", "attrs", "_stack", "_tree", "_name_codes"
     )
 
-    def __init__(self, store: SpanStore, rid: int, register: bool = True):
+    def __init__(self, store: SpanStore, rid: int):
         self.store = store
         self.rid = rid
         #: Flat staged rows, :data:`ROW_STRIDE` slots each
@@ -197,8 +138,6 @@ class ColumnarTrace:
         # Direct ref to the shared intern table: one dict probe on the
         # hot path instead of two attribute hops through the store.
         self._name_codes = store._name_codes
-        if register:
-            store.traces.append(self)
 
     @property
     def depth(self) -> int:

@@ -13,6 +13,12 @@ the client-perceived response time.  That invariant is what makes the
 root-cause attribution pass (:mod:`repro.analysis.attribution`) a
 simple arg-max over leaf durations, and it is property-tested in
 ``tests/test_obs_tracer.py``.
+
+At run time the tracer records every tree as a
+:class:`~repro.obs.columnar.ColumnarTrace` (staged rows, materialized
+into :class:`Span` objects on access).  :class:`Trace` builds the same
+tree directly from objects; it is the reference the columnar recorder
+is property-tested against in ``tests/test_obs_columnar.py``.
 """
 
 from __future__ import annotations

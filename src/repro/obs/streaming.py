@@ -1,44 +1,40 @@
-"""Live telemetry: streaming tail quantiles, adaptive tracing, SLO alarms.
+"""The observability stack: retained traces, streaming tails, SLO alarms.
 
 The paper's central measurement problem, turned into an online system:
 millibottleneck damage is visible *only* in the latency tail (average-
 based monitors see nothing), yet retaining a full trace of every
-request at million-user scale is memory-infeasible.  This module closes
-that gap with three cooperating pieces, all driven passively off the
-:class:`~repro.obs.bus.EventBus` request-lifecycle topics — nothing
-here schedules a simulation event or consumes an RNG stream, so
-fixed-seed results with telemetry on are byte-identical to results
-with it off (pinned in ``tests/test_determinism.py``):
+request at million-user scale is memory-infeasible.  One bundle,
+:class:`LiveTelemetry`, closes that gap with cooperating pieces all
+configured by one :class:`~repro.obs.tracer.TelemetryConfig` and
+driven passively off the :class:`~repro.obs.bus.EventBus`
+request-lifecycle topics — nothing here schedules a simulation event
+or consumes an RNG stream, so fixed-seed results with the stack on are
+byte-identical to results with it off (pinned in
+``tests/test_determinism.py``):
 
-* :class:`AdaptiveTracer` — records a span tree for *every* request
-  (spans stage as cheap columnar rows) but *retains* only (a) a
-  budget-controlled base sample, whose stride re-tunes itself each
-  window to hit ``trace_budget_per_window`` retained traces, and
-  (b) every request whose response time reaches the current streaming
-  P99 estimate (a :class:`~repro.obs.sketch.P2Quantile` updated per
-  completion), which is *promoted* to full-trace retention regardless
-  of budget.  Promotion invariant: retained traces = base budget +
-  promoted tail + in-flight, so memory stays bounded by budget and
-  population while every tail request above the running P99 keeps its
-  full span tree.
+* :class:`~repro.obs.tracer.Tracer` — records a span tree for *every*
+  request and decides retention at finish: keep-all
+  (:data:`~repro.obs.tracer.FULL_TRACING`), or a base sample plus the
+  promoted tail above the running P99, optionally budgeted per window.
 * :class:`TelemetryPipeline` — tumbling-window quantile sketches
   (:class:`~repro.obs.sketch.LogHistogram`, O(1) memory per window,
   mergeable) for end-to-end and per-tier latency, exposing live
   P50/P99/P99.9 series plus run-cumulative estimates with guaranteed
   relative accuracy; emits a :class:`WindowReport` per closed window
   to registered callbacks (the CLI's live display, the detector).
+  Built only when ``config.window`` is set.
 * :class:`TailSloDetector` — watches the end-to-end windowed tail and
   publishes ``slo.violation`` (tail above the SLO for ``consecutive``
   windows) and ``millibottleneck.onset`` (tail jumping a factor above
   its rolling baseline) bus topics, which
   :class:`repro.cloud.defense.MillibottleneckDefense` consumes via
   ``attach_bus`` to trigger migration on *live traced tail latency*
-  instead of post-hoc utilization episodes.
+  instead of post-hoc utilization episodes.  Built only when
+  ``config.slo`` is set.
 
-:class:`LiveTelemetry` bundles the three (plus the metrics registry
-and kernel self-profiler) the way :class:`repro.obs.Observability`
-bundles the offline stack; ``run_rubbos(telemetry=...)`` wires it into
-a run and ``python -m repro monitor <scenario>`` drives it from the
+:class:`LiveTelemetry` bundles them with the metrics registry and the
+kernel self-profiler; ``run_rubbos(tracing=...)`` wires it into a run,
+and ``python -m repro trace|monitor <scenario>`` drive it from the
 shell.
 """
 
@@ -48,15 +44,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bus import EventBus, KernelProfiler
-from .columnar import ColumnarTrace, SpanStore
 from .metrics import MetricsRegistry
-from .sketch import LogHistogram, P2Quantile
-from .span import Trace
-from .tracer import Tracer
+from .sketch import LogHistogram
+from .tracer import TelemetryConfig, Tracer
 
 __all__ = [
-    "TelemetryConfig",
-    "AdaptiveTracer",
     "WindowReport",
     "TelemetryPipeline",
     "TailSloDetector",
@@ -69,192 +61,6 @@ E2E = "e2e"
 #: Pipeline key for network chain-traversal latency (``net.*`` topics,
 #: present only in runs with a routed inter-tier network).
 NET = "net"
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Everything the live pipeline needs, in one frozen record."""
-
-    #: Tumbling window width (simulated seconds) for live series.
-    window: float = 1.0
-    #: Percentile series maintained per window and cumulatively.
-    quantiles: Tuple[float, ...] = (50.0, 99.0, 99.9)
-    #: Guaranteed relative accuracy of the log-bucketed sketches.
-    accuracy: float = 0.01
-    #: Initial base-sample stride (1/64 by default: trace every 64th).
-    base_sample_every: int = 64
-    #: Target base-retained traces per window; the controller re-tunes
-    #: the stride each window to hit it.  None pins the stride at
-    #: ``base_sample_every`` (the fixed 1/64 budget of the benchmark).
-    trace_budget_per_window: Optional[int] = 8
-    #: Quantile (percentile units) whose running estimate is the
-    #: promotion threshold: any completion at/above it keeps its trace.
-    promote_quantile: float = 99.0
-    #: Completions needed before the promotion threshold arms.
-    min_promote_samples: int = 100
-    #: End-to-end tail SLO in seconds (None disables the detector).
-    slo: Optional[float] = None
-    #: Percentile the SLO applies to (must be in ``quantiles``).
-    slo_quantile: float = 99.0
-    #: Violating windows in a row before ``slo.violation`` fires.
-    consecutive_windows: int = 2
-    #: Tail-jump factor over the rolling baseline for onset detection.
-    onset_factor: float = 3.0
-    #: Windows in the rolling baseline median.
-    baseline_windows: int = 8
-    #: Minimum seconds between ``millibottleneck.onset`` emissions.
-    onset_cooldown: float = 2.0
-    #: Span storage flavor (see :mod:`repro.obs.columnar`).
-    columnar: bool = True
-    #: Kernel self-profiler stride.
-    kernel_sample_every: int = 1024
-
-    def __post_init__(self):
-        if self.window <= 0:
-            raise ValueError(f"window must be positive: {self.window}")
-        if self.base_sample_every < 1:
-            raise ValueError(
-                f"base_sample_every must be >= 1: {self.base_sample_every}"
-            )
-        if (
-            self.trace_budget_per_window is not None
-            and self.trace_budget_per_window < 1
-        ):
-            raise ValueError(
-                "trace_budget_per_window must be >= 1 or None: "
-                f"{self.trace_budget_per_window}"
-            )
-        if self.slo is not None and self.slo_quantile not in self.quantiles:
-            raise ValueError(
-                f"slo_quantile {self.slo_quantile} must be one of the "
-                f"tracked quantiles {self.quantiles}"
-            )
-
-
-class AdaptiveTracer(Tracer):
-    """Budget-driven tracer with slow-request reservoir promotion.
-
-    Every begun request gets a working span tree (recording costs a few
-    list appends per span — the price of being *able* to keep any tail
-    request), but at completion only two classes are retained:
-
-    * **base sample** — every ``stride``-th finished request; when a
-      ``trace_budget_per_window`` is set, the stride is re-tuned at
-      each window boundary to ``round(finished / budget)``, so the
-      retained base rate tracks the configured budget whatever the
-      offered load does;
-    * **promoted** — any request whose response time reaches the
-      current streaming P99 estimate (plus every failed request: the
-      give-up path *is* the extreme tail).  Promotion ignores the
-      budget by design — under attack the tail inflates and the
-      retained trace rate rises with it, which is exactly the signal
-      worth paying memory for.
-
-    Discarded traces never enter the span store (see
-    :meth:`repro.obs.columnar.SpanStore.adopt`), so their staged rows
-    are garbage the moment the request record drops its reference.
-    """
-
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        bus: Optional[EventBus] = None,
-    ):
-        config = config if config is not None else TelemetryConfig()
-        super().__init__(
-            sample_every=1,
-            metrics=metrics,
-            bus=bus,
-            columnar=config.columnar,
-        )
-        self.config = config
-        self.stride = config.base_sample_every
-        #: Running P99 (or configured quantile) estimator — the
-        #: promotion threshold once ``min_promote_samples`` arrive.
-        self.p2 = P2Quantile(config.promote_quantile / 100.0)
-        self.base_retained = 0
-        self.promoted = 0
-        self.discarded = 0
-        self._finished = 0
-        self._window_end = config.window
-        self._finished_in_window = 0
-        metrics = self.metrics
-        self._c_base = metrics.counter("telemetry.base_retained")
-        self._c_promoted = metrics.counter("telemetry.promoted")
-        self._c_discarded = metrics.counter("telemetry.discarded")
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The armed promotion threshold (None while warming up)."""
-        if self.p2.count < self.config.min_promote_samples:
-            return None
-        return self.p2.estimate
-
-    def begin_trace(self, request):
-        """Adopt *every* request; retention is decided at finish."""
-        self._seen += 1
-        store = self.store
-        if store is not None:
-            trace = ColumnarTrace(store, request.rid, register=False)
-        else:
-            trace = Trace(request.rid)
-        request.trace = trace
-        self._c_started.inc()
-        if self.bus is not None:
-            self.bus.publish("request.started", request)
-        return trace
-
-    def finish(self, request) -> None:
-        """Decide retention, update the threshold, then publish."""
-        now = request.t_done
-        if now is not None and now >= self._window_end:
-            self._retune(now)
-        self._finished += 1
-        self._finished_in_window += 1
-        base = (self._finished - 1) % self.stride == 0
-        rt = request.response_time
-        threshold = self.threshold
-        promoted = request.failed or (
-            rt is not None and threshold is not None and rt >= threshold
-        )
-        if base or promoted:
-            trace = request.trace
-            self.traces.append(trace)
-            if self.store is not None:
-                self.store.adopt(trace)
-            if promoted:
-                self.promoted += 1
-                self._c_promoted.inc()
-            else:
-                self.base_retained += 1
-                self._c_base.inc()
-        else:
-            request.trace = None
-            self.discarded += 1
-            self._c_discarded.inc()
-        if rt is not None and not request.failed:
-            self.p2.observe(rt)
-        super().finish(request)
-
-    def _retune(self, now: float) -> None:
-        """Window rollover: adapt the base stride to the budget."""
-        budget = self.config.trace_budget_per_window
-        if budget is not None and self._finished_in_window:
-            self.stride = max(
-                1, round(self._finished_in_window / budget)
-            )
-        self._finished_in_window = 0
-        window = self.config.window
-        # Skip empty windows in one step (no completions, no budget
-        # evidence to retune on).
-        periods = int((now - self._window_end) / window) + 1
-        self._window_end += periods * window
-
-    @property
-    def retained(self) -> int:
-        """Traces kept so far (base sample + promoted tail)."""
-        return self.base_retained + self.promoted
 
 
 @dataclass
@@ -276,7 +82,7 @@ class WindowReport:
     quantiles: Dict[str, Dict[float, float]] = field(default_factory=dict)
     #: key -> observations folded into this window's sketch.
     samples: Dict[str, int] = field(default_factory=dict)
-    #: Traces retained by the adaptive tracer during the window.
+    #: Traces retained by the tracer during the window.
     base_retained: int = 0
     promoted: int = 0
     #: Base-sample stride in effect when the window closed.
@@ -303,7 +109,7 @@ class TelemetryPipeline:
         self,
         config: Optional[TelemetryConfig] = None,
         bus: Optional[EventBus] = None,
-        tracer: Optional[AdaptiveTracer] = None,
+        tracer: Optional[Tracer] = None,
     ):
         self.config = config if config is not None else TelemetryConfig()
         self.bus = bus if bus is not None else EventBus()
@@ -553,28 +359,29 @@ class TailSloDetector:
 
 
 class LiveTelemetry:
-    """The live-telemetry stack, bundled and wired like Observability.
+    """The observability stack, bundled and wired into one run.
 
-    One bus + metrics registry + adaptive tracer + streaming pipeline
-    (+ tail-SLO detector when ``config.slo`` is set) + kernel
-    self-profiler.  ``attach`` hooks it into a simulator/application
-    pair; ``finalize`` flushes trailing windows at the horizon.
+    One bus + metrics registry + tracer + kernel self-profiler, plus
+    the streaming pipeline when ``config.window`` is set and the
+    tail-SLO detector when ``config.slo`` is set.  ``attach`` hooks it
+    into a simulator/application pair; ``finalize`` flushes trailing
+    windows at the horizon.
     """
 
     def __init__(self, config: Optional[TelemetryConfig] = None):
         self.config = config if config is not None else TelemetryConfig()
         self.bus = EventBus()
         self.metrics = MetricsRegistry()
-        self.tracer = AdaptiveTracer(
-            self.config, metrics=self.metrics, bus=self.bus
-        )
-        self.pipeline = TelemetryPipeline(
-            self.config, bus=self.bus, tracer=self.tracer
-        )
+        self.tracer = Tracer(self.config, metrics=self.metrics, bus=self.bus)
+        self.pipeline: Optional[TelemetryPipeline] = None
         self.detector: Optional[TailSloDetector] = None
-        if self.config.slo is not None:
-            self.detector = TailSloDetector(self.config, self.bus)
-            self.pipeline.on_window.append(self.detector.on_window)
+        if self.config.window is not None:
+            self.pipeline = TelemetryPipeline(
+                self.config, bus=self.bus, tracer=self.tracer
+            )
+            if self.config.slo is not None:
+                self.detector = TailSloDetector(self.config, self.bus)
+                self.pipeline.on_window.append(self.detector.on_window)
         self.kernel = KernelProfiler(
             sample_every=self.config.kernel_sample_every,
             metrics=self.metrics,
@@ -584,20 +391,22 @@ class LiveTelemetry:
         sim.attach_hooks(self.kernel)
         if app is not None:
             app.tracer = self.tracer
-        self.pipeline.attach(app)
+        if self.pipeline is not None:
+            self.pipeline.attach(app)
         return self
 
     def finalize(self, until: float) -> "LiveTelemetry":
         """Close the windows still open at the simulation horizon."""
-        self.pipeline.flush(until)
+        if self.pipeline is not None:
+            self.pipeline.flush(until)
         return self
 
     def report(self) -> dict:
+        """Kernel summary, metrics snapshot, retention, and sketches."""
         tracer = self.tracer
         out = {
             "kernel": self.kernel.summary(),
-            "sketches": self.pipeline.snapshot(),
-            "windows": len(self.pipeline.reports),
+            "metrics": self.metrics.snapshot(),
             "traces": {
                 "retained": tracer.retained,
                 "base": tracer.base_retained,
@@ -607,6 +416,9 @@ class LiveTelemetry:
                 "threshold": tracer.threshold,
             },
         }
+        if self.pipeline is not None:
+            out["sketches"] = self.pipeline.snapshot()
+            out["windows"] = len(self.pipeline.reports)
         if self.detector is not None:
             out["slo"] = {
                 "violations": len(self.detector.violations),

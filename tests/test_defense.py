@@ -292,7 +292,7 @@ class TestLatencyTriggeredDefense:
         run, defense, _ = run_rubbos_with_defense(
             self._scenario(duration=12.0), None, 8, trigger="latency"
         )
-        live = run.telemetry
+        live = run.obs
         assert live is not None
         # Windows cover the full horizon and the detector emitted the
         # episodes the defense consumed.

@@ -8,9 +8,9 @@ output, byte for byte.  These tests pin the contract three ways:
 1. against committed goldens generated by the pre-rewrite kernel
    (``tests/golden/``, see ``tests/golden/regenerate.py``);
 2. across run repetition (same process, fresh simulator);
-3. across observability configurations — tracing off, tracing on with
-   the columnar store, tracing on with per-span objects — which must
-   all agree because tracing schedules no simulation events.
+3. across observability configurations — tracing off, keep-all
+   tracing, and the sampled live config with an SLO detector — which
+   must all agree because the stack schedules no simulation events.
 
 Also here: RNG hygiene audits asserting a full simulation never
 consumes the global ``random`` / ``np.random`` streams (everything
@@ -25,7 +25,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.export import chrome_trace_events, write_spans_jsonl
 from repro.experiments.datacenter import (
     DC_4HOST,
     DC_8HOST,
@@ -59,12 +58,6 @@ def fig2_run():
 @pytest.fixture(scope="module")
 def fig9_run():
     return run_golden_fig9()
-
-
-@pytest.fixture(scope="module")
-def fig9_object_run():
-    """The fig9 scenario traced with per-span objects, not the store."""
-    return run_golden_fig9(trace_columnar=False)
 
 
 class TestGoldenSnapshots:
@@ -107,46 +100,11 @@ class TestRunRepetition:
 
 
 class TestTracingNeutrality:
-    """Tracing is observational: on/off and storage flavor are moot."""
+    """Tracing is observational: on or off is moot."""
 
     def test_tracing_on_off_identical(self, fig2_run):
         traced = run_golden_fig2(tracing=True)
         assert requests_csv_text(traced) == requests_csv_text(fig2_run)
-
-    def test_columnar_vs_object_requests(self, fig9_run, fig9_object_run):
-        assert requests_csv_text(fig9_object_run) == requests_csv_text(
-            fig9_run
-        )
-
-    def test_columnar_vs_object_sketch(self, fig9_run, fig9_object_run):
-        assert sketch_json_text(fig9_object_run) == sketch_json_text(
-            fig9_run
-        )
-
-    def test_columnar_vs_object_attribution(
-        self, fig9_run, fig9_object_run
-    ):
-        assert attribution_text(fig9_object_run) == attribution_text(
-            fig9_run
-        )
-
-    def test_columnar_vs_object_jsonl_export(
-        self, fig9_run, fig9_object_run, tmp_path
-    ):
-        a = tmp_path / "columnar.jsonl"
-        b = tmp_path / "object.jsonl"
-        write_spans_jsonl(str(a), fig9_run.app.completed)
-        write_spans_jsonl(str(b), fig9_object_run.app.completed)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_columnar_vs_object_chrome_trace(
-        self, fig9_run, fig9_object_run
-    ):
-        a = chrome_trace_events(fig9_run.app.completed)
-        b = chrome_trace_events(fig9_object_run.app.completed)
-        assert json.dumps(a, sort_keys=True) == json.dumps(
-            b, sort_keys=True
-        )
 
 
 class TestTelemetryNeutrality:
@@ -165,9 +123,7 @@ class TestTelemetryNeutrality:
         from tests._golden import GOLDEN_FIG2
         from repro.experiments.runner import run_rubbos
 
-        return run_rubbos(
-            GOLDEN_FIG2, telemetry=TelemetryConfig(slo=0.5)
-        )
+        return run_rubbos(GOLDEN_FIG2, tracing=TelemetryConfig(slo=0.5))
 
     def test_telemetry_matches_fig2_golden(self, fig2_telemetry_run):
         assert requests_csv_text(fig2_telemetry_run) == golden_text(
@@ -177,9 +133,7 @@ class TestTelemetryNeutrality:
     def test_telemetry_matches_fig9_golden(self):
         from repro.obs import TelemetryConfig
 
-        run = run_golden_fig9(
-            tracing=False, telemetry=TelemetryConfig()
-        )
+        run = run_golden_fig9(tracing=TelemetryConfig(slo=0.5))
         assert requests_csv_text(run) == golden_text(
             "fig9_requests.csv"
         )
@@ -194,7 +148,7 @@ class TestTelemetryNeutrality:
         from repro.experiments.runner import run_rubbos
 
         def snapshot(run):
-            live = run.telemetry
+            live = run.obs
             return json.dumps(
                 {
                     "sketches": live.pipeline.snapshot(),
@@ -210,9 +164,7 @@ class TestTelemetryNeutrality:
                 sort_keys=True,
             )
 
-        again = run_rubbos(
-            GOLDEN_FIG2, telemetry=TelemetryConfig(slo=0.5)
-        )
+        again = run_rubbos(GOLDEN_FIG2, tracing=TelemetryConfig(slo=0.5))
         assert snapshot(again) == snapshot(fig2_telemetry_run)
 
 

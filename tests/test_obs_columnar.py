@@ -7,18 +7,24 @@
 including for *truncated* traces whose open spans were never closed.
 Hypothesis drives both recorders with random well-formed (and
 randomly truncated) instrumentation sequences; deterministic tests
-below cover the packed-array view (:meth:`SpanStore.columns`) and the
-error paths.
+below cover the staged row layout, store adoption, and the error
+paths.
 """
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.columnar import ROW_STRIDE, SPAN_DTYPE, ColumnarTrace, SpanStore
+from repro.obs.columnar import (
+    END,
+    KIND,
+    NAME_ID,
+    PARENT,
+    ROW_STRIDE,
+    START,
+    ColumnarTrace,
+    SpanStore,
+)
 from repro.obs.span import LEAF_KINDS, SPAN_KINDS, Span, Trace
 
 NESTING_KINDS = tuple(k for k in SPAN_KINDS if k not in LEAF_KINDS)
@@ -152,33 +158,29 @@ class TestTraceEquivalence:
     @given(ops=trace_ops())
     @settings(max_examples=100, deadline=None)
     def test_packed_columns_roundtrip(self, ops):
+        """The staged rows are the span tree, in pre-order."""
         store = SpanStore()
         trace = ColumnarTrace(store, rid=11)
         apply_ops(trace, ops)
-        packed = store.columns()
-        assert packed.dtype == SPAN_DTYPE
-        assert len(packed) == len(trace) == len(store)
+        data = trace.data
+        rows = [
+            data[base:base + ROW_STRIDE]
+            for base in range(0, len(data), ROW_STRIDE)
+        ]
         flat = trace.spans()
+        assert len(rows) == len(trace) == len(flat)
         # spans() is pre-order, which is exactly row order.
-        for row, span in zip(packed, flat):
-            assert SPAN_KINDS[row["kind"]] == span.kind
-            assert store.names[row["name_id"]] == span.name
-            assert row["start"] == span.start
-            if span.end is None:
-                assert math.isnan(row["end"])
-            else:
-                assert row["end"] == span.end
-            assert row["rid"] == 11
-        # Open rows are precisely the NaN-ended packed rows.
-        open_rows = store.open_rows()
-        assert open_rows == list(np.flatnonzero(np.isnan(packed["end"])))
-        parents = packed["parent"]
-        if len(packed):
-            assert parents[0] == -1
-            # Parents precede children (pre-order), all other roots banned.
-            assert all(
-                -1 <= parents[i] < i for i in range(1, len(packed))
-            )
+        for row, span in zip(rows, flat):
+            assert SPAN_KINDS[row[KIND]] == span.kind
+            assert store.names[row[NAME_ID]] == span.name
+            assert row[START] == span.start
+            assert row[END] == span.end
+        if rows:
+            assert rows[0][PARENT] == -1
+            # Parents precede children; no second root.
+            for i, row in enumerate(rows[1:], start=1):
+                assert 0 <= row[PARENT] < i * ROW_STRIDE
+                assert row[PARENT] % ROW_STRIDE == 0
 
 
 class TestSpanStorePacking:
@@ -195,21 +197,11 @@ class TestSpanStorePacking:
         # b is truncated: tier and request never close.
         return store, a, b
 
-    def test_parent_indexes_are_globalized(self):
-        store, _a, _b = self._two_trace_store()
-        packed = store.columns()
-        assert len(packed) == 5
-        assert list(packed["rid"]) == [1, 1, 2, 2, 2]
-        # Rows 0-1 are trace a (root, leaf); 2-4 are trace b
-        # (root, tier, leaf) — parents shifted by a's 2 rows.
-        assert list(packed["parent"]) == [-1, 0, -1, 2, 3]
-
-    def test_open_rows_and_nan_ends(self):
-        store, _a, b = self._two_trace_store()
-        packed = store.columns()
-        assert store.open_rows() == [2, 3]
-        assert math.isnan(packed["end"][2])
-        assert math.isnan(packed["end"][3])
+    def test_truncated_trace_materializes_open_ends(self):
+        _store, _a, b = self._two_trace_store()
+        assert [b.data[base + END] for base in (0, 5, 10)] == [
+            None, None, 2.25
+        ]
         assert not b.finished
         # Truncated trace still materializes, open ends as None.
         assert b.root.end is None
@@ -217,13 +209,23 @@ class TestSpanStorePacking:
         assert b.root.children[0].children[0].end == 2.25
 
     def test_names_are_interned_across_traces(self):
-        store, _a, _b = self._two_trace_store()
-        packed = store.columns()
+        store, a, b = self._two_trace_store()
         assert len(store.names) == len(set(store.names))
         by_name = {
-            store.names[row["name_id"]] for row in packed
+            store.names[trace.data[base + NAME_ID]]
+            for trace in (a, b)
+            for base in range(0, len(trace.data), ROW_STRIDE)
         }
         assert by_name == {"client", "apache"}
+
+    def test_traces_enter_store_only_through_adopt(self):
+        store, a, b = self._two_trace_store()
+        assert store.traces == []
+        store.adopt(a)
+        assert store.traces == [a]
+        assert len(store) == len(a) == 2
+        with pytest.raises(ValueError, match="different store"):
+            SpanStore().adopt(b)
 
     def test_attrs_survive_materialization(self):
         store, _a, b = self._two_trace_store()

@@ -1,4 +1,5 @@
-"""Tests for the live telemetry pipeline (repro.obs.streaming/sketch)."""
+"""Tests for the observability stack's streaming side: retention,
+windowed sketches, and tail alarms (repro.obs.tracer/streaming/sketch)."""
 
 import json
 from dataclasses import replace
@@ -8,13 +9,13 @@ import pytest
 
 from repro.experiments.runner import run_rubbos
 from repro.obs import (
-    AdaptiveTracer,
     EventBus,
     LogHistogram,
     P2Quantile,
     TailSloDetector,
     TelemetryConfig,
     TelemetryPipeline,
+    Tracer,
     WindowReport,
 )
 from repro.obs.streaming import E2E
@@ -141,10 +142,10 @@ class TestTelemetryConfig:
             TelemetryConfig(**kwargs)
 
 
-class TestAdaptiveTracer:
+class TestTracerRetention:
     def _tracer(self, **kwargs):
         config = TelemetryConfig(**kwargs)
-        return AdaptiveTracer(config, bus=EventBus())
+        return Tracer(config, bus=EventBus())
 
     def _finish(self, tracer, rid, t_done, rt, failed=False):
         request = FakeRequest(
@@ -361,12 +362,10 @@ class TestLiveTelemetryIntegration:
         scenario = replace(
             GOLDEN_FIG2, name="telemetry-smoke", users=400, duration=6.0
         )
-        return run_rubbos(
-            scenario, telemetry=TelemetryConfig(slo=0.5)
-        )
+        return run_rubbos(scenario, tracing=TelemetryConfig(slo=0.5))
 
     def test_windows_cover_the_run(self, run):
-        reports = run.telemetry.pipeline.reports
+        reports = run.obs.pipeline.reports
         assert len(reports) == 6
         assert reports[-1].end == 6.0
 
@@ -374,16 +373,17 @@ class TestLiveTelemetryIntegration:
         rts = np.array(
             [r.response_time for r in run.app.completed], dtype=float
         )
-        pipeline = run.telemetry.pipeline
+        pipeline = run.obs.pipeline
         assert pipeline.cumulative[E2E].count == len(rts)
         for q in (50.0, 99.0):
             exact = float(np.percentile(rts, q))
             assert pipeline.estimate(q) == pytest.approx(exact, rel=0.05)
 
     def test_retention_accounting_balances(self, run):
-        tracer = run.telemetry.tracer
+        tracer = run.obs.tracer
         finished = len(run.app.completed) + len(run.app.failed)
-        in_flight = tracer._seen - finished
+        started = tracer.metrics.counter("requests.started").value
+        in_flight = started - finished
         assert tracer.retained + tracer.discarded == finished
         assert len(tracer.traces) == tracer.retained
         assert in_flight >= 0
@@ -398,12 +398,6 @@ class TestLiveTelemetryIntegration:
         assert all(r.trace is not None for r in tail)
 
     def test_report_is_json_serializable(self, run):
-        report = run.telemetry.report()
+        report = run.obs.report()
         assert report["windows"] == 6
         assert json.dumps(report)
-
-    def test_mutually_exclusive_with_tracing(self):
-        with pytest.raises(ValueError):
-            run_rubbos(
-                GOLDEN_FIG2, tracing=True, telemetry=TelemetryConfig()
-            )

@@ -9,12 +9,23 @@ The tentpole invariants (property-based, per ISSUE 1):
   fixed seed (tracing is observation, never perturbation).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import CloudDeployment, DeploymentConfig, TierConfig
-from repro.obs import NULL_TRACER, Observability, Trace, Tracer
+from repro.obs import (
+    NULL_TRACER,
+    LiveTelemetry,
+    P2Quantile,
+    TelemetryConfig,
+    Trace,
+    Tracer,
+)
+from repro.experiments.runner import run_rubbos
+from tests._golden import GOLDEN_FIG2
 from repro.sim import RandomStreams, Simulator
 from repro.workload import OpenLoopGenerator, exponential_request_factory
 
@@ -154,17 +165,47 @@ class TestTracerBehaviour:
             )
 
     def test_sampling_traces_subset(self):
-        tracer = Tracer(sample_every=3)
+        """``base_sample_every=3``: every 3rd finished request, plus
+        every failed or promoted one, keeps its trace."""
+        tracer = Tracer(
+            TelemetryConfig(
+                window=None, base_sample_every=3, trace_budget_per_window=None
+            )
+        )
         app = run_traced(7, rate=100.0, tracer=tracer)
-        total = len(app.completed) + len(app.failed)
-        traced = [
-            r for r in app.completed + app.failed if r.trace is not None
-        ]
-        assert 0 < len(traced) < total
-        # Exactly every 3rd *begun* request is adopted (some begun
-        # requests are still in flight when the run stops).
-        assert len(tracer.traces) == (tracer._seen + 2) // 3
-        assert len(tracer.traces) >= total // 3
+        finished = sorted(app.completed + app.failed, key=lambda r: r.t_done)
+        kept = [r for r in finished if r.trace is not None]
+        assert 0 < len(kept) < len(finished)
+        assert tracer.retained == len(kept) == len(tracer.store.traces)
+        assert tracer.retained + tracer.discarded == len(finished)
+        # Replay the rule: the running P99 arms after 100 completions.
+        p99 = P2Quantile(0.99)
+        promoted = 0
+        for index, request in enumerate(finished):
+            rt = request.response_time
+            promote = request.failed or (
+                p99.count >= 100 and rt >= p99.estimate
+            )
+            promoted += promote
+            assert (request.trace is not None) == (
+                index % 3 == 0 or promote
+            )
+            if not request.failed:
+                p99.observe(rt)
+        assert tracer.promoted == promoted > 0
+
+    def test_full_tracing_keeps_every_finished_request(self):
+        run = run_rubbos(
+            replace(GOLDEN_FIG2, users=300, duration=4.0), tracing=True
+        )
+        tracer = run.obs.tracer
+        finished = run.app.completed + run.app.failed
+        assert len(tracer.store.traces) == len(finished)
+        assert all(r.trace is not None for r in finished)
+        assert tracer.discarded == 0
+        # Keep-all builds neither an estimator nor a windowed pipeline.
+        assert tracer.p2 is None
+        assert run.obs.pipeline is None and run.obs.detector is None
 
     def test_tracer_metrics_fed_on_finish(self):
         tracer = Tracer()
@@ -192,7 +233,7 @@ class TestObservabilityBundle:
     def test_attach_wires_tracer_and_kernel(self):
         sim = Simulator()
         app = three_tier_app(sim)
-        obs = Observability()
+        obs = LiveTelemetry(TelemetryConfig(slo=0.5))
         obs.attach(sim, app)
         assert app.tracer is obs.tracer
         streams = RandomStreams(2)
@@ -204,7 +245,23 @@ class TestObservabilityBundle:
             sim, app, factory, rate=80.0, rng=streams.get("arrivals")
         ).start()
         sim.run(until=4.0)
+        obs.finalize(4.0)
         report = obs.report()
         assert report["kernel"]["events_dispatched"] > 0
-        assert report["traces"] == len(obs.tracer.traces) > 0
-        assert "requests.completed" in report["metrics"]
+        assert report["traces"]["retained"] == len(obs.tracer.traces) > 0
+        metrics = report["metrics"]
+        assert metrics["requests.completed"]["value"] == len(app.completed)
+        assert metrics["response_time"]["count"] == len(app.completed)
+        assert report["windows"] == 4
+        assert report["slo"] == {"violations": 0, "onsets": 0}
+
+    def test_windowless_config_rejects_slo(self):
+        with pytest.raises(ValueError):
+            TelemetryConfig(window=None, slo=0.5)
+        # The SLO alone is rejected, not only the default budget.
+        with pytest.raises(ValueError):
+            TelemetryConfig(
+                window=None, slo=0.5, trace_budget_per_window=None
+            )
+        with pytest.raises(ValueError):
+            TelemetryConfig(window=None, trace_budget_per_window=4)
