@@ -22,10 +22,11 @@ gate:
   post-hoc utilization-episode baseline?
 
 Methodology follows ``bench_kernel.py``: the overhead comparison runs
-each mode in a **fresh python process** (the script re-execs itself
-with ``--worker``) and takes the minimum over ``--repeat`` runs; the
-accuracy/retention/detection sections are single deterministic runs
-(fixed seeds) where wall time does not matter.
+every timed run in a **fresh python process** (the script re-execs
+itself with ``--worker``), cycles through the modes round-robin, and
+takes each mode's minimum over ``--repeat`` rounds, in quick mode too;
+the accuracy/retention/detection sections are single deterministic
+runs (fixed seeds) where wall time does not matter.
 
 Usage::
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import json
 import os
 import platform
@@ -55,8 +55,9 @@ RESULTS_DIR = os.path.join(
 
 #: ``--check`` gates.  Accuracy/retention hold at any scale (the sketch
 #: carries a 1% per-value guarantee); the overhead gate is tight only
-#: in full mode — quick mode runs once in-process on a possibly noisy
-#: box, so it gets a gross-regression tripwire instead.
+#: in full mode — quick mode's short runs sit closer to the noise floor
+#: of a small shared box, so it gets a gross-regression tripwire
+#: instead.
 ACCURACY_RELATIVE_ERROR = 0.05
 RETENTION_FLOOR = 0.99
 OVERHEAD_VS_TRACED = {"full": 0.03, "quick": 0.20}
@@ -83,10 +84,6 @@ def run_once(mode: str, quick: bool) -> dict:
     }.get(mode)
     if tracing is None:
         raise ValueError(f"unknown mode {mode!r}")
-    # Quick mode times every mode in one process: collect the previous
-    # run's cyclic garbage here, outside the timer, so no mode pays for
-    # tearing down the one before it.
-    gc.collect()
     t0 = time.perf_counter()
     run = run_rubbos(scenario, tracing=tracing)
     wall = time.perf_counter() - t0
@@ -97,33 +94,48 @@ def run_once(mode: str, quick: bool) -> dict:
     }
 
 
-def measure_fresh(mode: str, quick: bool, repeat: int) -> dict:
-    """Min-over-repeats, one fresh subprocess per repeat."""
-    walls = []
-    best = None
+def run_fresh(mode: str, quick: bool) -> dict:
+    """One :func:`run_once` in a fresh python process."""
+    cmd = [
+        sys.executable,
+        os.path.abspath(__file__),
+        "--worker",
+        "--mode", mode,
+    ]
+    if quick:
+        cmd.append("--quick")
+    env = dict(os.environ)
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src",
+    )
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        cmd, env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def measure_fresh(modes, quick: bool, repeat: int) -> dict:
+    """Min-over-repeats per mode, one fresh subprocess per run.
+
+    The modes run round-robin within each repeat, so a shift in host
+    speed during the measurement hits every mode alike instead of
+    landing on whichever mode's block it fell in.
+    """
+    best: dict = {}
+    walls: dict = {mode: [] for mode in modes}
     for _ in range(repeat):
-        cmd = [
-            sys.executable,
-            os.path.abspath(__file__),
-            "--worker",
-            "--mode", mode,
-        ]
-        if quick:
-            cmd.append("--quick")
-        env = dict(os.environ)
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            cmd, env=env, check=True, capture_output=True, text=True
-        )
-        result = json.loads(out.stdout.strip().splitlines()[-1])
-        walls.append(result["wall_seconds"])
-        if best is None or result["wall_seconds"] < best["wall_seconds"]:
-            best = result
-    best["wall_seconds_repeats"] = walls
+        for mode in modes:
+            result = run_fresh(mode, quick)
+            walls[mode].append(result["wall_seconds"])
+            if (
+                mode not in best
+                or result["wall_seconds"] < best[mode]["wall_seconds"]
+            ):
+                best[mode] = result
+    for mode in modes:
+        best[mode]["wall_seconds_repeats"] = walls[mode]
     return best
 
 
@@ -216,7 +228,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke: 2k users x 10 sim-s, in-process overhead runs",
+        help="CI smoke: 2k users x 10 sim-s per overhead run",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -263,13 +275,10 @@ def main() -> int:
         f"({tail['retention'] * 100:.1f}%)"
     )
 
-    report["overhead"] = {}
-    for mode in ("plain", "traced", "telemetry"):
-        if args.quick:
-            result = run_once(mode, True)
-        else:
-            result = measure_fresh(mode, False, args.repeat)
-        report["overhead"][mode] = result
+    report["overhead"] = measure_fresh(
+        ("plain", "traced", "telemetry"), args.quick, args.repeat
+    )
+    for mode, result in report["overhead"].items():
         print(
             f"overhead {mode:9s} {result['wall_seconds']:.3f}s wall "
             f"({result['completed_requests']} requests)"

@@ -75,15 +75,23 @@ class NTierApplication:
         yield from self.front.handle(request)
 
     def serve_tandem(self, request: Request) -> Generator:
-        """Tandem-queue service: independent stations, visited in order."""
+        """Tandem-queue service: independent stations, visited in order.
+
+        Returns ``None`` once served, or the name of the station whose
+        full backlog dropped the request (nothing is raised).
+        """
         enters = []
         for tier in self.tiers:
             enters.append((tier, self.sim.now))
             if request.visits(tier.name):
-                yield from tier.serve_local(request)
+                token = tier.admit(request)
+                if token is None:
+                    return tier.name
+                yield from tier.serve_local(request, token)
         done = self.sim.now
         for tier, entered in enters:
             request.record_span(tier.name, entered, done)
+        return None
 
     # -- aggregate accounting -------------------------------------------
 

@@ -1,22 +1,22 @@
 """Remote-tier stubs: the chain's shard boundary.
 
 When a multi-host scenario is partitioned for the sharded kernel
-(:mod:`repro.sim.sharded`), the synchronous ``yield from
-downstream.handle(request)`` coupling cannot cross a shard boundary —
-the downstream tier lives in a different :class:`~repro.sim.core.
+(:mod:`repro.sim.sharded`), the synchronous ``downstream.admit`` /
+``yield from downstream.serve`` coupling cannot cross a shard boundary
+— the downstream tier lives in a different :class:`~repro.sim.core.
 Simulator` (possibly a different process).  The boundary is replaced by
 an RPC pair:
 
 * :class:`RemoteTierStub` stands in for the downstream tier on the
   *upstream* shard.  It is chain-compatible with
-  :class:`~repro.ntier.tier.Tier` (``handle`` generator, ``name``,
+  :class:`~repro.ntier.tier.Tier` (``admit``/``serve`` pair, ``name``,
   counter properties), so upstream tiers and
   :class:`~repro.ntier.replicated.ReplicatedTier` dispatch to it
-  unchanged.  ``handle`` marshals the request into a compact frame,
-  sends it down the shard channel, and parks the calling process on a
-  reply event — the upstream thread stays held for the whole remote
-  call, preserving the paper's cross-tier thread-pinning amplification
-  across host boundaries.
+  unchanged.  ``admit`` always admits: it marshals the request into a
+  compact frame and sends it down the shard channel; ``serve`` parks
+  the calling process on the reply event — the upstream thread stays
+  held for the whole remote call, preserving the paper's cross-tier
+  thread-pinning amplification across host boundaries.
 * :class:`RemoteTierServer` lives on the *downstream* shard.  Each
   incoming call frame is unmarshalled into a **shadow**
   :class:`~repro.ntier.request.Request` and served through the real
@@ -145,15 +145,12 @@ class RemoteTierStub:
 
     # -- the RPC -------------------------------------------------------
 
-    def handle(self, request: Request) -> Generator:
-        """Issue one remote call; park until the reply delivers.
+    def admit(self, request: Request) -> Event:
+        """Issue one remote call; always admits.
 
-        On success the reply's span list is merged into the request's
-        ``tier_spans`` (same ``setdefault(...).extend`` shape as
-        :meth:`Request.record_span`); on a remote overflow the drop is
-        re-raised as :class:`TierOverflowError` carrying the *remote*
-        tier name, so the client's retransmission loop attributes the
-        drop exactly as it would in a single-simulator run.
+        Admission control lives on the remote shard, so the stub only
+        sends the call frame and returns the reply event as the token
+        :meth:`serve` parks on.
         """
         self.arrivals += 1
         call_id = self._next_call
@@ -163,6 +160,22 @@ class RemoteTierStub:
         self.channel.send(
             self.sim._now, (call_id,) + marshal_request(request)
         )
+        return reply
+
+    def handle(self, request: Request) -> Generator:
+        """:meth:`admit` + :meth:`serve`: one complete remote call."""
+        yield from self.serve(request, self.admit(request))
+
+    def serve(self, request: Request, reply: Event) -> Generator:
+        """Park until the call's reply delivers.
+
+        On success the reply's span list is merged into the request's
+        ``tier_spans`` (same ``setdefault(...).extend`` shape as
+        :meth:`Request.record_span`); on a remote overflow the drop is
+        re-raised as :class:`TierOverflowError` carrying the *remote*
+        tier name, so the client's retransmission loop attributes the
+        drop exactly as it would in a single-simulator run.
+        """
         ok, body = yield reply
         if not ok:
             self.drops += 1
@@ -215,13 +228,20 @@ class RemoteTierServer:
         call_id = frame[0]
         start = self.sim._now
         shadow = unmarshal_request(frame[1:], start)
-        try:
-            yield from self.tier.handle(shadow)
-        except TierOverflowError as overflow:
+        tier = self.tier
+        token = tier.admit(shadow)
+        if token is None:
+            drop_tier = tier.name
+        else:
+            try:
+                yield from tier.serve(shadow, token)
+                drop_tier = None
+            except TierOverflowError as overflow:
+                # Dropped further down this shard's chain.
+                drop_tier = overflow.tier
+        if drop_tier is not None:
             self.replies += 1
-            self.channel.send(
-                self.sim._now, (call_id, False, overflow.tier)
-            )
+            self.channel.send(self.sim._now, (call_id, False, drop_tier))
             return
         if self.sketch is not None:
             self.sketch.observe(self.sim._now - start)

@@ -4,20 +4,20 @@ Production bottleneck tiers are usually replicated (read replicas,
 sharded caches); the cited DIAL defense exploits exactly that: when one
 replica suffers interference, shift load toward the healthy ones.
 :class:`ReplicatedTier` is chain-compatible with :class:`Tier` (an
-upstream tier just calls ``handle``), dispatches each request to a
-replica by the current weights, and records per-replica latency EWMAs
-that a balancer (see :mod:`repro.cloud.dial`) can steer on.
+upstream tier calls ``admit`` then ``serve``), dispatches each request
+to a replica by the current weights, and records per-replica latency
+EWMAs that a balancer (see :mod:`repro.cloud.dial`) can steer on.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..sim.core import Simulator
 from .request import Request
-from .tier import Tier
+from .tier import Tier, TierOverflowError
 
 __all__ = ["ReplicatedTier"]
 
@@ -35,6 +35,14 @@ class ReplicatedTier:
     ):
         if not replicas:
             raise ValueError("need at least one replica")
+        # Demands, spans and drop attribution are keyed by tier name,
+        # so a replica answers to the name of the tier it replicates.
+        for replica in replicas:
+            if replica.name != name:
+                raise ValueError(
+                    f"replica {replica.name!r} of tier {name!r} must "
+                    f"carry the tier's name"
+                )
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha outside (0,1]: {ewma_alpha}")
         self.sim = sim
@@ -101,24 +109,48 @@ class ReplicatedTier:
         """Expose the first replica's pool for chain-compat checks."""
         return self.replicas[0].pool
 
-    def handle(self, request: Request) -> Generator:
-        """Dispatch to one replica and record its observed latency."""
+    def admit(self, request: Request) -> Optional[Tuple[int, float, Any]]:
+        """Pick a replica by the current weights and admit there.
+
+        Returns the token for :meth:`serve`, or ``None`` when the
+        replica dropped the request; a drop is still observed as a
+        zero-length latency sample.
+        """
         index = int(self.rng.choice(len(self.replicas), p=self._weights))
         self.dispatched[index] += 1
-        started = self.sim.now
+        inner = self.replicas[index].admit(request)
+        if inner is None:
+            self._observe(index, 0.0)
+            return None
+        return index, self.sim.now, inner
+
+    def handle(self, request: Request) -> Generator:
+        """Dispatch to one replica and record its observed latency."""
+        token = self.admit(request)
+        if token is None:
+            raise TierOverflowError(self.name)
+        yield from self.serve(request, token)
+
+    def serve(
+        self, request: Request, token: Tuple[int, float, Any]
+    ) -> Generator:
+        """Run an admitted visit on its replica, then record its latency."""
+        index, started, inner = token
         try:
-            yield from self.replicas[index].handle(request)
+            yield from self.replicas[index].serve(request, inner)
         finally:
-            elapsed = self.sim.now - started
-            self.latency_window[index].append(elapsed)
-            previous = self.latency_ewma[index]
-            if previous is None:
-                self.latency_ewma[index] = elapsed
-            else:
-                self.latency_ewma[index] = (
-                    (1.0 - self.ewma_alpha) * previous
-                    + self.ewma_alpha * elapsed
-                )
+            self._observe(index, self.sim.now - started)
+
+    def _observe(self, index: int, elapsed: float) -> None:
+        self.latency_window[index].append(elapsed)
+        previous = self.latency_ewma[index]
+        if previous is None:
+            self.latency_ewma[index] = elapsed
+        else:
+            self.latency_ewma[index] = (
+                (1.0 - self.ewma_alpha) * previous
+                + self.ewma_alpha * elapsed
+            )
 
     def drain_windows(self) -> List[List[float]]:
         """Return and reset the per-replica latency windows."""
@@ -126,11 +158,12 @@ class ReplicatedTier:
         self.latency_window = [[] for _ in self.replicas]
         return windows
 
-    def serve_local(self, request: Request) -> Generator:
-        """Tandem-mode compatibility: dispatch a local-only visit."""
-        index = int(self.rng.choice(len(self.replicas), p=self._weights))
-        self.dispatched[index] += 1
-        yield from self.replicas[index].serve_local(request)
+    def serve_local(
+        self, request: Request, token: Tuple[int, float, Any]
+    ) -> Generator:
+        """Tandem-mode compatibility: a local-only visit on the replica."""
+        index, _started, inner = token
+        yield from self.replicas[index].serve_local(request, inner)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

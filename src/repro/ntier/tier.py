@@ -14,8 +14,14 @@ Each tier couples three things:
 
 The front-most tier is created with a bounded backlog
 (``max_backlog``): when it overflows, the request is dropped at TCP
-level and :class:`TierOverflowError` propagates to the client, which
-retransmits after the RTO.  Inner tiers wait (their waiters are bounded
+level and the client retransmits after the RTO.  A visit is split into
+a synchronous :meth:`Tier.admit`, which returns a pool token or
+``None`` on a drop, and the :meth:`Tier.serve` generator that runs the
+rest; the client handles a front-tier ``None`` inline, with no
+exception.  A drop that happens after the visit has yielded — at an
+inner tier with a bounded backlog, in a routed network hop, or on a
+remote shard — raises :class:`TierOverflowError` up the chain to the
+client instead.  Inner tiers normally wait (their waiters are bounded
 naturally by the upstream tier's own pool).
 """
 
@@ -25,7 +31,8 @@ from typing import Generator, Optional
 
 from ..hardware.vm import VirtualMachine
 from ..sim.core import _PENDING, Simulator, Timeout
-from ..sim.resources import CapacityError, Resource
+from ..sim.resources import Request as PoolRequest
+from ..sim.resources import Resource
 from .request import Request
 
 __all__ = ["Tier", "TierOverflowError"]
@@ -159,26 +166,51 @@ class Tier:
             effective_speed=effective,
         )
 
+    def admit(self, request: Request) -> Optional[PoolRequest]:
+        """Arrive at this tier and claim a thread, synchronously.
+
+        Returns the pool token to hand to :meth:`serve`, or ``None``
+        when the bounded backlog is full: the request is dropped, the
+        drop is counted and the traced ``tier`` span is closed with
+        ``error="TierOverflowError"``.  A drop raises nothing and
+        schedules no event.
+        """
+        self.arrivals += 1
+        trace = request.trace
+        if trace is not None:
+            trace.begin("tier", self.name, self.sim._now)
+        token = self.pool.try_request()
+        if token is None:
+            self.drops += 1
+            if trace is not None:
+                trace.end(self.sim._now, error="TierOverflowError")
+        return token
+
     def handle(self, request: Request) -> Generator:
         """Process ``request`` in this tier (and, recursively, below).
 
+        The raising form of :meth:`admit` + :meth:`serve`: a drop at
+        admission raises :class:`TierOverflowError`.
+        """
+        token = self.admit(request)
+        if token is None:
+            raise TierOverflowError(self.name)
+        yield from self.serve(request, token)
+
+    def serve(self, request: Request, token: PoolRequest) -> Generator:
+        """Run the rest of an admitted visit (and, recursively, below).
+
         A generator intended for ``yield from`` inside the client's
-        process, so the whole request path is one coroutine — exactly
-        the synchronous RPC chain of the real system.
+        process, entered at the instant :meth:`admit` returned
+        ``token``, so the whole request path is one coroutine — exactly
+        the synchronous RPC chain of the real system.  A drop further
+        down the chain raises :class:`TierOverflowError` out of it.
         """
         sim = self.sim
         name = self.name
         enter = sim._now
-        self.arrivals += 1
         trace = request.trace
-        if trace is not None:
-            trace.begin("tier", name, enter)
         try:
-            try:
-                token = self.pool.request()
-            except CapacityError:
-                self.drops += 1
-                raise TierOverflowError(name) from None
             try:
                 yield token
                 if trace is not None:
@@ -261,7 +293,12 @@ class Tier:
                         yield Timeout(sim, net_delay)
                         if trace is not None:
                             trace.add("net", net_names[1], hop, sim._now)
-                    yield from downstream.handle(request)
+                    # Inline admit + serve (not handle): one generator
+                    # frame per tier on every resume of the chain.
+                    inner = downstream.admit(request)
+                    if inner is None:
+                        raise TierOverflowError(downstream.name)
+                    yield from downstream.serve(request, inner)
                     link = self.link_up
                     if link is not None:
                         yield from link.transfer(
@@ -323,19 +360,16 @@ class Tier:
         if trace is not None:
             trace.end(sim._now)
 
-    def serve_local(self, request: Request) -> Generator:
+    def serve_local(self, request: Request, token: PoolRequest) -> Generator:
         """Serve only this tier's demand (tandem-queue mode).
 
         Used by :meth:`NTierApplication.serve_tandem`, where tiers are
-        independent stations with no cross-tier thread coupling.
+        independent stations with no cross-tier thread coupling;
+        ``token`` comes from :meth:`admit`, as for :meth:`serve`.
         """
         enter = self.sim.now
-        self.arrivals += 1
         trace = request.trace
-        if trace is not None:
-            trace.begin("tier", self.name, enter)
         try:
-            token = self.pool.request()
             try:
                 yield token
                 if trace is not None:

@@ -7,6 +7,9 @@ Provides the concurrency-control building blocks the n-tier model needs:
   of the paper's model: the per-tier queue size ``Q_i`` is the tier's
   thread pool plus its admission backlog, and a full queue means the
   request is rejected (at the front-most tier: a TCP-level drop).
+  Admission (:meth:`Resource.try_request`) is a synchronous call that
+  returns the grant token or ``None``, so a rejection costs no
+  exception and no event.
 * :class:`Store` — a FIFO buffer of Python objects with put/get events.
 * :class:`Container` — a continuous-level resource (tokens).
 """
@@ -56,8 +59,9 @@ class Resource:
 
     ``capacity`` is the number of concurrent holders (threads).
     ``max_queue`` bounds the number of *waiting* requests; ``None`` means
-    unbounded.  When the wait queue is full, :meth:`request` raises
-    :class:`CapacityError` synchronously — callers model a drop.
+    unbounded.  When the wait queue is full, :meth:`try_request`
+    returns ``None`` synchronously — callers model a drop — and
+    :meth:`request` raises :class:`CapacityError`.
     """
 
     def __init__(
@@ -108,58 +112,60 @@ class Resource:
 
     # -- operations -------------------------------------------------------
 
+    def try_request(self) -> Optional[Request]:
+        """Claim one unit, or return ``None`` if the wait queue is full.
+
+        The returned event triggers when granted.  This is the one copy
+        of the admission arithmetic: a rejection is a plain return, so
+        a drop allocates no event and raises nothing.
+        """
+        self.total_requests += 1
+        users = self.users
+        background = self.background
+        if background == 0.0:
+            grant = len(users) < self.capacity
+        else:
+            # Hybrid path: bulk occupancy fills capacity slots first,
+            # then spills into the bounded backlog, shrinking both for
+            # the sampled discrete population.
+            grant = len(users) + background < self.capacity
+        if grant:
+            req = Request(self)
+            users[req] = None
+            if len(users) > self.peak_in_use:
+                self.peak_in_use = len(users)
+            # Inlined req.succeed(): a fresh Request is always pending.
+            # Grants are urgent (due now) — straight into the FIFO deque.
+            req._ok = True
+            req._value = None
+            self.sim._imm.append(req)
+            return req
+        max_queue = self.max_queue
+        if max_queue is not None:
+            waiting = len(self.queue)
+            if background != 0.0:
+                spill = background - (self.capacity - len(users))
+                if spill > 0.0:
+                    waiting += spill
+            if waiting >= max_queue:
+                self.total_rejections += 1
+                return None
+        req = Request(self)
+        self.queue.append(req)
+        if len(self.queue) > self.peak_queued:
+            self.peak_queued = len(self.queue)
+        return req
+
     def request(self) -> Request:
         """Claim one unit; the returned event triggers when granted.
 
         Raises :class:`CapacityError` if the wait queue is full.
         """
-        self.total_requests += 1
-        req = Request(self)
-        users = self.users
-        background = self.background
-        if background == 0.0:
-            if len(users) < self.capacity:
-                users[req] = None
-                if len(users) > self.peak_in_use:
-                    self.peak_in_use = len(users)
-                # Inlined req.succeed(): a fresh Request is always pending.
-                # Grants are urgent (due now) — straight into the FIFO deque.
-                req._ok = True
-                req._value = None
-                self.sim._imm.append(req)
-                return req
-            if self.max_queue is not None and len(self.queue) >= self.max_queue:
-                self.total_rejections += 1
-                raise CapacityError(
-                    f"wait queue full ({self.max_queue} waiters)"
-                )
-            self.queue.append(req)
-            if len(self.queue) > self.peak_queued:
-                self.peak_queued = len(self.queue)
-            return req
-        # Hybrid path: bulk occupancy fills capacity slots first, then
-        # spills into the bounded backlog, shrinking both for the
-        # sampled discrete population.
-        if len(users) + background < self.capacity:
-            users[req] = None
-            if len(users) > self.peak_in_use:
-                self.peak_in_use = len(users)
-            req._ok = True
-            req._value = None
-            self.sim._imm.append(req)
-            return req
-        if self.max_queue is not None:
-            spill = background - (self.capacity - len(users))
-            if spill < 0.0:
-                spill = 0.0
-            if len(self.queue) + spill >= self.max_queue:
-                self.total_rejections += 1
-                raise CapacityError(
-                    f"wait queue full ({self.max_queue} waiters)"
-                )
-        self.queue.append(req)
-        if len(self.queue) > self.peak_queued:
-            self.peak_queued = len(self.queue)
+        req = self.try_request()
+        if req is None:
+            raise CapacityError(
+                f"wait queue full ({self.max_queue} waiters)"
+            )
         return req
 
     def release(self, request: Request) -> None:

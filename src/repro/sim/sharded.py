@@ -373,75 +373,114 @@ class FrameCodec:
     ) -> Tuple[float, float, int, int, List[Tuple[float, Any]]]:
         """Unpack one frame; returns ``(promise, clock, flags, skip,
         [(delivery_time, payload), ...])`` with payloads equal to the
-        originals."""
-        promise, clock, flags, skip, count = _HEADER.unpack_from(buf, 0)
-        pos = _HEADER.size
-        (n_fresh,) = _STR_COUNT.unpack_from(buf, pos)
-        pos += _STR_COUNT.size
+        originals.
+
+        A malformed frame raises :class:`ValueError` naming the byte
+        offset of the bad section: a truncated header, string, row or
+        pickle section, an unknown row kind, an interned-string id past
+        the table, or bytes after the last row.  The link is unusable
+        after that (its string table may hold part of the frame).
+        """
+        end = len(buf)
+        try:
+            promise, clock, flags, skip, count = _HEADER.unpack_from(buf, 0)
+            (n_fresh,) = _STR_COUNT.unpack_from(buf, _HEADER.size)
+        except struct.error:
+            raise _malformed("truncated header", 0) from None
+        pos = _HEADER.size + _STR_COUNT.size
         strings = self._strings
         for _ in range(n_fresh):
+            if pos + _STR_COUNT.size > end:
+                raise _malformed("truncated string", pos)
             (length,) = _STR_COUNT.unpack_from(buf, pos)
+            if pos + _STR_COUNT.size + length > end:
+                raise _malformed("truncated string", pos)
             pos += _STR_COUNT.size
             strings.append(buf[pos : pos + length].decode("utf-8"))
             pos += length
+        n_strings = len(strings)
         entries: List[Tuple[float, Any]] = []
         for _ in range(count):
-            kind = buf[pos]
-            if kind == _KIND_CALL:
-                (
-                    _,
-                    time,
-                    call_id,
-                    rid,
-                    weight,
-                    page_id,
-                    shape_id,
-                    n_keys,
-                ) = _CALL.unpack_from(buf, pos)
-                pos += _CALL.size
-                values = struct.unpack_from(f"<{n_keys}d", buf, pos)
-                pos += 8 * n_keys
-                shape = strings[shape_id]
-                keys = shape.split(_SHAPE_SEP) if n_keys else []
-                payload: Any = (
-                    call_id,
-                    rid,
-                    strings[page_id],
-                    dict(zip(keys, values)),
-                    weight,
-                )
-            elif kind == _KIND_REPLY:
-                _, time, call_id, n_tiers = _REPLY_HEAD.unpack_from(
-                    buf, pos
-                )
-                pos += _REPLY_HEAD.size
-                body: List[Tuple[str, List[Tuple[float, float]]]] = []
-                for _ in range(n_tiers):
-                    tier_id, n_spans = _TIER_HEAD.unpack_from(buf, pos)
-                    pos += _TIER_HEAD.size
-                    flat = struct.unpack_from(f"<{2 * n_spans}d", buf, pos)
-                    pos += 16 * n_spans
-                    body.append(
-                        (
-                            strings[tier_id],
-                            [
-                                (flat[i], flat[i + 1])
-                                for i in range(0, len(flat), 2)
-                            ],
-                        )
+            row = pos
+            try:
+                kind = buf[pos]
+                if kind == _KIND_CALL:
+                    (
+                        _,
+                        time,
+                        call_id,
+                        rid,
+                        weight,
+                        page_id,
+                        shape_id,
+                        n_keys,
+                    ) = _CALL.unpack_from(buf, pos)
+                    pos += _CALL.size
+                    values = struct.unpack_from(f"<{n_keys}d", buf, pos)
+                    pos += 8 * n_keys
+                    if page_id >= n_strings or shape_id >= n_strings:
+                        raise _malformed("string id out of range", row)
+                    shape = strings[shape_id]
+                    keys = shape.split(_SHAPE_SEP) if n_keys else []
+                    if len(keys) != n_keys:
+                        raise _malformed("demand shape mismatch", row)
+                    payload: Any = (
+                        call_id,
+                        rid,
+                        strings[page_id],
+                        dict(zip(keys, values)),
+                        weight,
                     )
-                payload = (call_id, True, body)
-            elif kind == _KIND_ERR:
-                _, time, call_id, tier_id = _ERR.unpack_from(buf, pos)
-                pos += _ERR.size
-                payload = (call_id, False, strings[tier_id])
-            else:
-                _, time, length = _RAW_HEAD.unpack_from(buf, pos)
-                pos += _RAW_HEAD.size
-                payload = pickle.loads(buf[pos : pos + length])
-                pos += length
+                elif kind == _KIND_REPLY:
+                    _, time, call_id, n_tiers = _REPLY_HEAD.unpack_from(
+                        buf, pos
+                    )
+                    pos += _REPLY_HEAD.size
+                    body: List[Tuple[str, List[Tuple[float, float]]]] = []
+                    for _ in range(n_tiers):
+                        tier_id, n_spans = _TIER_HEAD.unpack_from(buf, pos)
+                        pos += _TIER_HEAD.size
+                        flat = struct.unpack_from(
+                            f"<{2 * n_spans}d", buf, pos
+                        )
+                        pos += 16 * n_spans
+                        if tier_id >= n_strings:
+                            raise _malformed("string id out of range", row)
+                        body.append(
+                            (
+                                strings[tier_id],
+                                [
+                                    (flat[i], flat[i + 1])
+                                    for i in range(0, len(flat), 2)
+                                ],
+                            )
+                        )
+                    payload = (call_id, True, body)
+                elif kind == _KIND_ERR:
+                    _, time, call_id, tier_id = _ERR.unpack_from(buf, pos)
+                    pos += _ERR.size
+                    if tier_id >= n_strings:
+                        raise _malformed("string id out of range", row)
+                    payload = (call_id, False, strings[tier_id])
+                elif kind == _KIND_RAW:
+                    _, time, length = _RAW_HEAD.unpack_from(buf, pos)
+                    pos += _RAW_HEAD.size
+                    if pos + length > end:
+                        raise _malformed("truncated pickle section", row)
+                    payload = pickle.loads(buf[pos : pos + length])
+                    pos += length
+                else:
+                    raise _malformed(f"unknown row kind {kind}", row)
+            except (struct.error, IndexError):
+                raise _malformed("truncated row", row) from None
             entries.append((time, payload))
+        if pos != end:
+            raise _malformed(f"{end - pos} trailing bytes", pos)
         return promise, clock, flags, skip, entries
+
+
+def _malformed(what: str, offset: int) -> ValueError:
+    return ValueError(f"malformed frame: {what} at byte {offset}")
 
 
 class PackedConnection:

@@ -89,6 +89,40 @@ class TestReplicatedTier:
         with pytest.raises(ValueError):
             tier.set_weights([0.0, 0.0])
 
+    def test_replicas_must_carry_the_tier_name(self):
+        sim = Simulator()
+        replica, _ = make_tier(sim, "db-a")
+        with pytest.raises(ValueError, match="must carry the tier's name"):
+            ReplicatedTier(sim, "db", [replica])
+
+    def test_replica_drop_records_zero_latency_sample(self):
+        sim = Simulator()
+        replicas = [make_tier(sim, "db", concurrency=1)[0] for _ in "ab"]
+        for replica in replicas:
+            replica.pool.max_queue = 0
+        tier = ReplicatedTier(
+            sim, "db", replicas, rng=np.random.default_rng(1)
+        )
+        tier.set_weights([1.0, 0.0])
+        app = NTierApplication(sim, [tier])
+        blocker = Request(rid=1, page="p", demands={"db": 5.0})
+        dropped = Request(rid=2, page="p", demands={"db": 0.1})
+
+        def client(sim, request):
+            yield from fetch(sim, app, request)
+
+        sim.process(client(sim, blocker))
+        sim.process(client(sim, dropped))
+        sim.run(until=0.9)
+        # The blocker holds replica 0; the client's attempt dropped
+        # there at t=0 and waits out its RTO.
+        assert tier.drops == 1
+        assert dropped.drop_tiers == ["db"]
+        assert tier.dispatched == [2, 0]
+        windows = tier.drain_windows()
+        assert windows == [[0.0], []]
+        assert tier.latency_ewma == [0.0, None]
+
     def test_requires_replicas(self):
         with pytest.raises(ValueError):
             ReplicatedTier(Simulator(), "db", [])

@@ -206,3 +206,182 @@ class TestOpenLoopProber:
         app, _ = build_app(sim)
         with pytest.raises(ValueError):
             OpenLoopProber(sim, app, lambda rid: None, rate=0.0)
+
+
+def two_tier_app(sim, front_concurrency, back_backlog=None):
+    """Front drops when busy (backlog 0); ``back_backlog`` bounds t1."""
+    app, _ = build_app(sim, concurrencies=(front_concurrency, 1))
+    back = app.tiers[1]
+    back.pool.max_queue = back_backlog
+    return app
+
+
+def drive_pair(sim, app, second_at=0.05, tcp=None):
+    """A slow first request, then a second one at ``second_at``."""
+    kwargs = {} if tcp is None else {"tcp": tcp}
+    requests = [
+        Request(rid=rid, page="p", demands={"t0": 0.01, "t1": 0.2})
+        for rid in range(2)
+    ]
+
+    def client(sim, request, delay):
+        if delay:
+            yield sim.timeout(delay)
+        yield from fetch(sim, app, request, **kwargs)
+
+    sim.process(client(sim, requests[0], 0.0))
+    sim.process(client(sim, requests[1], second_at))
+    return requests
+
+
+def span_rows(request):
+    """(depth, kind, name, start, end, attrs) of every traced span."""
+    return [
+        (depth, span.kind, span.name, span.start, span.end, span.attrs)
+        for span, depth in request.trace.walk()
+    ]
+
+
+class TestDropPaths:
+    """Every kind of drop reaches fetch's retransmission path."""
+
+    def test_front_drop_is_returned_not_raised(self, sim):
+        app = two_tier_app(sim, front_concurrency=1)
+        _, second = drive_pair(sim, app)
+        sim.run()
+        assert second.attempts == 2
+        assert second.drop_tiers == ["t0"]
+        assert second.attempt_times == [
+            pytest.approx(0.05), pytest.approx(1.05)
+        ]
+        front = app.front
+        assert (front.arrivals, front.drops, front.completions) == (3, 1, 2)
+
+    def test_inner_bounded_backlog_drop(self, sim):
+        app = two_tier_app(sim, front_concurrency=2, back_backlog=0)
+        _, second = drive_pair(sim, app)
+        sim.run()
+        assert second.attempts == 2
+        assert second.drop_tiers == ["t1"]
+        assert app.tiers[1].drops == 1
+        assert app.front.drops == 0
+        # The front thread was released when the drop unwound it.
+        assert app.front.pool.in_use == 0
+
+    def test_network_overflow_drop(self, sim):
+        from repro.net import FiniteQueue, QueueChain
+
+        app = two_tier_app(sim, front_concurrency=2)
+        ring = FiniteQueue(sim, "ring", rate=1000.0, buffer=4)
+        ring.set_background(0.5, 1.0)  # every descriptor held
+        app.front.link_down = QueueChain(
+            sim, "t0->t1", [ring],
+            tcp=RetransmissionPolicy(min_rto=0.01, max_retries=0),
+        )
+
+        def attacker_stops(sim):
+            yield sim.timeout(0.5)
+            ring.set_background(0.0, 0.0)
+
+        sim.process(attacker_stops(sim))
+        request = Request(rid=1, page="p", demands={"t0": 0.01, "t1": 0.2})
+
+        def client(sim):
+            yield from fetch(sim, app, request)
+
+        sim.process(client(sim))
+        sim.run()
+        assert request.completed
+        assert request.attempts == 2
+        assert request.drop_tiers == ["net:t0->t1"]
+
+    def test_remote_overflow_drop(self, sim):
+        from repro.ntier.remote import RemoteTierServer, RemoteTierStub
+
+        class Loopback:
+            def bind(self, handler):
+                self.handler = handler
+
+            def send(self, now, payload):
+                sim.defer_at(now + 0.001, lambda: self.handler(payload))
+
+        app = two_tier_app(sim, front_concurrency=2)
+        front, back = app.tiers
+        back.pool.max_queue = 0
+        call, reply = Loopback(), Loopback()
+        stub = RemoteTierStub(sim, "t1", call)
+        server = RemoteTierServer(sim, back, reply)
+        call.bind(server.dispatch)
+        reply.bind(stub.deliver)
+        front.downstream = stub
+        _, second = drive_pair(
+            sim, app, tcp=RetransmissionPolicy(max_retries=0)
+        )
+        sim.run()
+        assert second.failed
+        assert second.attempts == 1
+        assert second.drop_tiers == ["t1"]
+        assert (stub.arrivals, stub.completions, stub.drops) == (2, 1, 1)
+        assert (back.arrivals, back.drops) == (2, 1)
+
+    def test_traced_front_drop_span_tree(self, sim):
+        """Same tree as the raise-and-catch path produced."""
+        from repro.obs import Tracer
+
+        app = two_tier_app(sim, front_concurrency=1)
+        app.tracer = Tracer()
+        _, second = drive_pair(sim, app)
+        sim.run()
+        rows = span_rows(second)
+        assert [row[:3] for row in rows[:4]] == [
+            (0, "request", "p"),
+            (1, "attempt", "attempt-1"),
+            (2, "tier", "t0"),
+            (1, "rto_wait", "rto-1"),
+        ]
+        assert rows[0][5] == {"status": "ok", "attempts": 2}
+        assert rows[1][3:] == (
+            pytest.approx(0.05),
+            pytest.approx(0.05),
+            {"dropped": True, "drop_tier": "t0"},
+        )
+        assert rows[2][3:] == (
+            pytest.approx(0.05),
+            pytest.approx(0.05),
+            {"error": "TierOverflowError"},
+        )
+        assert rows[3][3:] == (
+            pytest.approx(0.05), pytest.approx(1.05), {"rto": 1.0}
+        )
+        assert [row[:3] for row in rows[4:7]] == [
+            (1, "attempt", "attempt-2"),
+            (2, "tier", "t0"),
+            (3, "queue_wait", "t0"),
+        ]
+        assert len(rows) == 12
+
+    def test_traced_inner_drop_span_tree(self, sim):
+        from repro.obs import Tracer
+
+        app = two_tier_app(sim, front_concurrency=2, back_backlog=0)
+        app.tracer = Tracer()
+        _, second = drive_pair(sim, app)
+        sim.run()
+        rows = span_rows(second)
+        assert [row[:3] for row in rows[:6]] == [
+            (0, "request", "p"),
+            (1, "attempt", "attempt-1"),
+            (2, "tier", "t0"),
+            (3, "queue_wait", "t0"),
+            (3, "service", "t0"),
+            (3, "tier", "t1"),
+        ]
+        assert rows[1][5] == {"dropped": True, "drop_tier": "t1"}
+        assert rows[2][5] == {"error": "TierOverflowError"}
+        assert rows[5][3:] == (
+            pytest.approx(0.0585),
+            pytest.approx(0.0585),
+            {"error": "TierOverflowError"},
+        )
+        assert rows[6][:3] == (1, "rto_wait", "rto-1")
+        assert len(rows) == 15

@@ -11,7 +11,7 @@ from repro.ntier import (
     Tier,
     TierOverflowError,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def make_vm(sim, name, vcpus=1):
@@ -225,6 +225,69 @@ class TestTier:
         with pytest.raises(ValueError):
             Tier(sim, "web", make_vm(sim, "w2"), concurrency=1,
                  work_split=1.5)
+
+
+class TestTierAdmit:
+    """``admit`` is the synchronous half of a visit; ``serve`` the rest."""
+
+    def test_drop_counts_once_and_holds_nothing(self, sim):
+        tier = Tier(sim, "web", make_vm(sim, "web"), concurrency=1,
+                    max_backlog=0, net_delay=0.0)
+        held = tier.admit(Request(rid=1, page="p", demands={"web": 1.0}))
+        assert held is not None
+        assert tier.admit(Request(rid=2, page="p", demands={})) is None
+        assert (tier.arrivals, tier.drops, tier.completions) == (2, 1, 0)
+        assert tier.pool.users == {held: None}
+        assert not tier.pool.queue
+        assert tier.pool.total_rejections == 1
+
+    def test_admitted_token_is_served(self, sim):
+        tier = Tier(sim, "web", make_vm(sim, "web"), concurrency=1,
+                    net_delay=0.0)
+        request = Request(rid=1, page="p", demands={"web": 0.5})
+
+        def client(sim):
+            token = tier.admit(request)
+            yield from tier.serve(request, token)
+
+        sim.process(client(sim))
+        sim.run()
+        assert (tier.arrivals, tier.completions) == (1, 1)
+        assert request.tier_response_time("web") == pytest.approx(0.5)
+        assert tier.pool.in_use == 0
+
+    def test_interrupt_while_queued_cancels_the_token(self, sim):
+        from repro.ntier import fetch
+
+        tier = Tier(sim, "web", make_vm(sim, "web"), concurrency=1,
+                    max_backlog=4, net_delay=0.0)
+        app = NTierApplication(sim, [tier])
+        blocker = Request(rid=1, page="p", demands={"web": 1.0})
+        waiter = Request(rid=2, page="p", demands={"web": 0.1})
+        outcome = {}
+
+        def first(sim):
+            yield from fetch(sim, app, blocker)
+
+        def second(sim):
+            try:
+                yield from fetch(sim, app, waiter)
+            except Interrupt:
+                outcome["interrupted"] = sim.now
+
+        def killer(sim, victim):
+            yield sim.timeout(0.5)
+            assert tier.pool.queued == 1
+            victim.interrupt("abort")
+
+        sim.process(first(sim))
+        victim = sim.process(second(sim))
+        sim.process(killer(sim, victim))
+        sim.run()
+        assert outcome == {"interrupted": pytest.approx(0.5)}
+        assert tier.pool.queued == 0
+        assert tier.pool.in_use == 0
+        assert (tier.arrivals, tier.drops, tier.completions) == (2, 0, 1)
 
 
 class TestRttEstimator:

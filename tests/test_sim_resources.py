@@ -83,6 +83,66 @@ class TestResourceBoundedQueue:
             Resource(sim, capacity=1, max_queue=-1)
 
 
+class TestTryRequest:
+    """The non-raising admission call behind ``request``."""
+
+    def test_discrete_grant_queue_then_none(self, sim):
+        pool = Resource(sim, capacity=1, max_queue=1)
+        granted = pool.try_request()
+        queued = pool.try_request()
+        assert granted.triggered and not queued.triggered
+        assert pool.try_request() is None
+        assert (pool.in_use, pool.queued) == (1, 1)
+        assert (pool.total_requests, pool.total_rejections) == (3, 1)
+        assert (pool.peak_in_use, pool.peak_queued) == (1, 1)
+
+    def test_unbounded_queue_never_returns_none(self, sim):
+        pool = Resource(sim, capacity=1)
+        tokens = [pool.try_request() for _ in range(50)]
+        assert all(token is not None for token in tokens)
+        assert pool.queued == 49
+        assert pool.total_rejections == 0
+
+    def test_hybrid_spill_rejects(self, sim):
+        # capacity 2 + backlog 2, background 3: bulk holds both slots
+        # and one backlog seat, leaving one seat for a discrete waiter.
+        pool = Resource(sim, capacity=2, max_queue=2)
+        pool.set_background(3.0)
+        queued = pool.try_request()
+        assert queued is not None and not queued.triggered
+        assert pool.try_request() is None
+        assert pool.total_rejections == 1
+        assert (pool.in_use, pool.queued) == (0, 1)
+
+    def test_hybrid_grant_below_fractional_background(self, sim):
+        pool = Resource(sim, capacity=2, max_queue=0)
+        pool.set_background(0.5)
+        assert pool.try_request().triggered  # 0 + 0.5 < 2
+        # 1 + 0.5 < 2 still grants; 2 + 0.5 does not, and the spill of
+        # 0.5 fills the zero-seat backlog.
+        assert pool.try_request().triggered
+        assert pool.try_request() is None
+        assert (pool.in_use, pool.total_rejections) == (2, 1)
+
+    def test_hybrid_bulk_below_capacity_spills_nothing(self, sim):
+        # Background 1 of capacity 2: one discrete holder fills the
+        # pool (1 + 1 >= 2) with no spill, so a one-seat backlog still
+        # takes exactly one waiter.
+        pool = Resource(sim, capacity=2, max_queue=1)
+        pool.set_background(1.0)
+        assert pool.try_request().triggered
+        assert not pool.try_request().triggered
+        assert pool.try_request() is None
+
+    def test_request_raises_where_try_request_returns_none(self, sim):
+        pool = Resource(sim, capacity=1, max_queue=0)
+        pool.request()
+        assert pool.try_request() is None
+        with pytest.raises(CapacityError, match="0 waiters"):
+            pool.request()
+        assert pool.total_rejections == 2
+
+
 class TestResourceCancel:
     def test_cancel_removes_waiter(self, sim):
         pool = Resource(sim, capacity=1)
