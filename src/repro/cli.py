@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from .experiments import (
     compare_attack_programs,
@@ -455,19 +455,53 @@ def _parse_shards(value):
         )
 
 
-def _resolve_shards(args, scenario) -> int:
+def _resolve_shards(args, scenario) -> Optional[int]:
     """Resolve ``--shards`` for a datacenter scenario.
 
     ``auto`` picks ``min(hosts, cpu cores)`` — every worker gets a
     core when the box has enough, and workers are merged into grouped
     shards rather than oversubscribing when it does not.  Unset
     defaults to one shard per host (the maximally parallel layout).
+    An explicit count outside ``1..hosts`` prints one error line and
+    returns ``None``.
     """
+    hosts = len(scenario.shards)
     if args.shards == "auto":
-        return max(1, min(len(scenario.shards), os.cpu_count() or 1))
-    if args.shards is not None:
-        return args.shards
-    return len(scenario.shards)
+        return max(1, min(hosts, os.cpu_count() or 1))
+    if args.shards is None:
+        return hosts
+    if not 1 <= args.shards <= hosts:
+        print(
+            f"--shards must be between 1 and {hosts} for "
+            f"{scenario.name} ({hosts} hosts), got {args.shards}",
+            file=sys.stderr,
+        )
+        return None
+    return args.shards
+
+
+def _mode_flag_error(args, name: str, multi_host: bool) -> bool:
+    """Reject a mode flag the scenario kind does not take.
+
+    ``--shards`` only partitions multi-host ``dc-*`` scenarios, and
+    ``--hybrid`` only applies to single-host ones (a datacenter's fluid
+    bulk is part of its scenario).  Prints one error line and returns
+    True on a mismatch.
+    """
+    if args.shards is not None and not multi_host:
+        message = (
+            f"--shards only applies to multi-host dc-* scenarios; "
+            f"{name} is a single-host scenario"
+        )
+    elif args.hybrid and multi_host:
+        message = (
+            f"--hybrid only applies to single-host scenarios; "
+            f"{name} is a multi-host dc-* scenario"
+        )
+    else:
+        return False
+    print(message, file=sys.stderr)
+    return True
 
 
 def _datacenter_scenario(args, name):
@@ -499,6 +533,8 @@ def _run_datacenter(args, name) -> int:
 
     scenario = _datacenter_scenario(args, name)
     shards = _resolve_shards(args, scenario)
+    if shards is None:
+        return 2
     print(
         f"running datacenter scenario {name!r} "
         f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
@@ -579,6 +615,8 @@ def _monitor_datacenter(args, name) -> int:
 
     scenario = _datacenter_scenario(args, name)
     shards = _resolve_shards(args, scenario)
+    if shards is None:
+        return 2
     print(
         f"monitoring datacenter scenario {name!r} "
         f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
@@ -665,15 +703,17 @@ def _run_run(args) -> int:
 
     scenarios = _trace_scenarios()
     name = args.scenario if args.scenario is not None else "private-cloud"
-    if name in DATACENTERS:
-        return _run_datacenter(args, name)
-    if name not in scenarios:
+    if name not in scenarios and name not in DATACENTERS:
         known = ", ".join(sorted(scenarios) + sorted(DATACENTERS))
         print(
             f"run needs a scenario name (one of: {known})",
             file=sys.stderr,
         )
         return 2
+    if _mode_flag_error(args, name, name in DATACENTERS):
+        return 2
+    if name in DATACENTERS:
+        return _run_datacenter(args, name)
     scenario = scenarios[name]
     if args.users is not None:
         scenario = scenario.with_users(args.users)
@@ -747,16 +787,19 @@ def _run_monitor(args) -> int:
     from .obs.streaming import E2E
 
     scenarios = _trace_scenarios()
-    if args.scenario is not None and args.scenario in DATACENTERS:
-        return _monitor_datacenter(args, args.scenario)
-    if args.scenario is None or args.scenario not in scenarios:
+    name = args.scenario
+    if name not in scenarios and name not in DATACENTERS:
         known = ", ".join(sorted(scenarios) + sorted(DATACENTERS))
         print(
             f"monitor needs a scenario name (one of: {known})",
             file=sys.stderr,
         )
         return 2
-    scenario = scenarios[args.scenario]
+    if _mode_flag_error(args, name, name in DATACENTERS):
+        return 2
+    if name in DATACENTERS:
+        return _monitor_datacenter(args, name)
+    scenario = scenarios[name]
     overrides = {}
     if args.duration is not None:
         overrides["duration"] = args.duration

@@ -23,7 +23,8 @@ cuts minimise the heaviest group.  ``K == n`` is the
 one-host-per-worker sharding; dispatch order within each simulator is
 identical to the reference in every mode, so request CSVs and event
 counts match byte for byte (``tests/test_determinism.py``) while the
-wall clock drops with the core count (``benchmarks/bench_shard.py``).
+wall clock drops with the core count (the ``dc-4host-2shard`` workload
+of ``benchmarks/e2e``).
 
 Workers exchange **adaptive** safe windows over the **packed** frame
 transport (struct rows + per-link string interning instead of

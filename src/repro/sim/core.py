@@ -31,19 +31,19 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
 ``tests/test_determinism.py``:
 
 * **Two-level event queue.**  The schedule is split by priority class.
-  *Urgent* events (``succeed()``/``fail()``/interrupts — everything the
-  old kernel pushed at ``(now, URGENT, seq)``) are only ever scheduled
-  at the current instant, so a plain FIFO deque (``_imm``) realises
-  their total order exactly: same-timestamp batches are delivered
-  through slot ``popleft`` instead of per-event heap traffic.  *Timed*
-  events (``NORMAL`` priority) go into a bucketed calendar wheel —
-  ``wheel_buckets`` buckets of ``bucket_width`` seconds — holding
-  ``(time, seq, obj)`` entries, with a spill heap for entries beyond
-  the current window.  Buckets are append-only until the consume cursor
-  reaches them, then sorted once; the common pop is an index bump, not
-  a heap sift.  The dispatch order is provably identical to the old
-  single heap's ``(time, priority, seq)`` order — see DESIGN.md §6 for
-  the proof sketch and the window-rotation rules.
+  *Urgent* events (``succeed()``/``fail()``/interrupts — everything
+  triggered "right now") are only ever scheduled at the current
+  instant, so a plain FIFO deque (``_imm``) realises their total order
+  exactly: same-timestamp batches are delivered through slot
+  ``popleft`` instead of per-event heap traffic.  *Timed* events go
+  into a bucketed calendar wheel — ``wheel_buckets`` buckets of
+  ``bucket_width`` seconds — holding ``(time, seq, obj)`` entries,
+  with a spill heap for entries beyond the current window.  Buckets are
+  append-only until the consume cursor reaches them, then sorted once;
+  the common pop is an index bump, not a heap sift.  The dispatch order
+  is provably identical to the old single heap's
+  ``(time, priority, seq)`` order — see DESIGN.md §6 for the proof
+  sketch and the window-rotation rules.
 * **FIFO tie-breaking.**  ``seq`` is a monotone counter over timed
   entries; urgent order is deque order.  Events scheduled at the same
   instant and priority dispatch in scheduling order, deterministically.
@@ -100,13 +100,6 @@ __all__ = [
 
 #: Sentinel for "this event has not been triggered yet".
 _PENDING = object()
-
-#: Scheduling priority for events triggered "right now" (e.g. succeed()).
-#: Kept for documentation/compatibility: urgent events now live in the
-#: FIFO deque ``Simulator._imm`` rather than carrying a priority field.
-URGENT = 0
-#: Scheduling priority for ordinary timed events (calendar wheel/spill).
-NORMAL = 1
 
 _INF = float("inf")
 
@@ -711,15 +704,8 @@ class Simulator:
 
     # -- scheduling / main loop ----------------------------------------
 
-    def _schedule(self, event: Event, time: float, priority: int) -> None:
-        """Back-compat shim: route an entry to the right queue."""
-        if priority == URGENT:
-            self._imm.append(event)
-        else:
-            self._push_timed(time, event)
-
     def _push_timed(self, time: float, obj: Any) -> None:
-        """Enqueue ``obj`` at absolute ``time`` (NORMAL priority).
+        """Enqueue ``obj`` at absolute ``time`` in the timed queue.
 
         ``obj`` is an :class:`Event` or a bare-timer object
         (``callbacks is None`` + ``fire()``).  ``time`` must be

@@ -32,7 +32,7 @@ def pytest_addoption(parser):
         "--perf",
         action="store_true",
         default=False,
-        help="run the @pytest.mark.perf throughput-regression tests "
+        help="run the @pytest.mark.perf wall-clock and full-scale gates "
         "(skipped by default: wall-clock gates flake on loaded boxes)",
     )
 

@@ -132,3 +132,20 @@ class TestDatacenterCli:
         with pytest.raises(SystemExit):
             main(["run", "dc-2host", "--shards", "many"])
         assert "expected an integer or 'auto'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["run", "dc-2host", "--shards", "5"],
+         "--shards must be between 1 and 2 for dc-2host (2 hosts), got 5"),
+        (["run", "dc-2host", "--shards", "0"],
+         "--shards must be between 1 and 2 for dc-2host (2 hosts), got 0"),
+        (["run", "private-cloud", "--shards", "2"],
+         "--shards only applies to multi-host dc-* scenarios; "
+         "private-cloud is a single-host scenario"),
+        (["run", "dc-2host", "--hybrid"],
+         "--hybrid only applies to single-host scenarios; "
+         "dc-2host is a multi-host dc-* scenario"),
+    ], ids=["shards-above-hosts", "shards-zero", "shards-single-host",
+            "hybrid-datacenter"])
+    def test_invalid_mode_flag_fails_with_one_line(self, capsys, argv, error):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == error + "\n"

@@ -272,11 +272,9 @@ class TestLatencyTriggeredDefense:
                 self._scenario(), None, 8, trigger="oracle"
             )
 
-    def test_latency_trigger_no_later_than_utilization(self):
-        """Acceptance gate: live detection beats the post-hoc loop."""
+    def _assert_latency_first(self, scenario):
         from repro.experiments.defense import run_rubbos_with_defense
 
-        scenario = self._scenario()
         firsts = {}
         for trigger in ("utilization", "latency"):
             run, defense, _ = run_rubbos_with_defense(
@@ -285,6 +283,15 @@ class TestLatencyTriggeredDefense:
             assert defense.triggered
             firsts[trigger] = defense.migrations[0].time
         assert firsts["latency"] <= firsts["utilization"]
+
+    def test_latency_trigger_no_later_than_utilization(self):
+        """Acceptance gate: live detection beats the post-hoc loop."""
+        self._assert_latency_first(self._scenario())
+
+    @pytest.mark.perf
+    def test_latency_trigger_no_later_than_utilization_full(self):
+        """The same gate over a 45 s run (``pytest --perf``)."""
+        self._assert_latency_first(self._scenario(duration=45.0))
 
     def test_latency_run_carries_telemetry(self):
         from repro.experiments.defense import run_rubbos_with_defense

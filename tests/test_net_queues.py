@@ -4,15 +4,20 @@ The finite-queue invariants (FIFO service order, exact message
 conservation, bounded occupancy, drop monotonicity in offered load)
 are checked with hypothesis over randomized arrival patterns; the
 protocol behaviors (RTO retransmission, exhaustion, ECN marking,
-background contention) with deterministic scenarios.
+background contention) with deterministic scenarios; the NIC
+ring-saturation attack's tail amplification end to end.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.configs import NET_ATTACK, NET_BASELINE
+from repro.experiments.runner import run_rubbos
 from repro.net import (
     CrossHostLink,
     FiniteQueue,
@@ -529,3 +534,47 @@ class TestNetworkConfigValidation:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetworkConfig(**kwargs)
+
+
+class TestNicAttackAmplification:
+    """The NIC attack amplifies the tail through the queue chains.
+
+    Against the network-routed baseline, the attack must at least
+    double the client P99 and widen the P99/P50 dispersion by 1.5x —
+    tail-specific damage, not a flat slowdown — and drop packets in
+    the chains.  Quick: both scenarios at 1,000 users x 12 s; full
+    (``pytest --perf``): ``NET_BASELINE`` / ``NET_ATTACK`` as
+    registered.
+    """
+
+    P99_AMPLIFICATION_FLOOR = 2.0
+    DISPERSION_FLOOR = 1.5
+
+    @pytest.fixture(
+        scope="class",
+        params=["quick", pytest.param("full", marks=pytest.mark.perf)],
+    )
+    def runs(self, request):
+        pair = (NET_BASELINE, NET_ATTACK)
+        if request.param == "quick":
+            pair = tuple(
+                replace(s.with_users(1000), duration=12.0, warmup=3.0)
+                for s in pair
+            )
+        return tuple(run_rubbos(s) for s in pair)
+
+    @staticmethod
+    def _quantiles(run):
+        rts = [
+            r.response_time for r in run.client_requests() if not r.failed
+        ]
+        return np.percentile(rts, [50.0, 99.0])
+
+    def test_p99_and_dispersion_amplified(self, runs):
+        (base_p50, base_p99), (atk_p50, atk_p99) = map(self._quantiles, runs)
+        assert atk_p99 / base_p99 >= self.P99_AMPLIFICATION_FLOOR
+        dispersion = (atk_p99 / atk_p50) / (base_p99 / base_p50)
+        assert dispersion >= self.DISPERSION_FLOOR
+
+    def test_attack_drops_packets_in_the_chains(self, runs):
+        assert runs[1].network.drops > 0

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.experiments.configs import PRIVATE_CLOUD
 from repro.experiments.runner import run_rubbos
 from repro.obs import (
     EventBus,
@@ -364,6 +365,23 @@ class TestLiveTelemetryIntegration:
         )
         return run_rubbos(scenario, tracing=TelemetryConfig(slo=0.5))
 
+    @pytest.fixture(
+        scope="class",
+        params=["quick", pytest.param("full", marks=pytest.mark.perf)],
+    )
+    def pinned_run(self, request):
+        """fig9 with the base stride pinned at 1/64 (no budget control).
+
+        Quick: 2,000 users x 10 s; full (``pytest --perf``): the
+        private-cloud scenario's 60 s.  Answers whether promotion alone
+        rescues the top-0.1% tail from a 1.6% base sample.
+        """
+        scenario = replace(PRIVATE_CLOUD, warmup=0.0)
+        if request.param == "quick":
+            scenario = replace(scenario, users=2000, duration=10.0)
+        config = TelemetryConfig(trace_budget_per_window=None)
+        return run_rubbos(scenario, tracing=config)
+
     def test_windows_cover_the_run(self, run):
         reports = run.obs.pipeline.reports
         assert len(reports) == 6
@@ -378,6 +396,24 @@ class TestLiveTelemetryIntegration:
         for q in (50.0, 99.0):
             exact = float(np.percentile(rts, q))
             assert pipeline.estimate(q) == pytest.approx(exact, rel=0.05)
+
+    def test_streaming_tail_within_5pct(self, pinned_run):
+        rts = np.array(
+            [r.response_time for r in pinned_run.app.completed], dtype=float
+        )
+        for q in (99.0, 99.9):
+            exact = float(np.percentile(rts, q))
+            assert pinned_run.obs.pipeline.estimate(q) == pytest.approx(
+                exact, rel=0.05
+            )
+
+    def test_pinned_stride_retains_the_tail(self, pinned_run):
+        assert pinned_run.obs.tracer.stride == 64
+        completed = pinned_run.app.completed
+        p999 = float(np.percentile([r.response_time for r in completed], 99.9))
+        tail = [r for r in completed if r.response_time >= p999]
+        retained = sum(1 for r in tail if r.trace is not None)
+        assert tail and retained / len(tail) >= 0.99
 
     def test_retention_accounting_balances(self, run):
         tracer = run.obs.tracer
