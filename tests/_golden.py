@@ -16,13 +16,19 @@ Regenerate (only when a *deliberate* behavior change lands) with::
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 from repro.analysis.attribution import attribute_run
-from repro.analysis.export import requests_to_rows
+from repro.analysis.export import (
+    requests_to_rows,
+    write_chrome_trace,
+    write_spans_jsonl,
+)
 from repro.experiments.configs import PRIVATE_CLOUD, NetworkConfig
 from repro.experiments.runner import run_rubbos
 from repro.sim.hybrid import HybridConfig
@@ -136,6 +142,30 @@ def attribution_text(run) -> str:
     return attribute_run(run, threshold=0.5).render() + "\n"
 
 
+def span_exports_text(run) -> str:
+    """sha256 digests of a traced run's two span exports.
+
+    Exports every finished request, as ``python -m repro trace`` does,
+    to the span-tree JSONL and the Chrome ``trace_event`` JSON; one
+    ``sha256sum``-style line per file.  The digests pin every span's
+    kind, name and times, and its attributes' keys, order and value
+    types (``1`` and ``1.0`` serialize differently).
+    """
+    finished = run.app.completed + run.app.failed
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in (
+            ("spans.jsonl", write_spans_jsonl),
+            ("trace.json", write_chrome_trace),
+        ):
+            path = os.path.join(tmp, name)
+            write(path, finished)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{digest}  {name}\n")
+    return "".join(lines)
+
+
 def run_golden_fig2(tracing: bool = False):
     return run_rubbos(GOLDEN_FIG2, tracing=tracing)
 
@@ -157,6 +187,7 @@ def snapshots() -> dict:
     fig2 = run_golden_fig2()
     fig9 = run_golden_fig9()
     net = run_golden_net()
+    net_traced = run_golden_net(tracing=True)
     hybrid = run_golden_hybrid()
     dc = run_golden_dc()
     dc8 = run_golden_dc8()
@@ -165,7 +196,9 @@ def snapshots() -> dict:
         "fig9_requests.csv": requests_csv_text(fig9),
         "fig9_sketch.json": sketch_json_text(fig9),
         "fig9_attribution.txt": attribution_text(fig9),
+        "fig9_spans.sha256": span_exports_text(fig9),
         "net_requests.csv": requests_csv_text(net),
+        "net_spans.sha256": span_exports_text(net_traced),
         "hybrid_requests.csv": requests_csv_text(hybrid),
         "dc2_requests.csv": requests_csv_text(dc),
         "dc8_requests.csv": requests_csv_text(dc8),
