@@ -356,9 +356,7 @@ class QueueChain:
             backoff_start = sim._now
             yield Timeout(sim, rto)
             if trace is not None:
-                trace.add(
-                    "net_rto", span, backoff_start, sim._now, rto=rto
-                )
+                trace.backoff("net_rto", span, backoff_start, sim._now, rto)
 
     def _attempt(self) -> Generator:
         """One end-to-end traversal.

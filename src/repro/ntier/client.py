@@ -107,13 +107,13 @@ def fetch(
             request.t_done = now = sim._now
             if trace is not None:
                 trace.end(now)
-                trace.end(now, status="ok", attempts=request.attempts)
+                trace.end_status(now, "ok", request.attempts)
                 tracer.finish(request)
             app.record(request)
             return request
         request.drop_tiers.append(drop_tier)
         if trace is not None:
-            trace.end(sim._now, dropped=True, drop_tier=drop_tier)
+            trace.end_dropped(sim._now, drop_tier)
             tracer.dropped(request, drop_tier)
         if rtos is None:
             # Lazily built: most requests never see a drop, so the
@@ -125,23 +125,19 @@ def fetch(
             request.failed = True
             request.t_done = now = sim._now
             if trace is not None:
-                trace.end(
-                    now,
-                    status="failed",
-                    attempts=request.attempts,
-                )
+                trace.end_status(now, "failed", request.attempts)
                 tracer.finish(request)
             app.record(request)
             return request
         backoff_start = sim._now
         yield sim.timeout(rto)
         if trace is not None:
-            trace.add(
+            trace.backoff(
                 "rto_wait",
                 _rto_name(request.attempts),
                 backoff_start,
                 sim._now,
-                rto=rto,
+                rto,
             )
 
 

@@ -153,18 +153,9 @@ class Tier:
         except BaseException:
             if job._value is _PENDING:
                 cpu.cancel(job)
-            trace.add(
-                "service", self.name, start, sim._now,
-                work=work, speed_at_start=speed, aborted=True,
-            )
+            trace.service_aborted(self.name, start, sim._now, work, speed)
             raise
-        end = sim._now
-        effective = work / (end - start) if end > start else speed
-        trace.add(
-            "service", self.name, start, end,
-            work=work, speed_at_start=speed,
-            effective_speed=effective,
-        )
+        trace.service(self.name, start, sim._now, work, speed)
 
     def admit(self, request: Request) -> Optional[PoolRequest]:
         """Arrive at this tier and claim a thread, synchronously.
@@ -183,7 +174,7 @@ class Tier:
         if token is None:
             self.drops += 1
             if trace is not None:
-                trace.end(self.sim._now, error="TierOverflowError")
+                trace.end_error(self.sim._now, "TierOverflowError")
         return token
 
     def handle(self, request: Request) -> Generator:
@@ -247,22 +238,11 @@ class Tier:
                         except BaseException:
                             if job._value is _PENDING:
                                 cpu.cancel(job)
-                            trace.add(
-                                "service", name, start, sim._now,
-                                work=pre, speed_at_start=speed,
-                                aborted=True,
+                            trace.service_aborted(
+                                name, start, sim._now, pre, speed
                             )
                             raise
-                        end = sim._now
-                        trace.add(
-                            "service", name, start, end,
-                            work=pre, speed_at_start=speed,
-                            effective_speed=(
-                                pre / (end - start)
-                                if end > start
-                                else speed
-                            ),
-                        )
+                        trace.service(name, start, sim._now, pre, speed)
                 if goes_down:
                     if trace is not None:
                         net_names = self._net_names
@@ -328,22 +308,11 @@ class Tier:
                         except BaseException:
                             if job._value is _PENDING:
                                 cpu.cancel(job)
-                            trace.add(
-                                "service", name, start, sim._now,
-                                work=post, speed_at_start=speed,
-                                aborted=True,
+                            trace.service_aborted(
+                                name, start, sim._now, post, speed
                             )
                             raise
-                        end = sim._now
-                        trace.add(
-                            "service", name, start, end,
-                            work=post, speed_at_start=speed,
-                            effective_speed=(
-                                post / (end - start)
-                                if end > start
-                                else speed
-                            ),
-                        )
+                        trace.service(name, start, sim._now, post, speed)
             finally:
                 pool = self.pool
                 if token in pool.users:
@@ -353,7 +322,7 @@ class Tier:
                     pool.cancel(token)
         except BaseException as exc:
             if trace is not None:
-                trace.end(sim._now, error=type(exc).__name__)
+                trace.end_error(sim._now, type(exc).__name__)
             raise
         self.completions += 1
         request.record_span(name, enter, sim._now)
@@ -384,7 +353,7 @@ class Tier:
                     self.pool.cancel(token)
         except BaseException as exc:
             if trace is not None:
-                trace.end(self.sim.now, error=type(exc).__name__)
+                trace.end_error(self.sim.now, type(exc).__name__)
             raise
         self.completions += 1
         if trace is not None:

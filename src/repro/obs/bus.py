@@ -96,7 +96,12 @@ class EventBus:
         consumer code, and a broken consumer must not kill the
         simulation it is observing.
         """
-        self.published[topic] = self.published.get(topic, 0) + 1
+        published = self.published
+        published[topic] = published.get(topic, 0) + 1
+        if not self._patterns and not self._subscribers.get(topic):
+            # Nobody listens (keep-all tracing publishes every request
+            # lifecycle topic to an empty bus): skip the snapshot.
+            return 0
         # Snapshot: subscribe/unsubscribe during delivery affects the
         # next publish, not the one in flight.
         listeners = self._listeners_for(topic)
@@ -153,6 +158,8 @@ class KernelProfiler:
         self.processes_started = 0
         self.peak_heap_depth = 0
         self._heap_depth_sum = 0
+        #: Events dispatched since the last checkpoint.
+        self._since_checkpoint = 0
         #: (sim time, cumulative wall seconds) checkpoints.
         self.checkpoints: List[tuple] = []
         self._wall_start: Optional[float] = None
@@ -173,7 +180,12 @@ class KernelProfiler:
         self._heap_depth_sum += heap_len * count
         if heap_len > self.peak_heap_depth:
             self.peak_heap_depth = heap_len
-        if self.events_dispatched % self.sample_every == 0:
+        # Counted since the last checkpoint, not as a multiple of the
+        # cumulative total: the remainder flush at the end of each
+        # Simulator.run would otherwise misalign the total for good.
+        self._since_checkpoint += count
+        if self._since_checkpoint >= self.sample_every:
+            self._since_checkpoint = 0
             wall = _time.perf_counter() - self._wall_start
             self.checkpoints.append((now, wall))
 

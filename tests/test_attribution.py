@@ -32,15 +32,15 @@ def traced_request(rid=1, rto=1.0):
     trace = Trace(rid)
     trace.begin("request", "view", 10.0)
     trace.begin("attempt", "attempt-1", 10.0)
-    trace.end(10.0, dropped=True, drop_tier="web")
-    trace.add("rto_wait", "rto-1", 10.0, 10.0 + rto, rto=rto)
+    trace.end_dropped(10.0, "web")
+    trace.backoff("rto_wait", "rto-1", 10.0, 10.0 + rto, rto)
     trace.begin("attempt", "attempt-2", 10.0 + rto)
     trace.begin("tier", "web", 10.0 + rto)
     trace.add("queue_wait", "web", 10.0 + rto, 10.3 + rto)
-    trace.add("service", "web", 10.3 + rto, 10.4 + rto, work=0.01)
+    trace.service("web", 10.3 + rto, 10.4 + rto, 0.01, 0.1)
     trace.end(10.4 + rto)
     trace.end(10.4 + rto)
-    trace.end(10.4 + rto, status="ok", attempts=2)
+    trace.end_status(10.4 + rto, "ok", 2)
     request.t_done = 10.4 + rto
     request.trace = trace
     request.record_span("web", 10.0 + rto, 10.4 + rto)

@@ -21,6 +21,19 @@ class TestEventBusDelivery:
         assert bus.publish("nobody-home", 1) == 0
         assert bus.published["nobody-home"] == 1
 
+    def test_unheard_publishes_still_counted_exactly(self):
+        # The no-listener fast return must not skip the tally: after an
+        # unsubscribe, with an unrelated family pattern, and bare.
+        bus = EventBus()
+        unsubscribe = bus.subscribe("t", lambda p: None)
+        unsubscribe()
+        for _ in range(3):
+            assert bus.publish("t", 1) == 0
+        bus.subscribe("net.*", lambda p: None)
+        assert bus.publish("t", 1) == 0
+        assert bus.publish("net.delivered", 1) == 1
+        assert bus.published == {"t": 4, "net.delivered": 1}
+
     def test_raising_subscriber_is_isolated(self, caplog):
         bus = EventBus()
         seen = []

@@ -153,6 +153,30 @@ class TestKernelProfiler:
         assert summary["wall_seconds"] >= 0.0
         assert "wall_per_sim_second" in summary
 
+    def test_checkpoints_continue_across_runs(self):
+        # Each Simulator.run ends with a remainder flush (1,001 events
+        # = 15 x 64 + 41 here); checkpoints must keep coming in the
+        # next run instead of freezing at the first run's last one.
+        sim = Simulator()
+        profiler = KernelProfiler(sample_every=64)
+        sim.attach_hooks(profiler)
+
+        def ticker():
+            while True:
+                yield sim.timeout(0.001)
+
+        sim.process(ticker())
+        sim.run(until=1.0005)
+        assert profiler.events_dispatched == 1001
+        assert len(profiler.checkpoints) == 1 + 1001 // 64
+        sim.run(until=3.0)
+        assert profiler.events_dispatched == 3001
+        # One checkpoint per 64 events dispatched since the last one.
+        assert len(profiler.checkpoints) == 1 + 15 + (41 + 2000) // 64
+        assert profiler.checkpoints[-1][0] > 2.9
+        times = [t for t, _wall in profiler.checkpoints]
+        assert times == sorted(times)
+
     def test_summary_mirrors_into_registry(self):
         reg = MetricsRegistry()
         sim = Simulator()
