@@ -169,9 +169,9 @@ class RemoteTierStub:
     def serve(self, request: Request, reply: Event) -> Generator:
         """Park until the call's reply delivers.
 
-        On success the reply's span list is merged into the request's
-        ``tier_spans`` (same ``setdefault(...).extend`` shape as
-        :meth:`Request.record_span`); on a remote overflow the drop is
+        On success the reply's spans are merged into the request
+        through :meth:`Request.record_span`, tier by tier in reply
+        order; on a remote overflow the drop is
         re-raised as :class:`TierOverflowError` carrying the *remote*
         tier name, so the client's retransmission loop attributes the
         drop exactly as it would in a single-simulator run.
@@ -180,8 +180,10 @@ class RemoteTierStub:
         if not ok:
             self.drops += 1
             raise TierOverflowError(body)
+        record_span = request.record_span
         for tier_name, spans in body:
-            request.tier_spans.setdefault(tier_name, []).extend(spans)
+            for enter, leave in spans:
+                record_span(tier_name, enter, leave)
         self.completions += 1
 
     def deliver(self, frame: Tuple) -> None:

@@ -32,7 +32,7 @@ from .bus import EventBus, KernelProfiler
 from .columnar import ColumnarTrace, SpanStore
 from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from .sketch import LogHistogram, P2Quantile
-from .span import LEAF_KINDS, SPAN_KINDS, Span, Trace
+from .span import LEAF_KINDS, SPAN_KINDS, Span
 from .streaming import (
     LiveTelemetry,
     TailSloDetector,
@@ -68,7 +68,6 @@ __all__ = [
     "TailSloDetector",
     "TelemetryConfig",
     "TelemetryPipeline",
-    "Trace",
     "Tracer",
     "WindowReport",
 ]

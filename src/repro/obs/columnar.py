@@ -50,12 +50,13 @@ Design notes:
   parent row's trace-local base offset (-1 for the root).
   :meth:`ColumnarTrace.leaf_durations` folds leaf durations straight
   off the rows — same keys, same insertion order, same sums as
-  ``Trace.leaf_durations`` — without building a single ``Span``.
+  the reference recorder's ``leaf_durations`` — without building a
+  single ``Span``.
 * **Traces enter the store only through** :meth:`SpanStore.adopt`,
   when the tracer's retention decision keeps them at finish.
 
-``ColumnarTrace`` is API-compatible with the reference object tree
-:class:`~repro.obs.span.Trace` (the recording calls above plus
+``ColumnarTrace`` is API-compatible with the object-built reference
+recorder in ``tests/_reference_trace.py`` (the recording calls above plus
 ``root``/``walk``/``spans``/``leaf_durations``/``finished``/``depth``),
 so exporters and :mod:`repro.analysis.attribution` work on either;
 equivalence, before and after adoption, is property-tested in
@@ -264,7 +265,8 @@ class SpanStore:
 class ColumnarTrace:
     """One request's span tree, as packed rows in one flat sequence.
 
-    Drop-in compatible with :class:`~repro.obs.span.Trace`; the tree
+    Drop-in compatible with the object-built reference recorder
+    (``tests/_reference_trace.py``); the tree
     view (``root``/``walk``/``spans``) is materialized on first access
     and cached once the trace is finished.  ``begin`` takes a nesting
     kind and ``add``/``backoff`` a leaf kind (others raise KeyError).
@@ -506,8 +508,8 @@ class ColumnarTrace:
         """Total duration per leaf component, straight off the rows.
 
         Row order is pre-order, so keys appear in the same order (and
-        with the same sums) as ``Trace.leaf_durations`` on the
-        equivalent object trace.
+        with the same sums) as the reference recorder's
+        ``leaf_durations`` on the equivalent object trace.
         """
         data = self.data
         names = self.store.names

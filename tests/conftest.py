@@ -10,6 +10,7 @@ tests in ``tests/test_determinism.py`` assert the stronger property
 that a full simulation run does not consume the globals at all.
 """
 
+import os
 import random
 
 import numpy as np
@@ -17,6 +18,16 @@ import pytest
 
 #: The seed every test starts from (arbitrary, fixed forever).
 GLOBAL_TEST_SEED = 0x5EED
+
+
+def max_examples(n: int) -> int:
+    """``n``, capped by the ``HYPOTHESIS_MAX_EXAMPLES`` environment.
+
+    CI sets the cap so the long Hypothesis properties stay bounded;
+    tests opt in with ``@settings(max_examples=max_examples(n))``.
+    """
+    cap = os.environ.get("HYPOTHESIS_MAX_EXAMPLES")
+    return n if cap is None else min(n, int(cap))
 
 
 @pytest.fixture(autouse=True)

@@ -19,7 +19,7 @@ from repro.analysis.export import (
 )
 from repro.core.burst import BurstRecord
 from repro.ntier.request import Request
-from repro.obs import Trace
+from tests._reference_trace import Trace
 
 
 def traced_request(rid=1, rto=1.0):

@@ -18,7 +18,6 @@ layout, store adoption, retained memory per span, and the error paths.
 import gc
 import json
 import math
-import os
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -38,16 +37,12 @@ from repro.obs.columnar import (
     SpanStore,
     row_slots,
 )
-from repro.obs.span import LEAF_KINDS, SPAN_KINDS, Span, Trace
+from repro.obs.span import LEAF_KINDS, SPAN_KINDS, Span
+from tests._reference_trace import Trace
+from tests.conftest import max_examples
 
 NESTING_KINDS = tuple(k for k in SPAN_KINDS if k not in LEAF_KINDS)
 BACKOFF_KINDS = ("rto_wait", "net_rto")
-
-
-def max_examples(n: int) -> int:
-    """``n``, capped by the ``HYPOTHESIS_MAX_EXAMPLES`` environment."""
-    cap = os.environ.get("HYPOTHESIS_MAX_EXAMPLES")
-    return n if cap is None else min(n, int(cap))
 
 
 _names = st.sampled_from(

@@ -21,11 +21,11 @@ from repro.obs import (
     LiveTelemetry,
     P2Quantile,
     TelemetryConfig,
-    Trace,
     Tracer,
 )
 from repro.experiments.runner import run_rubbos
 from tests._golden import GOLDEN_FIG2
+from tests._reference_trace import Trace
 from repro.sim import RandomStreams, Simulator
 from repro.workload import OpenLoopGenerator, exponential_request_factory
 

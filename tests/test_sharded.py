@@ -418,9 +418,7 @@ class FakeTier:
         yield Timeout(self.sim, 0.02)
         if self.fail:
             raise TierOverflowError(self.name)
-        request.tier_spans.setdefault(self.name, []).append(
-            (start, self.sim.now)
-        )
+        request.record_span(self.name, start, self.sim.now)
 
 
 def make_request(rid=7):
