@@ -9,24 +9,18 @@ from .attribution import (
 )
 from .export import (
     chrome_trace_events,
-    curves_to_json,
     requests_to_rows,
     write_chrome_trace,
-    write_curves_json,
-    write_requests_csv,
     write_spans_jsonl,
-    write_timeseries_csv,
 )
 from .plot import ascii_chart, ascii_percentiles, ascii_timeseries
 from .replication import Replication, format_replications, replicate
 from .report import format_percentile_curves, format_series, format_table
 from .stats import (
     PercentileCurve,
-    TailSummary,
     amplification_factors,
     client_percentile_curve,
     percentile_curve,
-    tail_summary,
     tier_percentile_curves,
 )
 
@@ -35,7 +29,6 @@ __all__ = [
     "PercentileCurve",
     "Replication",
     "RequestAttribution",
-    "TailSummary",
     "amplification_factors",
     "ascii_chart",
     "ascii_percentiles",
@@ -45,7 +38,6 @@ __all__ = [
     "chrome_trace_events",
     "client_percentile_curve",
     "component_breakdown",
-    "curves_to_json",
     "format_percentile_curves",
     "format_replications",
     "format_series",
@@ -53,11 +45,7 @@ __all__ = [
     "percentile_curve",
     "replicate",
     "requests_to_rows",
-    "tail_summary",
     "tier_percentile_curves",
     "write_chrome_trace",
-    "write_curves_json",
-    "write_requests_csv",
     "write_spans_jsonl",
-    "write_timeseries_csv",
 ]

@@ -1,42 +1,24 @@
-"""Export run data for offline analysis (CSV / JSON).
+"""Export run data for offline analysis.
 
 A reproduction is only useful if its raw measurements can leave the
-process: these helpers dump completed requests, time series, and
-percentile curves in formats any plotting stack can ingest.
+process: :func:`requests_to_rows` flattens completed requests into CSV
+rows (the request-table goldens are built from it), and the span
+exporters write traced requests as JSON lines or a Chrome
+``trace_event`` file.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-from ..monitoring.metrics import TimeSeries
 from ..ntier.request import Request
-from .stats import PercentileCurve
 
 __all__ = [
     "requests_to_rows",
-    "write_requests_csv",
-    "write_timeseries_csv",
-    "curves_to_json",
-    "write_curves_json",
     "write_spans_jsonl",
     "chrome_trace_events",
     "write_chrome_trace",
-]
-
-_REQUEST_FIELDS = [
-    "rid",
-    "page",
-    "t_first_attempt",
-    "t_done",
-    "response_time",
-    "attempts",
-    "failed",
-    "drops",
-    "drop_tiers",
-    "attempt_times",
 ]
 
 
@@ -69,61 +51,6 @@ def requests_to_rows(
             row[f"rt_{tier}"] = request.tier_response_time(tier)
         rows.append(row)
     return rows
-
-
-def write_requests_csv(
-    path: str,
-    requests: Iterable[Request],
-    tiers: Sequence[str] = (),
-) -> int:
-    """Write one CSV row per request; returns the number of rows."""
-    rows = requests_to_rows(requests, tiers)
-    fields = _REQUEST_FIELDS + [f"rt_{tier}" for tier in tiers]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return len(rows)
-
-
-def write_timeseries_csv(
-    path: str, series: Dict[str, TimeSeries]
-) -> int:
-    """Write aligned-by-row time series columns (time, name1, name2...).
-
-    Series need not share timestamps; each row carries one sample of
-    one series (long format: time, series, value).  Returns row count.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "series", "value"])
-        count = 0
-        for name, ts in series.items():
-            for t, v in ts:
-                writer.writerow([t, name, v])
-                count += 1
-    return count
-
-
-def curves_to_json(curves: Dict[str, PercentileCurve]) -> str:
-    """Serialize percentile curves to a JSON document."""
-    payload = {
-        name: {
-            "percentiles": list(curve.percentiles),
-            "values": list(curve.values),
-            "samples": curve.samples,
-        }
-        for name, curve in curves.items()
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def write_curves_json(
-    path: str, curves: Dict[str, PercentileCurve]
-) -> None:
-    with open(path, "w") as fh:
-        fh.write(curves_to_json(curves) + "\n")
 
 
 # -- span exports ---------------------------------------------------------

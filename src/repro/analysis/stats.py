@@ -1,4 +1,4 @@
-"""Tail-latency statistics: percentile curves and summaries.
+"""Tail-latency statistics: percentile curves and amplification.
 
 The paper's primary damage metric is the percentile response-time curve
 per tier (Fig 2, Fig 7): response time as a function of percentile,
@@ -9,7 +9,7 @@ ordering is the amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,8 +20,6 @@ __all__ = [
     "percentile_curve",
     "tier_percentile_curves",
     "client_percentile_curve",
-    "TailSummary",
-    "tail_summary",
     "amplification_factors",
 ]
 
@@ -97,34 +95,6 @@ def tier_percentile_curves(
         if samples:
             curves[tier] = percentile_curve(tier, samples, percentiles)
     return curves
-
-
-@dataclass(frozen=True)
-class TailSummary:
-    """Headline tail statistics of a response-time population."""
-
-    samples: int
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-    max: float
-    fraction_above_1s: float
-
-
-def tail_summary(samples: Iterable[float]) -> TailSummary:
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        raise ValueError("no samples")
-    return TailSummary(
-        samples=int(data.size),
-        mean=float(np.mean(data)),
-        p50=float(np.percentile(data, 50)),
-        p95=float(np.percentile(data, 95)),
-        p99=float(np.percentile(data, 99)),
-        max=float(np.max(data)),
-        fraction_above_1s=float(np.mean(data > 1.0)),
-    )
 
 
 def amplification_factors(

@@ -1,6 +1,6 @@
 """Cloud platform substrate: deployments, elasticity, detection."""
 
-from .autoscaling import AutoScalingMonitor, AutoScalingPolicy, ScalingEvent
+from .autoscaling import AutoScalingPolicy, ScalingEvent
 from .defense import MigrationEvent, MillibottleneckDefense
 from .dial import DialBalancer
 from .detection import (
@@ -19,15 +19,9 @@ from .placement import (
     ZoneFullError,
 )
 from .platform import CloudDeployment, DeploymentConfig, TierConfig, rubbos_3tier
-from .topology import (
-    LinkSpec,
-    RackTopology,
-    binpack_placement,
-    rack_aware_placement,
-)
+from .topology import LinkSpec, RackTopology
 
 __all__ = [
-    "AutoScalingMonitor",
     "AutoScalingPolicy",
     "CampaignResult",
     "CausalCoResidencyProbe",
@@ -48,8 +42,6 @@ __all__ = [
     "ThresholdDetector",
     "TierConfig",
     "ZoneFullError",
-    "binpack_placement",
     "cpi_series",
-    "rack_aware_placement",
     "rubbos_3tier",
 ]

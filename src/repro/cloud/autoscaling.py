@@ -6,22 +6,19 @@ utilization crosses a threshold (the paper assumes 85%).  MemCA's whole
 point is that a 500 ms burst repeated every 2 s leaves the 1-minute
 average moderate, so the trigger never fires (Fig 10a).
 
-:class:`AutoScalingPolicy` evaluates a utilization series both offline
-(:meth:`evaluate`) and online as a live monitor
-(:class:`AutoScalingMonitor`), recording any scale-out decision.
+:class:`AutoScalingPolicy` evaluates a utilization series offline
+(:meth:`~AutoScalingPolicy.evaluate`), recording any scale-out
+decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List
+from dataclasses import dataclass
+from typing import List
 
 from ..monitoring.metrics import TimeSeries
-from ..monitoring.sampler import UtilizationMonitor
-from ..sim.core import Simulator
-from ..sim.psserver import ProcessorSharingServer
 
-__all__ = ["AutoScalingPolicy", "AutoScalingMonitor", "ScalingEvent"]
+__all__ = ["AutoScalingPolicy", "ScalingEvent"]
 
 
 @dataclass(frozen=True)
@@ -69,59 +66,3 @@ class AutoScalingPolicy:
                 events.append(ScalingEvent(time=t, observed_utilization=v))
                 run = 0
         return events
-
-
-class AutoScalingMonitor:
-    """Online auto-scaler: samples a CPU at the policy period and fires.
-
-    Wraps a :class:`UtilizationMonitor` at the policy's (coarse)
-    granularity; any triggered scale-outs land in :attr:`events`.
-    A MemCA run succeeds in stealth iff ``events`` stays empty.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cpu: ProcessorSharingServer,
-        policy: AutoScalingPolicy = AutoScalingPolicy(),
-    ):
-        self.sim = sim
-        self.policy = policy
-        self.monitor = UtilizationMonitor(
-            sim, cpu, interval=policy.period, name=f"{cpu.name}-cloudwatch"
-        )
-        self.events: List[ScalingEvent] = []
-        self._run_length = 0
-        self._proc = None
-
-    @property
-    def series(self) -> TimeSeries:
-        """The CloudWatch-granularity utilization series."""
-        return self.monitor.series
-
-    def start(self) -> None:
-        if self._proc is None:
-            self.monitor.start()
-            self._proc = self.sim.process(self._watch())
-
-    def _watch(self) -> Generator:
-        seen = 0
-        while True:
-            yield self.sim.timeout(self.policy.period)
-            series = self.monitor.series
-            while seen < len(series):
-                t = float(series.times[seen])
-                v = float(series.values[seen])
-                seen += 1
-                self._run_length = (
-                    self._run_length + 1 if v > self.policy.threshold else 0
-                )
-                if self._run_length >= self.policy.consecutive_periods:
-                    self.events.append(
-                        ScalingEvent(time=t, observed_utilization=v)
-                    )
-                    self._run_length = 0
-
-    @property
-    def triggered(self) -> bool:
-        return bool(self.events)

@@ -34,8 +34,8 @@ Two trigger paths feed the same episode counter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Generator, List, Optional
 
 from ..hardware.memory import MemorySubsystem
 from ..hardware.topology import CpuSpec, Host
@@ -192,7 +192,3 @@ class MillibottleneckDefense:
     @property
     def triggered(self) -> bool:
         return bool(self.migrations)
-
-    @property
-    def current_host(self) -> Optional[str]:
-        return self.victim.host.name if self.victim.host else None

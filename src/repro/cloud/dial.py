@@ -15,7 +15,6 @@ stay suspect forever).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List, Tuple
 
 import numpy as np
@@ -104,7 +103,3 @@ class DialBalancer:
             )
         self.tier.set_weights(weights)
         self.history.append((self.sim.now, weights))
-
-    @property
-    def current_weights(self) -> np.ndarray:
-        return self.tier.weights

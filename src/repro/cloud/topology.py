@@ -1,4 +1,4 @@
-"""Rack/ToR bandwidth-latency matrix and host placement strategies.
+"""Rack/ToR bandwidth-latency matrix of the datacenter fabric.
 
 Single-host scenarios model one machine's co-residency; the datacenter
 scenarios (``repro.experiments.datacenter``) spread the tier chain over
@@ -17,24 +17,14 @@ The matrix serves two consumers:
   :meth:`lookahead` — the *minimum possible* delivery delay across a
   pair, which is exactly the safe-window bound of the null-message
   protocol (DESIGN.md §12).
-
-Placement helpers assign tiers to hosts either rack-aware (spread
-across racks, the resilient default that also maximizes cross-rack
-traffic for attack studies) or binpacked (fill the first rack first,
-the consolidation policy that keeps traffic rack-local).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
-__all__ = [
-    "LinkSpec",
-    "RackTopology",
-    "binpack_placement",
-    "rack_aware_placement",
-]
+__all__ = ["LinkSpec", "RackTopology"]
 
 
 @dataclass(frozen=True)
@@ -142,54 +132,3 @@ class RackTopology:
         if not pairs:
             raise ValueError("no host pairs: nothing to bound")
         return min(self.lookahead(src, dst) for src, dst in pairs)
-
-    def link_lookaheads(
-        self, pairs: Sequence[Tuple[str, str]]
-    ) -> Dict[Tuple[str, str], float]:
-        """Per-link lookaheads for a set of directed host pairs.
-
-        The adaptive safe-window protocol promises on each link from
-        *its own* lookahead rather than the global minimum — a spine
-        link two windows wide lets its receiver run twice as far per
-        exchange (:mod:`repro.sim.sharded`).
-        """
-        return {
-            (src, dst): self.lookahead(src, dst)
-            for src, dst in dict.fromkeys(pairs)
-        }
-
-
-def rack_aware_placement(
-    tiers: Sequence[str], topology: RackTopology
-) -> Dict[str, str]:
-    """Spread tiers round-robin across racks (one host per tier).
-
-    Consecutive tiers land in *different* racks whenever more than one
-    rack exists — the resilient placement, and the one that maximizes
-    cross-rack tier traffic (interesting for spine-contention studies).
-    """
-    pools: List[List[str]] = [list(hosts) for _, hosts in topology.racks]
-    placement: Dict[str, str] = {}
-    rack = 0
-    for tier in tiers:
-        attempts = 0
-        while not pools[rack]:
-            rack = (rack + 1) % len(pools)
-            attempts += 1
-            if attempts > len(pools):
-                raise ValueError(
-                    f"not enough hosts for {len(tiers)} tiers"
-                )
-        placement[tier] = pools[rack].pop(0)
-        rack = (rack + 1) % len(pools)
-    return placement
-
-
-def binpack_placement(
-    tiers: Sequence[str], topology: RackTopology
-) -> Dict[str, str]:
-    """Fill racks in order (one host per tier) — consolidation policy."""
-    free = [h for _, hosts in topology.racks for h in hosts]
-    if len(free) < len(tiers):
-        raise ValueError(f"not enough hosts for {len(tiers)} tiers")
-    return {tier: free[i] for i, tier in enumerate(tiers)}

@@ -19,7 +19,7 @@ from .mm1 import (
     mmc_mean_rt,
     tandem_mean_rt,
 )
-from .mva import MvaResult, Station, mva, mva_sweep, saturation_population
+from .mva import MvaResult, Station, mva, saturation_population
 from .parameters import AttackBurst, ModelError, SystemModel, TierModel
 from .planner import AttackPlan, plan_attack
 
@@ -44,7 +44,6 @@ __all__ = [
     "mmc_erlang_c",
     "mmc_mean_rt",
     "mva",
-    "mva_sweep",
     "saturation_population",
     "plan_attack",
     "predicted_percentile_curve",

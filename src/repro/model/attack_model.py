@@ -20,7 +20,7 @@ retransmission territory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .parameters import AttackBurst, ModelError, SystemModel
 
@@ -132,17 +132,6 @@ class StageAnalysis:
     def damaging(self) -> bool:
         """Whether bursts are long enough to reach the hold-on stage."""
         return self.damage_period > 0
-
-    @property
-    def stealthy_below(self) -> float:
-        """The monitoring granularity this attack hides from.
-
-        A sampler averaging over windows longer than the
-        millibottleneck period sees diluted utilization; the paper's
-        rule of thumb is P_MB under ~1 s evades second-granularity
-        tools.
-        """
-        return self.millibottleneck
 
 
 def analyze(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["Station", "MvaResult", "mva", "mva_sweep", "saturation_population"]
+__all__ = ["Station", "MvaResult", "mva", "saturation_population"]
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,6 @@ def mva(
         },
         utilizations=utilizations,
     )
-
-
-def mva_sweep(
-    stations: Sequence[Station],
-    populations: Sequence[int],
-    think_time: float,
-) -> List[MvaResult]:
-    """MVA at several population sizes (a capacity curve)."""
-    return [mva(stations, n, think_time) for n in populations]
 
 
 def saturation_population(

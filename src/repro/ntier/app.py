@@ -18,7 +18,7 @@ nearly overlap when MySQL dominates.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ..obs.tracer import NULL_TRACER
 from ..sim.core import Simulator
@@ -94,11 +94,6 @@ class NTierApplication:
         return None
 
     # -- aggregate accounting -------------------------------------------
-
-    @property
-    def total_drops(self) -> int:
-        """Front-tier TCP-level drops over the whole run."""
-        return self.front.drops
 
     def occupancies(self) -> dict:
         """Snapshot of every tier's current queue length."""

@@ -200,15 +200,6 @@ def _weighted(factory: RequestFactory, weight: float) -> RequestFactory:
     return weighted_factory
 
 
-def _weighted_sessions(
-    session_factory: Callable[[], RequestFactory], weight: float
-) -> Callable[[], RequestFactory]:
-    def make() -> RequestFactory:
-        return _weighted(session_factory(), weight)
-
-    return make
-
-
 class UserPopulation:
     """N closed-loop users with starts staggered over one think time.
 
@@ -220,18 +211,16 @@ class UserPopulation:
         self,
         sim: Simulator,
         app: NTierApplication,
-        request_factory: Optional[RequestFactory],
+        request_factory: RequestFactory,
         users: int,
         think_time: float = 7.0,
         rng: Optional[np.random.Generator] = None,
         tcp: RetransmissionPolicy = DEFAULT_TCP,
         tandem: bool = False,
-        session_factory: Optional[Callable[[], RequestFactory]] = None,
         weight: float = 1.0,
     ):
-        """Either a shared ``request_factory`` (i.i.d. page sampling)
-        or a ``session_factory`` producing one stateful factory per
-        user (per-user Markov navigation) must be provided.
+        """Every user draws its requests from the shared
+        ``request_factory``.
 
         ``weight`` is the population scale weight stamped on every
         request (hybrid fluid/DES runs sample ``users`` discrete users
@@ -240,10 +229,8 @@ class UserPopulation:
         pre-hybrid code path, byte-identical results."""
         if users < 1:
             raise ValueError(f"users must be >= 1, got {users}")
-        if request_factory is None and session_factory is None:
-            raise ValueError(
-                "provide request_factory or session_factory"
-            )
+        if request_factory is None:
+            raise ValueError("provide request_factory")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         self.sim = sim
@@ -251,17 +238,12 @@ class UserPopulation:
         self.weight = float(weight)
         self.rng = rng if rng is not None else np.random.default_rng()
         if weight != 1.0:
-            if request_factory is not None:
-                request_factory = _weighted(request_factory, self.weight)
-            if session_factory is not None:
-                session_factory = _weighted_sessions(
-                    session_factory, self.weight
-                )
+            request_factory = _weighted(request_factory, self.weight)
         self.clients = [
             ClosedLoopClient(
                 sim,
                 app,
-                session_factory() if session_factory else request_factory,
+                request_factory,
                 think_time=think_time,
                 rng=self.rng,
                 tcp=tcp,

@@ -335,10 +335,8 @@ class Process(Event):
             # then finished on the earlier wakeup.  Resuming would throw
             # into a closed generator; there is nothing left to advance.
             return
-        sim = self.sim
         generator = self._generator
         presume = self._presume
-        sim._active_process = self
         while True:
             try:
                 if event is None or event._ok:
@@ -348,7 +346,6 @@ class Process(Event):
                     event._defused = True
                     target = generator.throw(event._value)
             except StopIteration as stop:
-                sim._active_process = None
                 # The generator is done: drop the cached bound method
                 # so the finished process is not a self-cycle and dies
                 # by reference counting, not by the cyclic collector.
@@ -356,7 +353,6 @@ class Process(Event):
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                sim._active_process = None
                 self._presume = None
                 # The traceback's head is this frame, whose locals hold
                 # ``self``; the process keeps ``exc`` as its value, so
@@ -375,14 +371,12 @@ class Process(Event):
             if callbacks is not None:
                 callbacks.append(presume)
                 self._target = target
-                sim._active_process = None
                 return
             if isinstance(target, Event):
                 # Already triggered and processed: resume synchronously.
                 event = target
                 continue
 
-            sim._active_process = None
             exc = SimulationError(
                 f"process yielded a non-event: {target!r}"
             )
@@ -489,7 +483,6 @@ class Simulator:
         "_active_pos",
         "_timed_count",
         "_spill",
-        "_active_process",
         "_hooks",
         "_hook_stride",
         "_hook_countdown",
@@ -528,7 +521,6 @@ class Simulator:
         self._timed_count = 0
         #: Far-future timed entries, beyond the current wheel window.
         self._spill: List[tuple] = []
-        self._active_process: Optional[Process] = None
         self._hooks: Optional[Any] = None
         self._hook_stride = 1
         self._hook_countdown = 1
@@ -540,11 +532,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def pending_events(self) -> int:
@@ -560,20 +547,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(
-        self, delays: Iterable[float], value: Any = None
-    ) -> List[Timeout]:
-        """Create one timeout per delay, scheduled back-to-back.
-
-        Equivalent to ``[sim.timeout(d, value) for d in delays]`` — the
-        timeouts receive consecutive sequence numbers, so relative FIFO
-        order among them (and against everything else) is identical to
-        the loop form.  Exists so synchronized fan-outs (population
-        start staggering, lock-step burst edges) have one audited
-        batching point.
-        """
-        return [Timeout(self, d, value) for d in delays]
 
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` driving ``generator``."""

@@ -235,12 +235,6 @@ class ProcessorSharingServer:
 
     # -- internals --------------------------------------------------------
 
-    def _per_job_rate(self, n: int) -> float:
-        if n == 0:
-            return 0.0
-        load = n + self._background
-        return self._speed * min(load, self.cores) / load
-
     def _advance(self) -> None:
         """Bring job progress and integrators up to ``sim.now``."""
         now = self.sim._now

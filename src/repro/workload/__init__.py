@@ -1,4 +1,4 @@
-"""Workload generation: RUBBoS-like sessions and open-loop streams."""
+"""Workload generation: RUBBoS-like page mix and open-loop streams."""
 
 from .distributions import (
     BoundedPareto,
@@ -8,13 +8,7 @@ from .distributions import (
     LogNormal,
 )
 from .generator import OpenLoopGenerator, exponential_request_factory
-from .trace import (
-    TraceEntry,
-    TraceReplayGenerator,
-    load_trace,
-    record_trace,
-    save_trace,
-)
+from .trace import TraceEntry, TraceReplayGenerator, record_trace
 from .rubbos import (
     RUBBOS_PAGES,
     RUBBOS_TRANSITIONS,
@@ -36,7 +30,5 @@ __all__ = [
     "TraceEntry",
     "TraceReplayGenerator",
     "exponential_request_factory",
-    "load_trace",
     "record_trace",
-    "save_trace",
 ]

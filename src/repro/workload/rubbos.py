@@ -1,10 +1,12 @@
-"""RUBBoS-like workload: page classes, Markov navigation, demands.
+"""RUBBoS-like workload: page classes, page mix, demands.
 
 RUBBoS models the Slashdot news site.  We reproduce its browse-only mix
 as a catalogue of page classes with per-tier mean CPU demands and a
-Markov transition matrix over pages; each simulated user navigates the
-chain with exponential think times (mean 7 s, the RUBBoS default used
-in Section V-A).
+Markov transition matrix over pages.  Each request's page is drawn
+i.i.d. from the chain's stationary distribution
+(:meth:`RubbosWorkload.make_request`), and users think for exponential
+times between requests (mean 7 s, the RUBBoS default used in Section
+V-A).
 
 Demand means are calibrated so that, at the paper's operating point
 (3500 users / ~500 req/s), the MySQL tier on 2 vCPUs runs at moderate
@@ -15,7 +17,7 @@ paper's stated baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +67,8 @@ RUBBOS_PAGES: List[PageClass] = [
     _page("StaticContent", 0.0004, 0.0, 0.0),
 ]
 
-#: Row-stochastic navigation matrix (rows/cols index RUBBOS_PAGES).
+#: Row-stochastic navigation matrix (rows/cols index RUBBOS_PAGES);
+#: requests draw their pages i.i.d. from its stationary distribution.
 RUBBOS_TRANSITIONS = np.array(
     [
         # SotD  View  Comm  BrCat BrSto Search Login Static
@@ -143,7 +146,6 @@ class RubbosWorkload:
             self.distribution = Exponential()
         self._stationary: Optional[np.ndarray] = None
         self._stationary_cdf: Optional[np.ndarray] = None
-        self._transition_cdfs: Optional[np.ndarray] = None
         # Per-page scaled (tier, mean) pairs with zero-demand tiers
         # already filtered, so sample_demands is pure RNG draws.
         self._scaled_means = [
@@ -188,24 +190,6 @@ class RubbosWorkload:
         )
         return self.pages[idx]
 
-    def session(self) -> Iterator[PageClass]:
-        """A per-user Markov navigation sequence (infinite iterator)."""
-        if self._stationary_cdf is None:
-            self._stationary_cdf = self._cdf_of(self.stationary_distribution())
-        if self._transition_cdfs is None:
-            self._transition_cdfs = np.stack(
-                [self._cdf_of(row) for row in self.transitions]
-            )
-        rng = self.rng
-        pages = self.pages
-        cdfs = self._transition_cdfs
-        state = int(
-            self._stationary_cdf.searchsorted(rng.random(), side="right")
-        )
-        while True:
-            yield pages[state]
-            state = int(cdfs[state].searchsorted(rng.random(), side="right"))
-
     # -- demand / request construction --------------------------------------
 
     def sample_demands(self, page: PageClass) -> Dict[str, float]:
@@ -238,23 +222,6 @@ class RubbosWorkload:
         if page is None:
             page = self.sample_page()
         return Request(rid=rid, page=page.name, demands=self.sample_demands(page))
-
-    def session_request_factory(self):
-        """A per-user request factory following the Markov chain.
-
-        Each call returns a *fresh* factory with its own navigation
-        state, so successive requests from one user are correlated
-        according to :data:`RUBBOS_TRANSITIONS` (unlike
-        :meth:`make_request`, which samples pages i.i.d. from the
-        stationary distribution — equivalent in aggregate, different
-        per user).
-        """
-        session = self.session()
-
-        def factory(rid: int) -> Request:
-            return self.make_request(rid, page=next(session))
-
-        return factory
 
     def mean_demand(self, tier: str) -> float:
         """Stationary-weighted mean demand at ``tier`` (scaled)."""

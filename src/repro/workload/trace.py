@@ -10,8 +10,6 @@ the same distribution.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Dict, Generator, Iterable, List, Optional
 
@@ -21,8 +19,7 @@ from ..ntier.request import Request
 from ..ntier.tcp import DEFAULT_TCP, RetransmissionPolicy
 from ..sim.core import SimulationError, Simulator
 
-__all__ = ["TraceEntry", "record_trace", "load_trace", "save_trace",
-           "TraceReplayGenerator"]
+__all__ = ["TraceEntry", "record_trace", "TraceReplayGenerator"]
 
 
 @dataclass(frozen=True)
@@ -49,38 +46,6 @@ def record_trace(requests: Iterable[Request]) -> List[TraceEntry]:
         )
         for r in requests
     ]
-    entries.sort(key=lambda e: e.time)
-    return entries
-
-
-def save_trace(path: str, entries: List[TraceEntry]) -> None:
-    """Write a trace as CSV (time, page, demands-as-JSON)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "page", "demands"])
-        for entry in entries:
-            writer.writerow(
-                [entry.time, entry.page, json.dumps(entry.demands)]
-            )
-
-
-def load_trace(path: str) -> List[TraceEntry]:
-    """Read a trace written by :func:`save_trace`."""
-    entries = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(
-                TraceEntry(
-                    time=float(row["time"]),
-                    page=row["page"],
-                    demands={
-                        tier: float(value)
-                        for tier, value in json.loads(
-                            row["demands"]
-                        ).items()
-                    },
-                )
-            )
     entries.sort(key=lambda e: e.time)
     return entries
 

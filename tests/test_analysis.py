@@ -9,7 +9,6 @@ from repro.analysis import (
     format_series,
     format_table,
     percentile_curve,
-    tail_summary,
     tier_percentile_curves,
 )
 from repro.ntier import Request
@@ -64,19 +63,6 @@ class TestRequestCurves:
         assert curves["apache"].samples == 2
         assert curves["mysql"].samples == 1
         assert "tomcat" not in curves
-
-
-class TestTailSummary:
-    def test_summary_fields(self):
-        summary = tail_summary([0.1] * 95 + [2.0] * 5)
-        assert summary.samples == 100
-        assert summary.p50 == pytest.approx(0.1)
-        assert summary.max == 2.0
-        assert summary.fraction_above_1s == pytest.approx(0.05)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tail_summary([])
 
 
 class TestAmplification:

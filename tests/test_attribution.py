@@ -1,6 +1,5 @@
 """Attribution pass, span exporters, and the ``trace`` CLI command."""
 
-import csv
 import json
 import os
 
@@ -14,7 +13,6 @@ from repro.analysis.export import (
     chrome_trace_events,
     requests_to_rows,
     write_chrome_trace,
-    write_requests_csv,
     write_spans_jsonl,
 )
 from repro.core.burst import BurstRecord
@@ -152,14 +150,6 @@ class TestExporters:
         assert row["drop_tiers"] == "web|web"
         assert row["attempt_times"] == "20.000000|21.000000|23.000000"
         assert row["rt_web"] == pytest.approx(0.5)
-
-    def test_write_requests_csv_roundtrip(self, tmp_path):
-        path = str(tmp_path / "requests.csv")
-        write_requests_csv(path, [traced_request(), untraced_request()])
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert rows[1]["drop_tiers"] == "web|web"
 
     def test_write_spans_jsonl_skips_untraced(self, tmp_path):
         path = str(tmp_path / "spans.jsonl")

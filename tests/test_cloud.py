@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import (
-    AutoScalingMonitor,
     AutoScalingPolicy,
     CloudDeployment,
     CpiDetector,
@@ -16,7 +15,7 @@ from repro.cloud import (
     rubbos_3tier,
 )
 from repro.monitoring import TimeSeries
-from repro.sim import ProcessorSharingServer, Simulator
+from repro.sim import Simulator
 
 
 class TestDeploymentConfig:
@@ -108,29 +107,6 @@ class TestAutoScalingPolicy:
             AutoScalingPolicy(period=-1.0)
         with pytest.raises(ValueError):
             AutoScalingPolicy(consecutive_periods=0)
-
-
-class TestAutoScalingMonitor:
-    def test_online_trigger_on_saturation(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, cores=1)
-        cpu.execute(1e9)  # permanently saturated
-        monitor = AutoScalingMonitor(
-            sim, cpu, AutoScalingPolicy(threshold=0.85, period=1.0)
-        )
-        monitor.start()
-        sim.run(until=5.0)
-        assert monitor.triggered
-
-    def test_online_quiet_on_idle(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, cores=1)
-        monitor = AutoScalingMonitor(
-            sim, cpu, AutoScalingPolicy(threshold=0.85, period=1.0)
-        )
-        monitor.start()
-        sim.run(until=5.0)
-        assert not monitor.triggered
 
 
 class TestThresholdDetector:

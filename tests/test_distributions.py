@@ -101,59 +101,6 @@ class TestWorkloadDistributionIntegration:
 
 
 class TestSessionedUsers:
-    def test_session_factory_gives_independent_states(self):
-        wl = RubbosWorkload(rng=np.random.default_rng(10))
-        a = wl.session_request_factory()
-        b = wl.session_request_factory()
-        pages_a = [a(i).page for i in range(30)]
-        pages_b = [b(i).page for i in range(30)]
-        assert pages_a != pages_b  # separate navigation trajectories
-
-    def test_session_factory_mix_approximates_stationary(self):
-        wl = RubbosWorkload(rng=np.random.default_rng(11))
-        pi = dict(
-            zip(
-                [p.name for p in wl.pages],
-                wl.stationary_distribution(),
-            )
-        )
-        factory = wl.session_request_factory()
-        n = 6000
-        counts = {}
-        for i in range(n):
-            page = factory(i).page
-            counts[page] = counts.get(page, 0) + 1
-        for name, target in pi.items():
-            assert counts.get(name, 0) / n == pytest.approx(
-                target, abs=0.05
-            )
-
-    def test_population_accepts_session_factory(self):
-        from repro.cloud import CloudDeployment, DeploymentConfig, TierConfig
-        from repro.ntier import UserPopulation
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        deployment = CloudDeployment(
-            sim,
-            DeploymentConfig(
-                tiers=(TierConfig("web", vcpus=2, concurrency=20),)
-            ),
-        )
-        wl = RubbosWorkload(rng=np.random.default_rng(12))
-        population = UserPopulation(
-            sim,
-            deployment.app,
-            request_factory=None,
-            session_factory=wl.session_request_factory,
-            users=10,
-            think_time=0.5,
-            rng=np.random.default_rng(13),
-        )
-        population.start()
-        sim.run(until=10.0)
-        assert population.total_requests_sent > 50
-
     def test_population_requires_some_factory(self):
         from repro.ntier import UserPopulation
         from repro.sim import Simulator

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model import MvaResult, Station, mva, mva_sweep, saturation_population
+from repro.model import MvaResult, Station, mva, saturation_population
 
 
 def rubbos_stations():
@@ -36,8 +36,9 @@ class TestMvaBasics:
 
     def test_throughput_monotone_in_population(self):
         stations = rubbos_stations()
-        sweep = mva_sweep(stations, [100, 1000, 3000, 8000], 7.0)
-        throughputs = [r.throughput for r in sweep]
+        throughputs = [
+            mva(stations, n, 7.0).throughput for n in (100, 1000, 3000, 8000)
+        ]
         assert throughputs == sorted(throughputs)
 
     def test_throughput_bounded_by_bottleneck(self):

@@ -1,20 +1,11 @@
 """Unit tests for ASCII charting and data export."""
 
-import csv
-import json
-
-import pytest
-
 from repro.analysis import (
     ascii_chart,
     ascii_percentiles,
     ascii_timeseries,
-    curves_to_json,
     percentile_curve,
     requests_to_rows,
-    write_curves_json,
-    write_requests_csv,
-    write_timeseries_csv,
 )
 from repro.monitoring import TimeSeries
 from repro.ntier import Request
@@ -81,41 +72,3 @@ class TestExport:
         assert row["response_time"] == 0.5
         assert row["rt_mysql"] == 0.25
         assert row["rt_tomcat"] is None
-
-    def test_write_requests_csv(self, tmp_path):
-        path = tmp_path / "requests.csv"
-        count = write_requests_csv(
-            str(path), [make_request(i, 0.1 * i) for i in range(1, 4)],
-            tiers=("mysql",),
-        )
-        assert count == 3
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert rows[0]["page"] == "p"
-        assert float(rows[2]["rt_mysql"]) == pytest.approx(0.15)
-
-    def test_write_timeseries_csv(self, tmp_path):
-        ts = TimeSeries("util")
-        ts.append(0.0, 0.5)
-        ts.append(1.0, 0.7)
-        path = tmp_path / "series.csv"
-        count = write_timeseries_csv(str(path), {"util": ts})
-        assert count == 2
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time", "series", "value"]
-        assert rows[1] == ["0.0", "util", "0.5"]
-
-    def test_curves_json_roundtrip(self, tmp_path):
-        curves = {
-            "client": percentile_curve(
-                "client", [1.0, 2.0, 3.0], percentiles=(50, 99)
-            )
-        }
-        payload = json.loads(curves_to_json(curves))
-        assert payload["client"]["samples"] == 3
-        assert payload["client"]["percentiles"] == [50.0, 99.0]
-        path = tmp_path / "curves.json"
-        write_curves_json(str(path), curves)
-        assert json.loads(path.read_text()) == payload

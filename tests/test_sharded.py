@@ -23,12 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import (
-    LinkSpec,
-    RackTopology,
-    binpack_placement,
-    rack_aware_placement,
-)
+from repro.cloud import LinkSpec, RackTopology
 from repro.experiments import datacenter
 from repro.experiments.datacenter import (
     DATACENTERS,
@@ -104,25 +99,6 @@ class TestRackTopology:
 
     def test_hosts_enumerates_in_rack_order(self):
         assert TOPO.hosts == ("a", "b", "c", "d")
-
-
-class TestPlacement:
-    def test_rack_aware_alternates_racks(self):
-        placement = rack_aware_placement(("w", "x", "y", "z"), TOPO)
-        assert placement == {"w": "a", "x": "c", "y": "b", "z": "d"}
-        racks = [TOPO.rack_of(h) for h in placement.values()]
-        assert racks == ["r1", "r2", "r1", "r2"]
-
-    def test_binpack_fills_first_rack_first(self):
-        placement = binpack_placement(("w", "x", "y"), TOPO)
-        assert placement == {"w": "a", "x": "b", "y": "c"}
-
-    def test_both_policies_reject_overflow(self):
-        tiers = tuple(f"t{i}" for i in range(5))
-        with pytest.raises(ValueError):
-            rack_aware_placement(tiers, TOPO)
-        with pytest.raises(ValueError):
-            binpack_placement(tiers, TOPO)
 
 
 class TestCrossHostLink:

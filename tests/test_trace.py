@@ -12,9 +12,7 @@ from repro.workload import (
     TraceEntry,
     TraceReplayGenerator,
     exponential_request_factory,
-    load_trace,
     record_trace,
-    save_trace,
 )
 
 
@@ -56,19 +54,6 @@ class TestRecordTrace:
         (entry,) = record_trace([request])
         request.demands["db"] = 99.0
         assert entry.demands["db"] == 0.1
-
-
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        app = make_source_run(duration=5.0)
-        trace = record_trace(app.completed)
-        path = str(tmp_path / "trace.csv")
-        save_trace(path, trace)
-        loaded = load_trace(path)
-        assert len(loaded) == len(trace)
-        assert loaded[0].time == pytest.approx(trace[0].time)
-        assert loaded[0].demands == pytest.approx(trace[0].demands)
-        assert loaded[0].page == trace[0].page
 
 
 class TestReplay:
