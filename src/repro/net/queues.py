@@ -24,6 +24,13 @@ process* sleeps until its reserved departure time.  Departures are
 reserved in arrival order on a monotone horizon, so per-stage FIFO
 order is structural, and a whole transfer costs one timed event per
 stage — cheap enough to run under every RPC of a full closed-loop run.
+
+Performance note.  :meth:`QueueChain.transfer` walks the stages in its
+own frame (no nested per-attempt generator), so each stage ``Timeout``
+resumes one generator frame fewer inside the caller's ``yield from``
+chain.  :meth:`FiniteQueue.admit`/:meth:`FiniteQueue.depart` stay the
+only stage arithmetic, shared with the cross-host link's
+``delivery_time``.
 """
 
 from __future__ import annotations
@@ -292,11 +299,16 @@ class QueueChain:
     def transfer(self, trace=None, span: Optional[str] = None) -> Generator:
         """Send one message end to end, retransmitting on loss.
 
+        Each attempt walks the stages in order: admit, sleep until the
+        reserved departure, depart.  A full stage drops the message,
+        and the sender sleeps one RTO before the next attempt.
+
         Raises :class:`NetworkOverflowError` once the RTO schedule is
         exhausted — the client's TCP loop treats it as a request drop.
         """
         sim = self.sim
         bus = self.bus
+        stages = self.stages
         self.messages += 1
         start = sim._now
         rtos = None
@@ -305,8 +317,25 @@ class QueueChain:
             attempt += 1
             self.attempts += 1
             sent = sim._now
-            outcome = yield from self._attempt()
-            if outcome is None:
+            marked = False
+            for stage in stages:
+                now = sim._now
+                admitted = stage.admit(now)
+                if admitted is None:
+                    break
+                departure, stage_marked = admitted
+                delay = departure - now
+                if delay > 0:
+                    yield Timeout(sim, delay)
+                stage.depart()
+                marked = marked or stage_marked
+            else:
+                if self.propagation > 0:
+                    yield Timeout(sim, self.propagation)
+                if marked and self.ecn_penalty > 0:
+                    # The congestion response: one pacing delay per
+                    # marked traversal, the cwnd-halving analog.
+                    yield Timeout(sim, self.ecn_penalty)
                 delivered = sim._now
                 self.delivered += 1
                 if trace is not None:
@@ -323,7 +352,8 @@ class QueueChain:
                         ),
                     )
                 return
-            dropped_at, marked = outcome
+            # ``stage`` dropped the message; ``marked`` covers the
+            # stages it already crossed on this attempt.
             if bus is not None:
                 bus.publish(
                     "net.dropped",
@@ -331,7 +361,7 @@ class QueueChain:
                         kind="dropped",
                         link=self.name,
                         t=sim._now,
-                        stage=dropped_at,
+                        stage=stage.name,
                         attempts=attempt,
                         marked=marked,
                     ),
@@ -357,32 +387,6 @@ class QueueChain:
             yield Timeout(sim, rto)
             if trace is not None:
                 trace.backoff("net_rto", span, backoff_start, sim._now, rto)
-
-    def _attempt(self) -> Generator:
-        """One end-to-end traversal.
-
-        Returns ``None`` on delivery, else ``(stage_name, marked)`` for
-        the stage that dropped the message.
-        """
-        sim = self.sim
-        marked = False
-        for stage in self.stages:
-            admitted = stage.admit(sim._now)
-            if admitted is None:
-                return stage.name, marked
-            departure, stage_marked = admitted
-            delay = departure - sim._now
-            if delay > 0:
-                yield Timeout(sim, delay)
-            stage.depart()
-            marked = marked or stage_marked
-        if self.propagation > 0:
-            yield Timeout(sim, self.propagation)
-        if marked and self.ecn_penalty > 0:
-            # The congestion response: one pacing delay per marked
-            # traversal, the cwnd-halving analog.
-            yield Timeout(sim, self.ecn_penalty)
-        return None
 
     @property
     def min_latency(self) -> float:

@@ -55,7 +55,7 @@ table in DESIGN.md §12) in the same commit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 from ..sim.core import Event, Simulator
 from .request import Request
@@ -247,11 +247,10 @@ class RemoteTierServer:
             return
         if self.sketch is not None:
             self.sketch.observe(self.sim._now - start)
-        spans: List[Tuple[str, List[Tuple[float, float]]]] = list(
-            shadow.tier_spans.items()
-        )
         self.replies += 1
-        self.channel.send(self.sim._now, (call_id, True, spans))
+        self.channel.send(
+            self.sim._now, (call_id, True, shadow.span_groups())
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,7 +10,8 @@ compact (DESIGN.md "The request record"): ``__slots__`` instead of an
 instance dict, and the per-visit spans in one flat list
 ``[tier, enter, leave, tier, enter, leave, ...]`` in record order
 rather than a dict of per-tier lists of tuples.  :attr:`Request.
-tier_spans` rebuilds the dict-of-lists view on access.
+tier_spans` rebuilds the dict-of-lists view on access, and
+:meth:`Request.span_groups` the same grouping as a list of pairs.
 """
 
 from __future__ import annotations
@@ -110,22 +111,32 @@ class Request:
         """Record one tier visit's (enter, leave) span."""
         self._spans += (tier, enter, leave)
 
+    def span_groups(self) -> List[Tuple[str, List[Tuple[float, float]]]]:
+        """Per-tier (enter, leave) spans as ``(tier, spans)`` pairs.
+
+        One pass over the flat span list: tiers in first-visit order,
+        each tier's spans in record order.  A remote call's reply body
+        is exactly this list.
+        """
+        groups: List[Tuple[str, List[Tuple[float, float]]]] = []
+        by_tier: Dict[str, List[Tuple[float, float]]] = {}
+        flat = iter(self._spans)
+        for tier, enter, leave in zip(flat, flat, flat):
+            spans = by_tier.get(tier)
+            if spans is None:
+                spans = by_tier[tier] = []
+                groups.append((tier, spans))
+            spans.append((enter, leave))
+        return groups
+
     @property
     def tier_spans(self) -> Dict[str, List[Tuple[float, float]]]:
         """Per-tier (enter, leave) spans, one tuple per visit.
 
         A fresh dict built on each access (mutating it does not touch
-        the request): tiers in first-visit order, each tier's spans in
-        record order.
+        the request), in :meth:`span_groups` order.
         """
-        out: Dict[str, List[Tuple[float, float]]] = {}
-        flat = iter(self._spans)
-        for tier, enter, leave in zip(flat, flat, flat):
-            if tier in out:
-                out[tier].append((enter, leave))
-            else:
-                out[tier] = [(enter, leave)]
-        return out
+        return dict(self.span_groups())
 
     def tier_response_time(self, tier: str) -> Optional[float]:
         """Time spent in ``tier`` (queueing + service + downstream).

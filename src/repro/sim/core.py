@@ -54,9 +54,13 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
   1-slot :class:`_Deferred`; the processor-sharing server schedules its
   own timer objects this way and lazily discards superseded ones via a
   generation check rather than paying O(n) queue deletion.
-* **Inlined dispatch.**  :meth:`Simulator.run` repeats the body of
-  :meth:`Simulator.step` inline with locals bound outside the loop;
-  both must stay semantically identical.
+* **Inlined dispatch.**  :meth:`Simulator.run` has two dispatch loops
+  with locals bound outside the loop: ``_drain`` (``run()`` and
+  ``run(until=event)``) and the horizon loop (``run(until=t)``).  They
+  differ only in the horizon check and must otherwise stay
+  semantically identical; a scenario run straight through and the
+  same scenario stepped in ``run(until=t)`` windows must agree
+  (``tests/test_net_queues.py::TestShardBoundaryProperties``).
 * **Batched cyclic GC.**  Event dispatch allocates heavily (events,
   queue entries, generator frames) and CPython's default generation-0
   cadence (every ~700 allocations) costs ~15% of kernel wall time at
@@ -794,22 +798,6 @@ class Simulator:
         self._active_idx = min_idx
         self._active_pos = 0
 
-    def _pop_timed(self) -> Optional[tuple]:
-        """Pop the earliest timed entry, or None if none remain."""
-        while True:
-            pos = self._active_pos
-            bucket = self._buckets[self._active_idx]
-            if pos < len(bucket):
-                self._active_pos = pos + 1
-                self._timed_count -= 1
-                return bucket[pos]
-            if self._timed_count:
-                self._normalize_wheel()
-                continue
-            if not self._spill:
-                return None
-            self._rotate_to_spill()
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
@@ -828,47 +816,6 @@ class Simulator:
         if self._spill:
             return self._spill[0][0]
         return _INF
-
-    def step(self) -> None:
-        """Process the single next event.
-
-        NOTE: the dispatch body is inlined (with loop-hoisted locals)
-        in each of :meth:`run`'s loops; keep them in sync.
-        """
-        if self._imm:
-            event = self._imm.popleft()
-        else:
-            entry = self._pop_timed()
-            if entry is None:
-                raise SimulationError("step() on an empty schedule")
-            self._now = entry[0]
-            event = entry[2]
-        if self._hooks is not None:
-            countdown = self._hook_countdown - 1
-            if countdown:
-                self._hook_countdown = countdown
-            else:
-                self._hook_countdown = self._hook_stride
-                self._hooks.on_events(
-                    self._hook_stride, self._now, self.pending_events
-                )
-        callbacks = event.callbacks
-        if callbacks is None:
-            event.fire()
-            return
-        event.callbacks = None
-        if len(callbacks) == 1:
-            # Nearly every event has exactly one waiter (a process's
-            # resume callback); skipping the iterator protocol for that
-            # case is measurable at kernel scale.
-            callbacks[0](event)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            # A failure nobody handled: surface it instead of silently
-            # dropping the exception.
-            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -940,11 +887,17 @@ class Simulator:
                     continue
                 event.callbacks = None
                 if len(callbacks) == 1:
+                    # Nearly every event has exactly one waiter (a
+                    # process's resume callback); skipping the iterator
+                    # protocol for that case is measurable at kernel
+                    # scale.
                     callbacks[0](event)
                 else:
                     for callback in callbacks:
                         callback(event)
                 if not event._ok and not event._defused:
+                    # A failure nobody handled: surface it instead of
+                    # silently dropping the exception.
                     raise event._value
         finally:
             self._gc_budget = budget

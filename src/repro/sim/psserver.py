@@ -20,17 +20,19 @@ Performance notes (byte-identity constrained).  Every job progresses at
 the *same* per-job rate, so between submissions the job with the least
 remaining work never changes: IEEE-754 subtraction of a shared progress
 increment is monotone, so the argmin is stable under ``_advance`` and
-the shortest job can be tracked incrementally in O(1) instead of
-rescanned with an O(n) ``min`` on every submission (the old hot-path
-cost; completions still rescan, which is unavoidable since the next
-shortest must be found).  A full virtual-work offset (store one finish
-credit per job at submit, advance a single cumulative attained-service
-counter) would also drop the per-job decrement loop in ``_advance``,
+the shortest job is tracked incrementally in O(1) on submission.  A
+completion settles the table in one pass (``_settle``): it subtracts
+the progress from each job in submission order, collects the finished
+jobs and finds the next shortest on the way, so the decrement, the
+completion scan and the argmin rescan are a single loop, and the
+re-arm that follows is O(1).  A full virtual-work offset (store one
+finish credit per job at submit, advance a single cumulative
+attained-service counter) would drop the per-job decrement altogether,
 but ``fl(credit - V)`` rounds differently from the sequential
-``fl(fl(r - p1) - p2)`` the previous kernel performed, which shifts
+``fl(fl(r - p1) - p2)`` the kernel has always performed, which shifts
 completion times by ULPs and breaks the byte-identity contract of
-``tests/test_determinism.py`` — so the decrement loop stays, with the
-exact same rounding sequence as before.
+``tests/test_determinism.py`` — so every job still takes one
+``remaining - progress`` per advance, in the same order as before.
 """
 
 from __future__ import annotations
@@ -68,15 +70,14 @@ class _CompletionTimer:
         server = self.server
         if self.generation != server._generation:
             return  # State changed since scheduling; superseded.
-        server._advance()
-        server._reschedule()
+        server._settle()
 
 
 class ProcessorSharingServer:
     """A multi-core processor-sharing server with variable speed."""
 
-    # Slotted: _advance/_reschedule run on every job submit/completion
-    # and are dominated by attribute traffic.
+    # Slotted: execute/_settle run on every job submit/completion and
+    # are dominated by attribute traffic.
     __slots__ = (
         "sim",
         "cores",
@@ -115,14 +116,14 @@ class ProcessorSharingServer:
         # Insertion-ordered job table: completion scans must visit jobs
         # in submission order (event succession order is observable).
         self._jobs: Dict[Event, float] = {}
-        #: The job with the least remaining work, tracked incrementally
-        #: (None = unknown, rescan lazily).  All jobs shrink by the same
-        #: increment per advance, so the argmin is stable between
-        #: submissions/completions/cancels.
+        #: The job with the least remaining work (None = no jobs):
+        #: tracked in O(1) by ``execute``, found again by each settle
+        #: pass.  All jobs shrink by the same increment per advance, so
+        #: the argmin is stable between submissions and settles.
         self._shortest_job: Optional[Event] = None
         self._last_update = sim.now
         self._generation = 0
-        # Integrators (advance() brings these up to date).
+        # Integrators (every advance brings these up to date).
         self._busy_core_seconds = 0.0
         self._work_done = 0.0
         self.jobs_completed = 0
@@ -180,18 +181,62 @@ class ProcessorSharingServer:
             self.jobs_completed += 1
             done.succeed()
             return done
-        self._advance()
+        # Advance (inline :meth:`_advance`: same rounding sequence).
+        sim = self.sim
+        now = sim._now
+        dt = now - self._last_update
+        self._last_update = now
         jobs = self._jobs
+        n = len(jobs)
+        cores = self.cores
+        background = self._background
+        if dt > 0:
+            if n:
+                if background == 0.0:
+                    active_cores = n if n < cores else cores
+                    self._busy_core_seconds += dt * active_cores
+                    progress = self._speed * active_cores / n * dt
+                else:
+                    load = n + background
+                    active_cores = load if load < cores else cores
+                    self._busy_core_seconds += dt * active_cores
+                    progress = self._speed * active_cores / load * dt
+                if progress > 0:
+                    self._work_done += progress * n
+                    for job, remaining in jobs.items():
+                        jobs[job] = remaining - progress
+            elif background > 0.0:
+                active = background if background < cores else cores
+                self._busy_core_seconds += dt * active
         work = float(work)
         jobs[done] = work
         # O(1) shortest-job maintenance: the advance above brought every
         # remaining-work value up to now, so a single comparison decides
         # whether the newcomer is the next to finish.  (Ties keep the
         # incumbent — only the min *value* is observable, and it's equal.)
-        shortest = self._shortest_job
-        if shortest is None or work < jobs[shortest]:
-            self._shortest_job = done
-        self._reschedule()
+        shortest_job = self._shortest_job
+        if shortest_job is None or work < jobs[shortest_job]:
+            shortest_job = self._shortest_job = done
+        shortest = jobs[shortest_job]
+        if shortest <= _EPSILON:
+            # A completion due at this very instant (or a newcomer
+            # below _EPSILON): settle the table at now.
+            self._settle()
+            return done
+        # O(1) re-arm (as in :meth:`_settle`).
+        self._generation += 1
+        n += 1
+        if background == 0.0:
+            rate = self._speed * (n if n < cores else cores) / n
+        else:
+            load = n + background
+            rate = self._speed * (load if load < cores else cores) / load
+        if rate <= 0:
+            return done  # Fully stalled: no completion until speed changes.
+        delay = shortest / rate
+        if delay < 0.0:
+            delay = 0.0
+        sim._push_timed(now + delay, _CompletionTimer(self, self._generation))
         return done
 
     def set_speed(self, speed: float) -> None:
@@ -200,7 +245,7 @@ class ProcessorSharingServer:
             raise SimulationError(f"speed must be >= 0, got {speed}")
         self._advance()
         self._speed = float(speed)
-        self._reschedule()
+        self._settle()
 
     def set_background_load(self, background: float) -> None:
         """Set the fluid background load (hybrid fluid/DES coupling).
@@ -223,15 +268,13 @@ class ProcessorSharingServer:
             return
         self._advance()
         self._background = background
-        self._reschedule()
+        self._settle()
 
     def cancel(self, job: Event) -> None:
         """Abort an in-service job without triggering its event."""
         self._advance()
         if self._jobs.pop(job, None) is not None:
-            if job is self._shortest_job:
-                self._shortest_job = None  # rescan lazily in _reschedule
-            self._reschedule()
+            self._settle()
 
     # -- internals --------------------------------------------------------
 
@@ -273,55 +316,69 @@ class ProcessorSharingServer:
                 self._busy_core_seconds += dt * active
         self._last_update = now
 
-    def _find_shortest(self) -> Optional[Event]:
-        """O(n) argmin rescan (completion/cancel path only)."""
-        jobs = self._jobs
-        if not jobs:
-            return None
-        best_job = None
-        best = None
-        for job, remaining in jobs.items():
-            if best is None or remaining < best:
-                best, best_job = remaining, job
-        return best_job
+    def _settle(self) -> None:
+        """Advance to now, complete the finished jobs and re-arm.
 
-    def _reschedule(self) -> None:
-        """Schedule the next completion after any state change.
+        The completion path, in one pass over the job table: each job
+        takes the same ``remaining - progress`` as in :meth:`_advance`
+        (in submission order), finished jobs are collected in that
+        order and succeed in it, and the first strict minimum of the
+        rest is the next shortest job.  The live completion timer calls
+        it directly.  The other state changes (speed, background load,
+        cancel, a submission that finds a completion due now) call it
+        after their own advance, when ``progress`` is 0.0 and
+        ``x - 0.0`` is ``x`` bit for bit.
 
         Superseded timers are discarded lazily: every re-arm bumps the
         generation, and a stale ``fire`` returns without touching the
-        server, so the heap never needs an O(n) deletion.  The common
-        submit path is O(1): the shortest job is tracked incrementally,
-        so no ``min`` scan runs unless something actually completed (or
-        the tracked job was cancelled).
+        server, so the wheel never needs an O(n) deletion.
         """
-        self._generation += 1
-        generation = self._generation
+        sim = self.sim
+        now = sim._now
+        dt = now - self._last_update
+        self._last_update = now
         jobs = self._jobs
-        if not jobs:
-            self._shortest_job = None
-            return
-        shortest_job = self._shortest_job
-        if shortest_job is None:
-            shortest_job = self._shortest_job = self._find_shortest()
-        shortest = jobs[shortest_job]
-        if shortest <= _EPSILON:
-            finished = [
-                job for job, remaining in jobs.items()
-                if remaining <= _EPSILON
-            ]
-            for job in finished:
-                del jobs[job]
-                self.jobs_completed += 1
-                job.succeed()
-            if not jobs:
-                self._shortest_job = None
-                return
-            shortest_job = self._shortest_job = self._find_shortest()
-            shortest = jobs[shortest_job]
         n = len(jobs)
         cores = self.cores
         background = self._background
+        progress = 0.0
+        if dt > 0:
+            if n:
+                if background == 0.0:
+                    active_cores = n if n < cores else cores
+                    self._busy_core_seconds += dt * active_cores
+                    progress = self._speed * active_cores / n * dt
+                else:
+                    load = n + background
+                    active_cores = load if load < cores else cores
+                    self._busy_core_seconds += dt * active_cores
+                    progress = self._speed * active_cores / load * dt
+                if progress > 0:
+                    self._work_done += progress * n
+            elif background > 0.0:
+                active = background if background < cores else cores
+                self._busy_core_seconds += dt * active
+        self._generation += 1
+        finished = []
+        shortest_job = None
+        shortest = 0.0
+        for job, remaining in jobs.items():
+            remaining -= progress
+            if remaining <= _EPSILON:
+                finished.append(job)
+            else:
+                jobs[job] = remaining
+                if shortest_job is None or remaining < shortest:
+                    shortest, shortest_job = remaining, job
+        for job in finished:
+            del jobs[job]
+            self.jobs_completed += 1
+            job.succeed()
+        self._shortest_job = shortest_job
+        if shortest_job is None:
+            return
+        # O(1) re-arm.
+        n = len(jobs)
         if background == 0.0:
             rate = self._speed * (n if n < cores else cores) / n
         else:
@@ -336,5 +393,4 @@ class ProcessorSharingServer:
         # and sequence-counter position as the old defer_in() path, so
         # dispatch order is byte-identical, minus two call frames and a
         # closure allocation per re-arm.
-        sim = self.sim
-        sim._push_timed(sim._now + delay, _CompletionTimer(self, generation))
+        sim._push_timed(now + delay, _CompletionTimer(self, self._generation))

@@ -34,7 +34,7 @@ class TestConditionPreTriggered:
     def test_any_of_with_processed_member(self, sim):
         ev = sim.event()
         ev.succeed("early")
-        sim.step()  # process ev: callbacks are gone, value is set
+        sim.run(until=sim.now)  # process ev: callbacks are gone, value is set
         assert ev.processed
         cond = sim.any_of([ev, sim.event()])
         assert cond.triggered
@@ -54,8 +54,7 @@ class TestConditionPreTriggered:
         first, second = sim.event(), sim.event()
         first.succeed(1)
         second.succeed(2)
-        sim.step()
-        sim.step()
+        sim.run(until=sim.now)
         cond = sim.all_of([first, second])
         assert cond.triggered
         assert cond.value == {first: 1, second: 2}
@@ -63,7 +62,7 @@ class TestConditionPreTriggered:
     def test_all_of_mixing_processed_and_pending(self, sim):
         done, pending = sim.event(), sim.event()
         done.succeed("a")
-        sim.step()
+        sim.run(until=sim.now)
         cond = sim.all_of([done, pending])
         assert not cond.triggered
         pending.succeed("b")
@@ -74,7 +73,7 @@ class TestConditionPreTriggered:
         boom = sim.event()
         boom.fail(RuntimeError("boom"))
         boom.defuse()
-        sim.step()
+        sim.run(until=sim.now)
         cond = sim.any_of([boom, sim.event()])
         assert cond.triggered and not cond.ok
         cond.defuse()
@@ -287,22 +286,20 @@ class TestCalendarQueueMachinery:
         with pytest.raises(SimulationError):
             sim.timeout(float("nan"))
 
-    def test_peek_and_step_with_mixed_queues(self, sim):
+    def test_peek_and_run_until_now_with_mixed_queues(self, sim):
         order = []
         sim.timeout(3.0).callbacks.append(collect(order, "timed"))
         assert sim.peek() == 3.0
         sim.event().succeed().callbacks.append(collect(order, "urgent"))
         assert sim.peek() == 0.0  # urgent is due now
-        sim.step()
+        sim.run(until=sim.now)  # dispatches what is due now, no more
         assert order == ["urgent"]
         assert sim.now == 0.0
         assert sim.peek() == 3.0
-        sim.step()
+        sim.run(until=sim.peek())
         assert order == ["urgent", "timed"]
         assert sim.now == 3.0
         assert sim.peek() == float("inf")
-        with pytest.raises(SimulationError):
-            sim.step()
 
     def test_pending_events_counts_all_queues(self, sim):
         assert sim.pending_events == 0

@@ -82,6 +82,8 @@ class TestFlatSpansMatchDictOfLists:
         view = request.tier_spans
         assert view == reference
         assert list(view) == list(reference)  # first-visit order
+        # The remote reply body: the same grouping as a list of pairs.
+        assert request.span_groups() == list(reference.items())
         for tier in TIERS:
             spans = reference.get(tier)
             expected = (

@@ -35,10 +35,6 @@ class TestSimulatorBasics:
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
 
-    def test_step_on_empty_schedule_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
     def test_peek_empty_is_inf(self, sim):
         assert sim.peek() == float("inf")
 
