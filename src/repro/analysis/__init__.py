@@ -18,7 +18,6 @@ from .replication import Replication, format_replications, replicate
 from .report import format_percentile_curves, format_series, format_table
 from .stats import (
     PercentileCurve,
-    amplification_factors,
     client_percentile_curve,
     percentile_curve,
     tier_percentile_curves,
@@ -29,7 +28,6 @@ __all__ = [
     "PercentileCurve",
     "Replication",
     "RequestAttribution",
-    "amplification_factors",
     "ascii_chart",
     "ascii_percentiles",
     "ascii_timeseries",

@@ -1,4 +1,4 @@
-"""Tail-latency statistics: percentile curves and amplification.
+"""Tail-latency statistics: percentile curves.
 
 The paper's primary damage metric is the percentile response-time curve
 per tier (Fig 2, Fig 7): response time as a function of percentile,
@@ -9,7 +9,7 @@ ordering is the amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "percentile_curve",
     "tier_percentile_curves",
     "client_percentile_curve",
-    "amplification_factors",
 ]
 
 #: Default percentile grid matching the paper's figures.
@@ -95,23 +94,3 @@ def tier_percentile_curves(
         if samples:
             curves[tier] = percentile_curve(tier, samples, percentiles)
     return curves
-
-
-def amplification_factors(
-    curves: Dict[str, PercentileCurve],
-    order: Sequence[str],
-    percentile: float = 95.0,
-) -> List[Tuple[str, float]]:
-    """Back-to-front tail amplification at one percentile.
-
-    Returns (tier, ratio to the back-most tier) front-to-back; ratios
-    above 1 for upstream tiers are the paper's tail response time
-    amplification.
-    """
-    present = [name for name in order if name in curves]
-    if not present:
-        raise ValueError("no curves for the requested tiers")
-    base = curves[present[-1]].at(percentile)
-    if base <= 0:
-        raise ValueError(f"non-positive base value at p{percentile}")
-    return [(name, curves[name].at(percentile) / base) for name in present]

@@ -10,14 +10,13 @@ from .attack import AttackEffect, MemCAAttack
 from .backend import Commander, CommanderEpoch, ControlGoals, MemCABackend
 from .baselines import FloodingAttack, PulsatingAttack
 from .burst import BurstRecord, OnOffAttacker
-from .control import KalmanFilter, PIController, ScalarKalmanFilter
+from .control import ScalarKalmanFilter
 from .frontend import FrontendReport, MemCAFrontend
 from .programs import (
     AttackProgram,
     LLCCleansingAttack,
     MemoryBusSaturation,
     MemoryLockAttack,
-    RamspeedProbe,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "ControlGoals",
     "FloodingAttack",
     "FrontendReport",
-    "KalmanFilter",
     "LLCCleansingAttack",
     "MemCAAttack",
     "MemCABackend",
@@ -37,8 +35,6 @@ __all__ = [
     "MemoryBusSaturation",
     "MemoryLockAttack",
     "OnOffAttacker",
-    "PIController",
     "PulsatingAttack",
-    "RamspeedProbe",
     "ScalarKalmanFilter",
 ]

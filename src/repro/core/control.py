@@ -1,21 +1,15 @@
-"""Feedback-control tools for the MemCA commander.
+"""The Kalman filter of the MemCA commander.
 
 Section IV-C: the attacker cannot know the victim's service rates or
 utilization, so MemCA closes the loop on its own probe measurements,
 smoothing them with a Kalman filter and stepping the attack parameters
-toward the goal.  This module provides a scalar Kalman filter (the
-paper cites Kalman 1960), a general linear Kalman filter, and a simple
-PI controller used in ablations.
+toward the goal.  This module provides that filter, a scalar one (the
+paper cites Kalman 1960); :mod:`.backend`'s commander feeds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-import numpy as np
-
-__all__ = ["ScalarKalmanFilter", "KalmanFilter", "PIController"]
+__all__ = ["ScalarKalmanFilter"]
 
 
 class ScalarKalmanFilter:
@@ -56,92 +50,3 @@ class ScalarKalmanFilter:
     @property
     def estimate(self) -> float:
         return self.x
-
-    @property
-    def variance(self) -> float:
-        return self.P
-
-
-class KalmanFilter:
-    """General linear Kalman filter (numpy matrices).
-
-    ``x' = F x + w`` (w ~ N(0, Q)); ``z = H x + v`` (v ~ N(0, R)).
-    """
-
-    def __init__(
-        self,
-        F: np.ndarray,
-        H: np.ndarray,
-        Q: np.ndarray,
-        R: np.ndarray,
-        x0: np.ndarray,
-        P0: np.ndarray,
-    ):
-        self.F = np.atleast_2d(np.asarray(F, dtype=float))
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
-        self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        self.R = np.atleast_2d(np.asarray(R, dtype=float))
-        self.x = np.asarray(x0, dtype=float).reshape(-1, 1)
-        self.P = np.atleast_2d(np.asarray(P0, dtype=float))
-        n = self.x.shape[0]
-        if self.F.shape != (n, n):
-            raise ValueError(f"F must be {n}x{n}, got {self.F.shape}")
-        if self.Q.shape != (n, n):
-            raise ValueError(f"Q must be {n}x{n}, got {self.Q.shape}")
-        if self.H.shape[1] != n:
-            raise ValueError(f"H must have {n} columns, got {self.H.shape}")
-        m = self.H.shape[0]
-        if self.R.shape != (m, m):
-            raise ValueError(f"R must be {m}x{m}, got {self.R.shape}")
-
-    def predict(self) -> np.ndarray:
-        self.x = self.F @ self.x
-        self.P = self.F @ self.P @ self.F.T + self.Q
-        return self.x.ravel()
-
-    def update(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float).reshape(-1, 1)
-        innovation = z - self.H @ self.x
-        S = self.H @ self.P @ self.H.T + self.R
-        K = self.P @ self.H.T @ np.linalg.inv(S)
-        self.x = self.x + K @ innovation
-        identity = np.eye(self.P.shape[0])
-        self.P = (identity - K @ self.H) @ self.P
-        return self.x.ravel()
-
-    def step(self, z) -> np.ndarray:
-        """Predict then update with one measurement."""
-        self.predict()
-        return self.update(z)
-
-    @property
-    def estimate(self) -> np.ndarray:
-        return self.x.ravel()
-
-
-@dataclass
-class PIController:
-    """Proportional-integral controller with output clamping."""
-
-    kp: float
-    ki: float
-    setpoint: float
-    output_limits: Tuple[float, float] = (0.0, 1.0)
-    _integral: float = field(default=0.0, repr=False)
-
-    def reset(self) -> None:
-        self._integral = 0.0
-
-    def step(self, measurement: float, dt: float = 1.0) -> float:
-        """One control step; returns the clamped actuation."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive: {dt}")
-        error = self.setpoint - float(measurement)
-        self._integral += error * dt
-        low, high = self.output_limits
-        raw = self.kp * error + self.ki * self._integral
-        clamped = min(high, max(low, raw))
-        # Anti-windup: freeze the integral when saturated against it.
-        if clamped != raw:
-            self._integral -= error * dt
-        return clamped

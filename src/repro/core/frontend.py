@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..hardware.memory import MemorySubsystem
 from ..sim.core import Simulator
 from .burst import OnOffAttacker
-from .programs import RamspeedProbe
 
 __all__ = ["FrontendReport", "MemCAFrontend"]
 
@@ -85,14 +83,3 @@ class MemCAFrontend:
             length=primary.length,
             interval=primary.interval,
         )
-
-    def profile_peak_bandwidth(
-        self, memory: MemorySubsystem, vm_name: str
-    ) -> float:
-        """Profile the host's attainable bandwidth (R_max) from a VM.
-
-        "The maximum memory bandwidth of the target machine is fixed
-        and can be easily profiled by running some memory intensive
-        benchmark in the adversary VMs" (Section IV-C).
-        """
-        return RamspeedProbe().measure(memory, vm_name)

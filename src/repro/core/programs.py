@@ -13,15 +13,13 @@ attack intensity R relative to the host's peak capacity R_max.
   other access on the package stalls.  Far more damaging per unit of
   attacker bandwidth (Fig 3) and invisible to LLC-miss profiling
   (Fig 11b) because its working set is a few bytes.
-* :class:`RamspeedProbe` — not an attack: the measurement program used
-  to profile a host's bandwidth capacity and the Fig 3 curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware.memory import MemoryActivity, MemorySubsystem
+from ..hardware.memory import MemoryActivity
 from ..net.fabric import NicActivity
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "MemoryBusSaturation",
     "MemoryLockAttack",
     "NicSaturation",
-    "RamspeedProbe",
 ]
 
 
@@ -146,33 +143,3 @@ class NicSaturation(AttackProgram):
             rate_pps=self.line_rate_pps * intensity,
             ring_fill=intensity,
         )
-
-
-@dataclass
-class RamspeedProbe:
-    """Bandwidth measurement: what RAMspeed reports inside a VM."""
-
-    stream_bandwidth_mbps: float = 20000.0
-
-    def measure(self, memory: MemorySubsystem, vm_name: str) -> float:
-        """Measure attainable bandwidth for ``vm_name`` right now.
-
-        Temporarily registers a full-rate stream for the VM, reads the
-        attained bandwidth under the current contention, and restores
-        the VM's previous activity.
-        """
-        previous = memory.activity_of(vm_name)
-        memory.set_activity(
-            MemoryActivity(
-                vm_name=vm_name,
-                demand_mbps=self.stream_bandwidth_mbps,
-                thrashes_llc=True,
-            )
-        )
-        try:
-            return memory.measured_bandwidth(vm_name)
-        finally:
-            if previous is not None:
-                memory.set_activity(previous)
-            else:
-                memory.clear_activity(vm_name)

@@ -112,10 +112,6 @@ class RubbosScenario:
             vcpus=self.tier_vcpus,
         )
 
-    def paper_scale(self) -> "RubbosScenario":
-        """The paper's literal 3500-user population."""
-        return replace(self, users=3500)
-
     def with_users(self, users: int) -> "RubbosScenario":
         """Rescale the scenario to ``users`` without moving the knee.
 

@@ -136,17 +136,13 @@ class World:
     fluid: Optional[FluidEngine]
 
 
-#: A fluid bulk population: (bulk users, think time, engine config).
-Bulk = Tuple[int, float, HybridConfig]
-
-
 def build_world(
     sim: Simulator,
     scenario: RubbosScenario,
     streams: RandomStreams,
     users: int,
     weight: float = 1.0,
-    bulk: Optional[Bulk] = None,
+    bulk: Optional[Tuple[int, float, HybridConfig]] = None,
     tiers: Optional[Sequence[str]] = None,
     observer=None,
 ) -> World:
@@ -166,8 +162,9 @@ def build_world(
        chain's front tier — then started;
     4. the memory attack of ``scenario.attack``, then launched;
     5. the NIC attacker, for programs naming ``nic``;
-    6. the fluid ``bulk``: the engine watches every memory subsystem
-       (so it re-steps exactly on attack edges), then starts.
+    6. the fluid ``bulk`` (bulk users, think time, engine config): the
+       engine watches every memory subsystem (so it re-steps exactly on
+       attack edges), then starts.
 
     Every random draw comes from a name-addressed substream of
     ``streams``, so a slice draws exactly what the same tiers draw in a

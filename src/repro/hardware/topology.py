@@ -30,10 +30,6 @@ class CpuSpec:
     llc_mb_per_package: float
     mem_bandwidth_mbps: float
 
-    @property
-    def total_cores(self) -> int:
-        return self.packages * self.cores_per_package
-
 
 #: The paper's private-cloud profiling host (Section III).
 XEON_E5_2603_V3 = CpuSpec(
@@ -114,14 +110,6 @@ class Host:
                 self.packages[placement].pinned_vms.remove(vm_name)
             except ValueError:
                 pass
-
-    def vms_on_package(self, package: int) -> List[str]:
-        """VM names whose vCPUs can touch the given package."""
-        return [
-            name
-            for name, placement in self.placements.items()
-            if placement is None or placement == package
-        ]
 
     @property
     def vm_names(self) -> List[str]:

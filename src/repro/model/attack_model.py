@@ -31,7 +31,6 @@ __all__ = [
     "fill_times_conservative",
     "analyze",
     "queue_trajectory",
-    "predicted_percentile_curve",
 ]
 
 
@@ -211,44 +210,4 @@ def queue_trajectory(
         else:
             level = max(0.0, ceiling - drain_rate * (t - burst_end))
         out.append(float(min(ceiling, max(0.0, level))))
-    return out
-
-
-def predicted_percentile_curve(
-    system: SystemModel,
-    burst: AttackBurst,
-    percentiles: List[float],
-    baseline_rt: float = 0.05,
-    rto: float = 1.0,
-) -> List[float]:
-    """Coarse client percentile-RT prediction under the attack.
-
-    The damaged fraction ``rho`` of requests is dropped or maximally
-    queued; those cost at least one TCP RTO on top of the full-queue
-    sojourn.  A further build-up fraction sees elevated queueing.  The
-    model is deliberately first-order — it predicts the *location of the
-    knee* and the tail magnitude, which is what the paper's Fig 7
-    compares.
-    """
-    analysis = analyze(system, burst)
-    queue_sojourn = system.back.queue_size / max(
-        degraded_capacity(system, burst), 1e-9
-    )
-    queue_sojourn = min(queue_sojourn, burst.L + analysis.drain_time)
-    build_fraction = analysis.build_up / burst.I
-    out = []
-    for p in percentiles:
-        if not 0 <= p <= 100:
-            raise ModelError(f"percentile outside [0,100]: {p}")
-        quantile = p / 100.0
-        if quantile <= 1.0 - analysis.rho - build_fraction:
-            out.append(baseline_rt)
-        elif quantile <= 1.0 - analysis.rho:
-            # Build-up victims: partial queueing, no drop.
-            frac = (quantile - (1.0 - analysis.rho - build_fraction)) / max(
-                build_fraction, 1e-12
-            )
-            out.append(baseline_rt + frac * queue_sojourn)
-        else:
-            out.append(rto + queue_sojourn + baseline_rt)
     return out

@@ -1,26 +1,14 @@
-"""Classical queueing formulas used as baselines and cross-checks.
+"""The M/M/1 reference the DES is validated against.
 
 The paper's system model (Section IV-B) is a tandem of exponential
-servers fed by Poisson arrivals.  These closed forms give the no-attack
-steady state that the DES must match (validated in the test suite) and
-the tandem-queue comparison curves of Figs 6a/7a.
+servers fed by Poisson arrivals.  With no attack, one such station is
+an M/M/1 queue, whose closed-form mean sojourn time the single-station
+simulation must match (``tests/test_integration.py``).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
-__all__ = [
-    "mm1_utilization",
-    "mm1_mean_rt",
-    "mm1_rt_percentile",
-    "mm1_mean_queue",
-    "mmc_erlang_c",
-    "mmc_mean_rt",
-    "mm1k_blocking",
-    "tandem_mean_rt",
-]
+__all__ = ["mm1_mean_rt"]
 
 
 def _check_stable(arrival: float, service: float) -> float:
@@ -34,75 +22,7 @@ def _check_stable(arrival: float, service: float) -> float:
     return rho
 
 
-def mm1_utilization(arrival: float, service: float) -> float:
-    """rho = lambda / mu."""
-    return _check_stable(arrival, service)
-
-
 def mm1_mean_rt(arrival: float, service: float) -> float:
     """Mean sojourn time W = 1 / (mu - lambda)."""
     _check_stable(arrival, service)
     return 1.0 / (service - arrival)
-
-
-def mm1_rt_percentile(arrival: float, service: float, p: float) -> float:
-    """p-th percentile of M/M/1 sojourn time.
-
-    Sojourn time is exponential with rate (mu - lambda), so the p-th
-    percentile is ``-ln(1 - p/100) / (mu - lambda)``.
-    """
-    if not 0 <= p < 100:
-        raise ValueError(f"percentile outside [0,100): {p}")
-    _check_stable(arrival, service)
-    return -math.log(1.0 - p / 100.0) / (service - arrival)
-
-
-def mm1_mean_queue(arrival: float, service: float) -> float:
-    """Mean number in system L = rho / (1 - rho)."""
-    rho = _check_stable(arrival, service)
-    return rho / (1.0 - rho)
-
-
-def mmc_erlang_c(arrival: float, service: float, servers: int) -> float:
-    """Erlang-C probability that an arrival must wait (M/M/c)."""
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1: {servers}")
-    offered = arrival / service
-    rho = offered / servers
-    if rho >= 1:
-        raise ValueError(f"unstable queue: rho={rho:.3f} >= 1")
-    summation = sum(offered**k / math.factorial(k) for k in range(servers))
-    top = offered**servers / (math.factorial(servers) * (1.0 - rho))
-    return top / (summation + top)
-
-
-def mmc_mean_rt(arrival: float, service: float, servers: int) -> float:
-    """Mean sojourn time of M/M/c."""
-    wait_prob = mmc_erlang_c(arrival, service, servers)
-    rho = arrival / (servers * service)
-    mean_wait = wait_prob / (servers * service * (1.0 - rho))
-    return mean_wait + 1.0 / service
-
-
-def mm1k_blocking(arrival: float, service: float, k: int) -> float:
-    """Blocking probability of the finite M/M/1/K queue."""
-    if k < 1:
-        raise ValueError(f"K must be >= 1: {k}")
-    if service <= 0:
-        raise ValueError(f"service rate must be positive: {service}")
-    rho = arrival / service
-    if math.isclose(rho, 1.0):
-        return 1.0 / (k + 1)
-    return (1.0 - rho) * rho**k / (1.0 - rho ** (k + 1))
-
-
-def tandem_mean_rt(
-    arrival: float, service_rates: Sequence[float]
-) -> float:
-    """Mean end-to-end sojourn of a Jackson tandem of M/M/1 stations.
-
-    By Burke's theorem each station sees Poisson(lambda) arrivals, so
-    the mean end-to-end response time is the sum of per-station M/M/1
-    sojourns.
-    """
-    return sum(mm1_mean_rt(arrival, mu) for mu in service_rates)

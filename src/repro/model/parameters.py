@@ -120,22 +120,6 @@ class AttackBurst:
                 f"interval I={self.I} must exceed burst length L={self.L}"
             )
 
-    @classmethod
-    def from_intensity(
-        cls, intensity: float, peak: float, L: float, I: float
-    ) -> "AttackBurst":
-        """Build from attack intensity R and host peak capacity R_max.
-
-        Implements Eq. 2: ``D = (R_max - R) / R_max``.
-        """
-        if peak <= 0:
-            raise ModelError(f"peak capacity must be positive: {peak}")
-        if not 0 <= intensity <= peak:
-            raise ModelError(
-                f"intensity {intensity} outside [0, {peak}]"
-            )
-        return cls(D=(peak - intensity) / peak, L=L, I=I)
-
     @property
     def duty_cycle(self) -> float:
         """Fraction of time the attack is ON."""

@@ -36,14 +36,6 @@ class AttackPlan:
     target_quantile: float
     stealth_limit: float
 
-    @property
-    def meets_damage_goal(self) -> bool:
-        return self.analysis.rho >= 1.0 - self.target_quantile
-
-    @property
-    def meets_stealth_goal(self) -> bool:
-        return self.analysis.millibottleneck <= self.stealth_limit
-
 
 def plan_attack(
     system: SystemModel,

@@ -9,7 +9,7 @@ from .app import NTierApplication
 from .client import ClosedLoopClient, OpenLoopProber, UserPopulation, fetch
 from .replicated import ReplicatedTier
 from .request import Request
-from .tcp import DEFAULT_TCP, RetransmissionPolicy, RttEstimator
+from .tcp import DEFAULT_TCP, RetransmissionPolicy
 from .tier import Tier, TierOverflowError
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ReplicatedTier",
     "Request",
     "RetransmissionPolicy",
-    "RttEstimator",
     "Tier",
     "TierOverflowError",
     "UserPopulation",

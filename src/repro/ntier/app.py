@@ -95,10 +95,6 @@ class NTierApplication:
 
     # -- aggregate accounting -------------------------------------------
 
-    def occupancies(self) -> dict:
-        """Snapshot of every tier's current queue length."""
-        return {tier.name: tier.occupancy for tier in self.tiers}
-
     def completed_after(self, t: float) -> List[Request]:
         """Completed requests that finished at or after time ``t``."""
         return [r for r in self.completed if r.t_done is not None and r.t_done >= t]

@@ -32,9 +32,6 @@ from .tier import TierOverflowError
 
 __all__ = ["fetch", "ClosedLoopClient", "UserPopulation", "OpenLoopProber"]
 
-#: A request factory: (request id) -> Request with sampled demands.
-RequestFactory = Callable[[int], Request]
-
 #: Interned per-attempt span names ("attempt-1", "rto-1", ...) so the
 #: traced fast path does not re-format an f-string per transmission.
 _ATTEMPT_NAMES: dict = {}
@@ -142,13 +139,17 @@ def fetch(
 
 
 class ClosedLoopClient:
-    """One closed-loop user: think (exponential), request, repeat."""
+    """One closed-loop user: think (exponential), request, repeat.
+
+    ``request_factory(rid)`` returns the next request with its sampled
+    demands.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         app: NTierApplication,
-        request_factory: RequestFactory,
+        request_factory: Callable[[int], Request],
         think_time: float = 7.0,
         rng: Optional[np.random.Generator] = None,
         tcp: RetransmissionPolicy = DEFAULT_TCP,
@@ -185,7 +186,9 @@ class ClosedLoopClient:
             yield Timeout(sim, float(exponential(think_time)))
 
 
-def _weighted(factory: RequestFactory, weight: float) -> RequestFactory:
+def _weighted(
+    factory: Callable[[int], Request], weight: float
+) -> Callable[[int], Request]:
     """Wrap ``factory`` to stamp the population weight on each request.
 
     The wrapper touches no RNG, so the draw sequence is identical to
@@ -211,7 +214,7 @@ class UserPopulation:
         self,
         sim: Simulator,
         app: NTierApplication,
-        request_factory: RequestFactory,
+        request_factory: Callable[[int], Request],
         users: int,
         think_time: float = 7.0,
         rng: Optional[np.random.Generator] = None,
@@ -284,7 +287,7 @@ class OpenLoopProber:
         self,
         sim: Simulator,
         app: NTierApplication,
-        request_factory: RequestFactory,
+        request_factory: Callable[[int], Request],
         rate: float = 2.0,
         rng: Optional[np.random.Generator] = None,
         tcp: RetransmissionPolicy = DEFAULT_TCP,

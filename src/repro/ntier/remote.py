@@ -68,15 +68,15 @@ __all__ = [
     "unmarshal_request",
 ]
 
-#: A marshalled request: (rid, page, demands, weight).
-RequestFrame = Tuple[int, str, Dict[str, float], float]
 
-
-def marshal_request(request: Request) -> RequestFrame:
+def marshal_request(
+    request: Request,
+) -> Tuple[int, str, Dict[str, float], float]:
     """Flatten ``request`` into the tuple a call frame carries.
 
-    Only what the remote chain needs to serve it: identity, page, the
-    per-tier demand samples, and the population weight.  Client-side
+    The frame is ``(rid, page, demands, weight)``: only what the remote
+    chain needs to serve it (identity, page, the per-tier demand samples
+    and the population weight).  Client-side
     bookkeeping (attempt times, drop tiers, trace) stays on the
     originating shard.
     """
@@ -88,7 +88,9 @@ def marshal_request(request: Request) -> RequestFrame:
     )
 
 
-def unmarshal_request(frame: RequestFrame, now: float) -> Request:
+def unmarshal_request(
+    frame: Tuple[int, str, Dict[str, float], float], now: float
+) -> Request:
     """Rebuild a shadow request from a call frame at arrival time."""
     rid, page, demands, weight = frame
     return Request(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["RetransmissionPolicy", "RttEstimator", "DEFAULT_TCP"]
+__all__ = ["RetransmissionPolicy", "DEFAULT_TCP"]
 
 
 @dataclass(frozen=True)
@@ -64,77 +64,6 @@ class RetransmissionPolicy:
         return min(
             self.min_rto * self.backoff ** drop_index, self.max_rto
         )
-
-    def total_delay_after(self, drops: int) -> float:
-        """Total retransmission delay accumulated after ``drops`` drops."""
-        if drops < 0:
-            raise ValueError(f"drops must be >= 0: {drops}")
-        total = 0.0
-        for i, rto in enumerate(self.timeouts()):
-            if i >= drops:
-                break
-            total += rto
-        return total
-
-
-class RttEstimator:
-    """The RFC 6298 smoothed-RTT estimator.
-
-    ``SRTT <- (1-alpha) SRTT + alpha R`` and
-    ``RTTVAR <- (1-beta) RTTVAR + beta |SRTT - R|`` with the standard
-    alpha=1/8, beta=1/4; ``RTO = max(min_rto, SRTT + 4*RTTVAR)``.
-
-    The estimator explains *why* the drop penalty is so large: on a
-    fast LAN path SRTT is single-digit milliseconds, so the computed
-    RTO would be tiny — which is exactly why the RFC imposes the 1 s
-    floor, and why every dropped SYN costs a full second regardless of
-    how fast the server usually is.
-    """
-
-    ALPHA = 1.0 / 8.0
-    BETA = 1.0 / 4.0
-
-    def __init__(self, min_rto: float = 1.0, max_rto: float = 64.0,
-                 initial_rto: float = 1.0):
-        if min_rto <= 0 or max_rto < min_rto:
-            raise ValueError("need 0 < min_rto <= max_rto")
-        self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.initial_rto = initial_rto
-        self.srtt: float = 0.0
-        self.rttvar: float = 0.0
-        self.samples = 0
-
-    def observe(self, rtt: float) -> None:
-        """Fold in one round-trip measurement."""
-        if rtt <= 0:
-            raise ValueError(f"rtt must be positive: {rtt}")
-        if self.samples == 0:
-            # First measurement (RFC 6298 §2.2).
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
-        else:
-            self.rttvar = (
-                (1.0 - self.BETA) * self.rttvar
-                + self.BETA * abs(self.srtt - rtt)
-            )
-            self.srtt = (1.0 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self.samples += 1
-
-    @property
-    def rto(self) -> float:
-        """The current retransmission timeout."""
-        if self.samples == 0:
-            return max(self.initial_rto, self.min_rto)
-        raw = self.srtt + 4.0 * self.rttvar
-        return min(self.max_rto, max(self.min_rto, raw))
-
-    def backoff_sequence(self, max_retries: int = 6) -> Iterator[float]:
-        """Successive RTOs with exponential backoff from the estimate."""
-        rto = self.rto
-        for _ in range(max_retries):
-            yield min(rto, self.max_rto)
-            rto *= 2.0
 
 
 #: RFC 6298 defaults used throughout the paper's analysis.

@@ -121,16 +121,6 @@ class EventBus:
                 )
         return delivered
 
-    def subscriber_count(self, topic: str) -> int:
-        """Callbacks a publish to ``topic`` would reach.
-
-        With a pattern argument (``"net.*"``), the family's own
-        subscriber count.
-        """
-        if topic.endswith(".*"):
-            return len(self._patterns.get(topic[:-1], ()))
-        return len(self._listeners_for(topic))
-
 
 class KernelProfiler:
     """Simulator self-profiling via the kernel hook slot.

@@ -80,8 +80,9 @@ __all__ = [
     "row_slots",
 ]
 
-#: Slot offsets of a row's header inside a trace's flat ``data``.
-CODE, NAME_ID, START, END, PARENT = range(5)
+#: Slot offsets of a row's header inside a trace's flat ``data``; slot 0
+#: holds the row's code.
+NAME_ID, START, END, PARENT = range(1, 5)
 
 #: Header slots per row; attribute slots follow.
 ROW_HEADER = 5

@@ -64,10 +64,6 @@ class Span:
         self.children: List["Span"] = []
 
     @property
-    def closed(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         """Span length in seconds (0.0 while still open)."""
         if self.end is None:

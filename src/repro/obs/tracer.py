@@ -95,6 +95,15 @@ class TelemetryConfig:
     def __post_init__(self):
         if self.window is not None and self.window <= 0:
             raise ValueError(f"window must be positive: {self.window}")
+        bad = [q for q in self.quantiles if not 0.0 <= q <= 100.0]
+        if bad:
+            raise ValueError(f"quantiles must lie in [0, 100]: {bad}")
+        if not 0.0 < self.accuracy < 1.0:
+            raise ValueError(f"accuracy must be in (0, 1): {self.accuracy}")
+        if self.baseline_windows < 1:
+            raise ValueError(
+                f"baseline_windows must be >= 1: {self.baseline_windows}"
+            )
         if self.base_sample_every < 1:
             raise ValueError(
                 f"base_sample_every must be >= 1: {self.base_sample_every}"

@@ -1,12 +1,15 @@
-"""Discrete-event simulation kernel (events, processes, resources).
+"""Discrete-event simulation kernel and the models built directly on it.
 
-This subpackage is the substrate everything else runs on.  It plays the
+Events, timeouts and generator processes (:mod:`.core`), bounded
+resource pools (:mod:`.resources`), the processor-sharing CPU
+(:mod:`.psserver`), the fluid bulk of a hybrid run (:mod:`.hybrid`),
+named random streams (:mod:`.rng`) and the sharded kernel
+(:mod:`.sharded`).  This subpackage is the
+substrate everything else runs on.  It plays the
 role that the physical testbed and the JMT simulator play in the paper.
 """
 
 from .core import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -17,14 +20,11 @@ from .core import (
 )
 from .hybrid import FluidEngine, FluidTier, FluidWindow, HybridConfig
 from .psserver import ProcessorSharingServer
-from .resources import CapacityError, Container, Request, Resource, Store
+from .resources import CapacityError, Request, Resource
 from .rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CapacityError",
-    "Container",
     "Event",
     "FluidEngine",
     "FluidTier",
@@ -39,6 +39,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

@@ -88,7 +88,7 @@ import gc as _gc
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
     "Event",
@@ -96,8 +96,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "Simulator",
-    "AnyOf",
-    "AllOf",
     "SimulationError",
     "StopSimulation",
 ]
@@ -167,11 +165,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """Whether the event's callbacks have already been run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> Optional[bool]:
         """True on success, False on failure, None while pending."""
         return self._ok
@@ -197,7 +190,7 @@ class Event:
 
         Waiting processes get the exception thrown into them.  If nobody
         ever waits on a failed event the simulator re-raises it, unless
-        :meth:`defused` was called.
+        :meth:`defuse` was called.
         """
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
@@ -299,11 +292,6 @@ class Process(Event):
         self._presume = self._resume
         self._target: Optional[Event] = _Initialize(sim, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process has not yet terminated."""
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process.
 
@@ -387,69 +375,6 @@ class Process(Event):
             # Deliver the error to the generator so it can clean up.
             generator.throw(exc)
             raise exc
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._count = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("events belong to different simulators")
-            if ev.processed:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev.triggered and ev._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any of the given events triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers once all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._collect())
 
 
 class Simulator:
@@ -597,13 +522,6 @@ class Simulator:
         if on_attach is not None:
             on_attach(self)
 
-    def detach_hooks(self) -> None:
-        """Remove the attached kernel observer (no-op if none)."""
-        self._flush_hook_events()
-        self._hooks = None
-        self._hook_stride = 1
-        self._hook_countdown = 1
-
     def _flush_hook_events(self) -> None:
         """Report any not-yet-reported events to the hooks object."""
         hooks = self._hooks
@@ -613,14 +531,6 @@ class Simulator:
         if pending:
             self._hook_countdown = self._hook_stride
             hooks.on_events(pending, self._now, self.pending_events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event triggering when any input event triggers."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event triggering when all input events trigger."""
-        return AllOf(self, events)
 
     def call_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulation time ``time``.
@@ -845,7 +755,7 @@ class Simulator:
         buckets = self._buckets
         budget = self._gc_budget
         # Loop-hoisted: hooks (if any) are attached before run() — the
-        # attach/detach API is not meant to be called from callbacks.
+        # attach API is not meant to be called from callbacks.
         hooks = self._hooks
         try:
             while True:

@@ -38,7 +38,7 @@ the experiment runner from a :class:`~repro.cloud.platform.CloudDeployment`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
 from .core import Simulator, Timeout
@@ -273,7 +273,6 @@ class FluidEngine:
         # -- stepper bookkeeping -------------------------------------------
         self._last = sim.now
         self._speeds = [t.cpu.speed for t in self.tiers]
-        self._unsubscribe: List[Callable[[], None]] = []
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -300,16 +299,6 @@ class FluidEngine:
         itself uses the speeds cached before the change.
         """
         memory.subscribe(self.sync)
-        if hasattr(memory, "unsubscribe"):
-            self._unsubscribe.append(
-                lambda m=memory: m.unsubscribe(self.sync)
-            )
-
-    def detach(self) -> None:
-        """Drop boundary subscriptions (the tick process keeps running)."""
-        for unsubscribe in self._unsubscribe:
-            unsubscribe()
-        self._unsubscribe.clear()
 
     def _run(self) -> Generator:
         sim = self.sim
@@ -464,32 +453,11 @@ class FluidEngine:
             tier.cpu.set_background_load(runnable)
             tier.pool.set_background(nested)
 
-    def release_coupling(self) -> None:
-        """Zero all background load (restores pre-hybrid behaviour)."""
-        for tier in self.tiers:
-            tier.cpu.set_background_load(0.0)
-            tier.pool.set_background(0.0)
-
     # -- reporting ---------------------------------------------------------
-
-    @property
-    def in_system(self) -> float:
-        """Bulk mass currently inside the tier chain."""
-        return sum(self.x)
 
     def occupancy(self, index: int) -> float:
         """Nested bulk occupancy of tier ``index`` (holders + waiters)."""
         return sum(self.x[index:])
-
-    def state(self) -> Dict[str, float]:
-        """Instantaneous bulk occupancy per tier (plus think/retry)."""
-        out = {
-            tier.name: self.occupancy(i)
-            for i, tier in enumerate(self.tiers)
-        }
-        out["thinking"] = self.thinking
-        out["retrying"] = self._retry_mass
-        return out
 
     def _maybe_publish(self, now: float) -> None:
         window = self.config.publish_window

@@ -158,17 +158,6 @@ class ProcessorSharingServer:
         self._advance()
         return self._work_done
 
-    def utilization_between(self, busy_before: float, elapsed: float) -> float:
-        """Utilization over an interval given a prior busy snapshot.
-
-        ``busy_before`` is an earlier value of :attr:`busy_core_seconds`;
-        ``elapsed`` the wall-clock (simulated) interval length.
-        """
-        if elapsed <= 0:
-            return 0.0
-        delta = self.busy_core_seconds - busy_before
-        return min(1.0, delta / (elapsed * self.cores))
-
     # -- operations -------------------------------------------------------
 
     def execute(self, work: float) -> Event:
@@ -389,8 +378,8 @@ class ProcessorSharingServer:
         delay = shortest / rate
         if delay < 0.0:
             delay = 0.0
-        # Enqueue into the calendar wheel directly: same absolute time
-        # and sequence-counter position as the old defer_in() path, so
-        # dispatch order is byte-identical, minus two call frames and a
-        # closure allocation per re-arm.
+        # Enqueue into the calendar wheel directly: the same absolute
+        # time and sequence-counter position that ``Simulator.defer_at``
+        # gives, so dispatch order is unchanged, without its two call
+        # frames and closure allocation per re-arm.
         sim._push_timed(now + delay, _CompletionTimer(self, self._generation))

@@ -1,27 +1,24 @@
-"""Shared-resource primitives for the DES kernel.
+"""Shared-resource primitive for the DES kernel.
 
-Provides the concurrency-control building blocks the n-tier model needs:
-
-* :class:`Resource` — a counted resource (thread pool / connection pool)
-  with an optionally *bounded* wait queue.  Bounded queues are the heart
-  of the paper's model: the per-tier queue size ``Q_i`` is the tier's
-  thread pool plus its admission backlog, and a full queue means the
-  request is rejected (at the front-most tier: a TCP-level drop).
-  Admission (:meth:`Resource.try_request`) is a synchronous call that
-  returns the grant token or ``None``, so a rejection costs no
-  exception and no event.
-* :class:`Store` — a FIFO buffer of Python objects with put/get events.
-* :class:`Container` — a continuous-level resource (tokens).
+:class:`Resource` is the concurrency-control building block the n-tier
+model needs: a counted resource (thread pool / connection pool) with an
+optionally *bounded* wait queue.  Bounded queues are the heart of the
+paper's model: the per-tier queue size ``Q_i`` is the tier's thread pool
+plus its admission backlog, and a full queue means the request is
+rejected (at the front-most tier: a TCP-level drop).  Admission
+(:meth:`Resource.try_request`) is a synchronous call that returns the
+grant token or ``None``, so a rejection costs no exception and no
+event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Deque, Dict, Optional
 
 from .core import _PENDING, Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Request", "Store", "Container", "CapacityError"]
+__all__ = ["Resource", "Request", "CapacityError"]
 
 
 class CapacityError(SimulationError):
@@ -234,113 +231,3 @@ class Resource:
             self.queue.remove(request)
         except ValueError:
             pass
-
-
-class Store:
-    """An unbounded-or-bounded FIFO buffer of arbitrary items."""
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the event triggers once it is stored."""
-        ev = Event(self.sim)
-        if self.capacity is None or len(self.items) < self.capacity:
-            self._deliver(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        """Remove one item; the event triggers with the item."""
-        ev = Event(self.sim)
-        if self.items:
-            ev.succeed(self.items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _deliver(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self.items.append(item)
-
-    def _admit_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self.items) < self.capacity
-        ):
-            ev, item = self._putters.popleft()
-            self._deliver(item)
-            ev.succeed()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-class Container:
-    """A continuous-level resource (e.g. tokens, bytes of bandwidth)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if init < 0 or init > capacity:
-            raise SimulationError(
-                f"init level {init} outside [0, {capacity}]"
-            )
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-        self._getters: Deque[tuple] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; triggers once there is room."""
-        if amount <= 0:
-            raise SimulationError(f"put amount must be positive: {amount}")
-        ev = Event(self.sim)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Take ``amount``; triggers once the level suffices."""
-        if amount <= 0:
-            raise SimulationError(f"get amount must be positive: {amount}")
-        ev = Event(self.sim)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self.level += amount
-                    self._putters.popleft()
-                    ev.succeed()
-                    progressed = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if amount <= self.level:
-                    self.level -= amount
-                    self._getters.popleft()
-                    ev.succeed(amount)
-                    progressed = True

@@ -49,14 +49,6 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(child)
         return self._streams[name]
 
-    def spawn(self, name: str, index: int) -> np.random.Generator:
-        """Return a fresh generator for an indexed family member.
-
-        Unlike :meth:`get`, repeated calls return *new* generators; use
-        for per-entity streams (e.g. one per simulated user).
-        """
-        return self.get(f"{name}[{index}]")
-
     def exponential(self, name: str, mean: float) -> float:
         """Draw one exponential variate with the given mean."""
         if mean <= 0:

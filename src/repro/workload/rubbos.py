@@ -229,8 +229,3 @@ class RubbosWorkload:
         return self.demand_scale * float(
             sum(p * page.mean(tier) for p, page in zip(pi, self.pages))
         )
-
-    def expected_throughput(self, users: int, think_time: float) -> float:
-        """Rough closed-loop request rate: N / (Z + R), R ~ small."""
-        service = sum(self.mean_demand(t) for t in self.TIERS)
-        return users / (think_time + service)

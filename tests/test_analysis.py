@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    amplification_factors,
     client_percentile_curve,
     format_percentile_curves,
     format_series,
@@ -63,23 +62,6 @@ class TestRequestCurves:
         assert curves["apache"].samples == 2
         assert curves["mysql"].samples == 1
         assert "tomcat" not in curves
-
-
-class TestAmplification:
-    def test_front_amplifies_over_back(self):
-        curves = {
-            "client": percentile_curve("client", [1.0], percentiles=(95,)),
-            "mysql": percentile_curve("mysql", [0.25], percentiles=(95,)),
-        }
-        factors = amplification_factors(
-            curves, ("client", "mysql"), percentile=95
-        )
-        assert factors[0] == ("client", pytest.approx(4.0))
-        assert factors[-1] == ("mysql", pytest.approx(1.0))
-
-    def test_no_curves_rejected(self):
-        with pytest.raises(ValueError):
-            amplification_factors({}, ("a",))
 
 
 class TestFormatting:

@@ -12,7 +12,6 @@ from repro.core import (
     MemoryBusSaturation,
     MemoryLockAttack,
     OnOffAttacker,
-    RamspeedProbe,
 )
 from repro.hardware import Host, MemoryActivity, MemorySubsystem, XEON_E5_2603_V3
 from repro.ntier import OpenLoopProber, Request
@@ -52,22 +51,6 @@ class TestPrograms:
             program.activity("adversary", 0.0)
         with pytest.raises(ValueError):
             program.activity("adversary", 1.5)
-
-    def test_ramspeed_probe_measures_and_restores(self, host_mem):
-        host, mem = host_mem
-        host.place("other", package=0)
-        mem.set_activity(MemoryActivity("other", demand_mbps=B))
-        probe = RamspeedProbe(stream_bandwidth_mbps=B)
-        measured = probe.measure(mem, "adversary")
-        assert 0 < measured < B  # contended by "other"
-        assert mem.activity_of("adversary") is None  # restored
-
-    def test_ramspeed_probe_restores_previous_activity(self, host_mem):
-        host, mem = host_mem
-        original = MemoryActivity("adversary", demand_mbps=123.0)
-        mem.set_activity(original)
-        RamspeedProbe().measure(mem, "adversary")
-        assert mem.activity_of("adversary").demand_mbps == 123.0
 
 
 class TestOnOffAttacker:
@@ -202,11 +185,6 @@ class TestFrontend:
         report = frontend.report()
         assert report.bursts >= 4
         assert report.mean_execution_time == pytest.approx(0.2)
-
-    def test_profile_peak_bandwidth(self, host_mem):
-        sim, mem, frontend = self._frontend(host_mem)
-        peak = frontend.profile_peak_bandwidth(mem, "adversary")
-        assert peak == pytest.approx(B)
 
 
 class TestControlGoals:

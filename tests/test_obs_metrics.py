@@ -116,9 +116,8 @@ class TestEventBus:
         off = bus.subscribe("t", got.append)
         off()
         off()  # idempotent
-        bus.publish("t", 1)
+        assert bus.publish("t", 1) == 0
         assert got == []
-        assert bus.subscriber_count("t") == 0
 
 
 class TestKernelProfiler:
@@ -199,5 +198,3 @@ class TestKernelProfiler:
         sim.attach_hooks(KernelProfiler())
         with pytest.raises(SimulationError):
             sim.attach_hooks(KernelProfiler())
-        sim.detach_hooks()
-        sim.attach_hooks(KernelProfiler())  # free again

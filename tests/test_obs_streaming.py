@@ -136,6 +136,11 @@ class TestTelemetryConfig:
             {"base_sample_every": 0},
             {"trace_budget_per_window": 0},
             {"slo": 0.5, "slo_quantile": 77.0},
+            {"slo": 0.5, "baseline_windows": 0},
+            {"accuracy": 0.0},
+            {"accuracy": 1.0},
+            {"quantiles": (50.0, 150.0)},
+            {"quantiles": (-1.0, 99.0)},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -15,8 +15,6 @@ from repro.model import (
     TierModel,
     analyze,
     mm1_mean_rt,
-    mm1_rt_percentile,
-    mm1k_blocking,
 )
 from repro.monitoring import TimeSeries
 from repro.core import ScalarKalmanFilter
@@ -288,30 +286,6 @@ class TestMM1Properties:
         high = mm1_mean_rt(arrival, service)
         assert high >= low
         assert high >= 1.0 / service  # never faster than service time
-
-    @given(
-        service=st.floats(min_value=1.0, max_value=1000.0),
-        utilization=st.floats(min_value=0.01, max_value=0.9),
-        p=st.floats(min_value=1.0, max_value=99.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_percentile_monotone_in_p(self, service, utilization, p):
-        arrival = service * utilization
-        lower = mm1_rt_percentile(arrival, service, p / 2)
-        upper = mm1_rt_percentile(arrival, service, p)
-        assert upper >= lower
-
-    @given(
-        utilization=st.floats(min_value=0.05, max_value=0.95),
-        k=st.integers(min_value=1, max_value=50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_blocking_probability_valid_and_decreasing_in_k(
-        self, utilization, k
-    ):
-        small = mm1k_blocking(utilization * 100, 100.0, k)
-        large = mm1k_blocking(utilization * 100, 100.0, k + 5)
-        assert 0.0 <= large <= small <= 1.0
 
 
 class TestKalmanProperties:

@@ -93,7 +93,7 @@ class TestFailureInjection:
         def assassin(sim):
             yield sim.timeout(0.5)
             for process in processes:
-                if process.is_alive:
+                if not process.triggered:
                     process.interrupt("chaos")
 
         sim.process(assassin(sim))

@@ -3,67 +3,16 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     SimulationError,
     Simulator,
-    Store,
 )
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestConditionFailures:
-    def test_any_of_propagates_failure(self, sim):
-        good = sim.timeout(5.0)
-        bad = sim.event()
-
-        def waiter(sim):
-            try:
-                yield sim.any_of([bad, good])
-            except RuntimeError as exc:
-                return str(exc)
-
-        process = sim.process(waiter(sim))
-        sim.call_in(1.0, lambda: bad.fail(RuntimeError("broken")))
-        sim.run()
-        assert process.value == "broken"
-
-    def test_all_of_propagates_failure(self, sim):
-        good = sim.timeout(0.5)
-        bad = sim.event()
-
-        def waiter(sim):
-            try:
-                yield sim.all_of([good, bad])
-            except RuntimeError as exc:
-                return str(exc)
-
-        process = sim.process(waiter(sim))
-        sim.call_in(1.0, lambda: bad.fail(RuntimeError("late fail")))
-        sim.run()
-        assert process.value == "late fail"
-
-    def test_any_of_with_already_processed_event(self, sim):
-        early = sim.timeout(0.0)
-        sim.run(until=0.5)  # early is processed
-        late = sim.timeout(5.0)
-        condition = sim.any_of([early, late])
-        assert condition.triggered
-
-    def test_condition_ignores_late_triggers(self, sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(2.0, value="b")
-        condition = sim.any_of([a, b])
-        sim.run()
-        # b fired after the condition already succeeded: no error, and
-        # the condition's value is stable.
-        assert a in condition.value
 
 
 class TestRunUntilEvent:
@@ -136,25 +85,6 @@ class TestProcessEdgeCases:
         sim.run()
         assert process.value == 5
         assert sim.now == 1.0
-
-
-class TestStoreEdgeCases:
-    def test_cancelled_getter_skipped(self, sim):
-        store = Store(sim)
-        abandoned = store.get()
-        survivor = store.get()
-        abandoned.succeed("cancelled-elsewhere")
-        store.put("item")
-        assert survivor.value == "item"
-
-    def test_put_wakes_in_fifo_order(self, sim):
-        store = Store(sim)
-        first = store.get()
-        second = store.get()
-        store.put("a")
-        store.put("b")
-        assert first.value == "a"
-        assert second.value == "b"
 
 
 class TestEventRepr:

@@ -150,18 +150,6 @@ class TestAccounting:
         assert cpu.busy_core_seconds == pytest.approx(4.0)
         assert cpu.work_done == pytest.approx(4.0)
 
-    def test_utilization_between(self, sim):
-        cpu = ProcessorSharingServer(sim, cores=1)
-        results = {}
-        run_job(sim, cpu, 1.0, results, "j")
-        before = cpu.busy_core_seconds
-        sim.run(until=0.5)
-        assert cpu.utilization_between(before, 0.5) == pytest.approx(1.0)
-        before = cpu.busy_core_seconds
-        sim.run(until=2.0)
-        # Busy [0.5, 1.0] out of [0.5, 2.0].
-        assert cpu.utilization_between(before, 1.5) == pytest.approx(1 / 3)
-
     def test_idle_cpu_accrues_nothing(self, sim):
         cpu = ProcessorSharingServer(sim, cores=1)
         sim.run(until=10.0)

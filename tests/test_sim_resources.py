@@ -1,14 +1,12 @@
-"""Unit tests for Resource, Store, and Container primitives."""
+"""Unit tests for the Resource pool primitive."""
 
 import pytest
 
 from repro.sim import (
     CapacityError,
-    Container,
     Resource,
     SimulationError,
     Simulator,
-    Store,
 )
 
 
@@ -201,70 +199,3 @@ class TestResourceInProcesses:
         assert pool.peak_queued == 2
         assert pool.total_requests == 4
 
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        got = store.get()
-        assert got.triggered and got.value == "item"
-
-    def test_get_waits_for_put(self, sim):
-        store = Store(sim)
-        got = store.get()
-        assert not got.triggered
-        store.put("late")
-        assert got.value == "late"
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.get().value == 1
-        assert store.get().value == 2
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        first = store.put("a")
-        second = store.put("b")
-        assert first.triggered and not second.triggered
-        store.get()
-        assert second.triggered
-
-    def test_len_reflects_items(self, sim):
-        store = Store(sim)
-        store.put("x")
-        assert len(store) == 1
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            Store(sim, capacity=0)
-
-
-class TestContainer:
-    def test_get_waits_for_level(self, sim):
-        tank = Container(sim, capacity=10, init=0)
-        got = tank.get(5)
-        assert not got.triggered
-        tank.put(5)
-        assert got.triggered
-        assert tank.level == 0
-
-    def test_put_waits_for_room(self, sim):
-        tank = Container(sim, capacity=10, init=10)
-        put = tank.put(1)
-        assert not put.triggered
-        tank.get(5)
-        assert put.triggered
-        assert tank.level == 6
-
-    def test_init_bounds_checked(self, sim):
-        with pytest.raises(SimulationError):
-            Container(sim, capacity=5, init=6)
-
-    def test_nonpositive_amounts_rejected(self, sim):
-        tank = Container(sim, capacity=5, init=1)
-        with pytest.raises(SimulationError):
-            tank.get(0)
-        with pytest.raises(SimulationError):
-            tank.put(-1)

@@ -36,12 +36,6 @@ class TestRandomStreams:
         b = streams.get("b").random(5)
         assert not np.array_equal(a, b)
 
-    def test_spawn_gives_fresh_generators(self):
-        streams = RandomStreams(5)
-        g1 = streams.spawn("user", 0)
-        g2 = streams.spawn("user", 1)
-        assert not np.array_equal(g1.random(5), g2.random(5))
-
     def test_exponential_helper_positive(self):
         streams = RandomStreams(9)
         draws = [streams.exponential("think", 2.0) for _ in range(100)]

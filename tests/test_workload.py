@@ -89,13 +89,6 @@ class TestRubbosWorkload:
         )
         assert wl.mean_demand("mysql") == pytest.approx(expected)
 
-    def test_expected_throughput_closed_loop(self):
-        wl = RubbosWorkload(rng=np.random.default_rng(8))
-        # N users / (Z + R): with Z >> R this is close to N / Z.
-        assert wl.expected_throughput(3500, 7.0) == pytest.approx(
-            500.0, rel=0.01
-        )
-
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             RubbosWorkload(demand_scale=0.0)
