@@ -160,7 +160,7 @@ class MillibottleneckDefense:
 
     def _run(self) -> Generator:
         while True:
-            yield self.sim.timeout(self.check_interval)
+            yield self.check_interval
             self._harvest_episodes()
             if self.sim.now - self._last_migration < self.cooldown:
                 continue

@@ -69,7 +69,7 @@ class DialBalancer:
 
     def _run(self) -> Generator:
         while True:
-            yield self.sim.timeout(self.epoch)
+            yield self.epoch
             self._rebalance()
 
     def _rebalance(self) -> None:

@@ -247,7 +247,7 @@ class CoLocationCampaign:
             launched_total += len(batch)
             if not batch:
                 break
-            yield self.sim.timeout(self.settle_time)
+            yield self.settle_time
             for name, launched_at in batch:
                 verdict = yield from self.probe.test(name)
                 truly = self.zone.co_resident(name, self.victim_name)

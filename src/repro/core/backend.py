@@ -127,7 +127,7 @@ class Commander:
     def _run(self) -> Generator:
         last_epoch_start = self.sim.now
         while True:
-            yield self.sim.timeout(self.epoch)
+            yield self.epoch
             samples = self.prober.samples_since(last_epoch_start)
             last_epoch_start = self.sim.now
             report = self.frontend.report()

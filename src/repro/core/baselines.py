@@ -94,7 +94,7 @@ class FloodingAttack(_HttpAttacker):
     def _run(self) -> Generator:
         while not self._stopped:
             gap = float(self.rng.exponential(1.0 / self.rate))
-            yield self.sim.timeout(gap)
+            yield gap
             self._send_one()
 
 
@@ -134,7 +134,7 @@ class PulsatingAttack(_HttpAttacker):
 
     def _run(self) -> Generator:
         while not self._stopped:
-            yield self.sim.timeout(self.interval - self.length)
+            yield self.interval - self.length
             if self._stopped:
                 break
             start = self.sim.now
@@ -142,8 +142,8 @@ class PulsatingAttack(_HttpAttacker):
             while self.sim.now < deadline:
                 gap = float(self.rng.exponential(1.0 / self.burst_rate))
                 if self.sim.now + gap >= deadline:
-                    yield self.sim.timeout(deadline - self.sim.now)
+                    yield deadline - self.sim.now
                     break
-                yield self.sim.timeout(gap)
+                yield gap
                 self._send_one()
             self.bursts.append((start, self.sim.now))

@@ -124,7 +124,7 @@ class OnOffAttacker:
                     self.rng.uniform(-self.jitter, self.jitter)
                 )
                 off_time *= factor
-            yield self.sim.timeout(off_time)
+            yield off_time
             if self._stopped:
                 break
             burst_start = self.sim.now
@@ -135,7 +135,7 @@ class OnOffAttacker:
                 )
             self._on = True
             try:
-                yield self.sim.timeout(self.length)
+                yield self.length
             finally:
                 self._on = False
                 # self.memory may have changed mid-burst (retarget);

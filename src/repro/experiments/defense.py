@@ -204,14 +204,14 @@ def run_rubbos_with_defense(
         def chase() -> Generator:
             migrations_followed = 0
             while True:
-                yield sim.timeout(1.0)
+                yield 1.0
                 if len(defense.migrations) <= migrations_followed:
                     continue
                 migration = defense.migrations[migrations_followed]
                 migrations_followed += 1
                 # Placement attacks take time: wait, then co-locate on
                 # the victim's new host and retarget the bursts.
-                yield sim.timeout(recolocate_after)
+                yield recolocate_after
                 if victim.host is None or victim.memory is None:
                     continue
                 new_memory = victim.memory

@@ -51,7 +51,7 @@ class LLCMissProfiler:
     def _run(self) -> Generator:
         value_before = self.counter.value
         while True:
-            yield self.sim.timeout(self.interval)
+            yield self.interval
             value_now = self.counter.value
             delta = value_now - value_before
             if self.noise > 0:

@@ -50,7 +50,7 @@ class PeriodicSampler:
 
     def _run(self) -> Generator:
         while True:
-            yield self.sim.timeout(self.interval)
+            yield self.interval
             now = self.sim.now
             for name, probe in self.probes.items():
                 self.series[name].append(now, float(probe()))
@@ -104,7 +104,7 @@ class UtilizationMonitor:
     def _run(self) -> Generator:
         busy_before = self.cpu.busy_core_seconds
         while True:
-            yield self.sim.timeout(self.interval)
+            yield self.interval
             if self.overhead_work > 0:
                 self.cpu.execute(self.overhead_work)
             busy_now = self.cpu.busy_core_seconds

@@ -26,11 +26,12 @@ order is structural, and a whole transfer costs one timed event per
 stage — cheap enough to run under every RPC of a full closed-loop run.
 
 Performance note.  :meth:`QueueChain.transfer` walks the stages in its
-own frame (no nested per-attempt generator), so each stage ``Timeout``
+own frame (no nested per-attempt generator), so each stage sleep
 resumes one generator frame fewer inside the caller's ``yield from``
-chain.  :meth:`FiniteQueue.admit`/:meth:`FiniteQueue.depart` stay the
-only stage arithmetic, shared with the cross-host link's
-``delivery_time``.
+chain, and yields its bare delay, so it allocates no Event: the
+process's one reusable wake entry carries it.
+:meth:`FiniteQueue.admit`/:meth:`FiniteQueue.depart` stay the only
+stage arithmetic, shared with the cross-host link's ``delivery_time``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Generator, List, Optional, Tuple
 
 from ..ntier.tcp import RetransmissionPolicy
 from ..ntier.tier import TierOverflowError
-from ..sim.core import Simulator, Timeout
+from ..sim.core import Simulator
 
 __all__ = [
     "FiniteQueue",
@@ -326,16 +327,16 @@ class QueueChain:
                 departure, stage_marked = admitted
                 delay = departure - now
                 if delay > 0:
-                    yield Timeout(sim, delay)
+                    yield delay
                 stage.depart()
                 marked = marked or stage_marked
             else:
                 if self.propagation > 0:
-                    yield Timeout(sim, self.propagation)
+                    yield self.propagation
                 if marked and self.ecn_penalty > 0:
                     # The congestion response: one pacing delay per
                     # marked traversal, the cwnd-halving analog.
-                    yield Timeout(sim, self.ecn_penalty)
+                    yield self.ecn_penalty
                 delivered = sim._now
                 self.delivered += 1
                 if trace is not None:
@@ -384,7 +385,7 @@ class QueueChain:
                     )
                 raise NetworkOverflowError(f"net:{self.name}") from None
             backoff_start = sim._now
-            yield Timeout(sim, rto)
+            yield rto
             if trace is not None:
                 trace.backoff("net_rto", span, backoff_start, sim._now, rto)
 

@@ -24,7 +24,7 @@ from typing import Callable, Generator, List, Optional
 
 import numpy as np
 
-from ..sim.core import Simulator, Timeout
+from ..sim.core import Simulator
 from .app import NTierApplication
 from .request import Request
 from .tcp import DEFAULT_TCP, RetransmissionPolicy
@@ -127,7 +127,7 @@ def fetch(
             app.record(request)
             return request
         backoff_start = sim._now
-        yield sim.timeout(rto)
+        yield rto
         if trace is not None:
             trace.backoff(
                 "rto_wait",
@@ -170,7 +170,7 @@ class ClosedLoopClient:
         """The user's endless session loop (run as a process)."""
         sim = self.sim
         if start_delay > 0:
-            yield sim.timeout(start_delay)
+            yield start_delay
         app = self.app
         factory = self.request_factory
         tcp = self.tcp
@@ -181,9 +181,7 @@ class ClosedLoopClient:
             request = factory(self.requests_sent)
             self.requests_sent += 1
             yield from fetch(sim, app, request, tcp=tcp, tandem=tandem)
-            # Direct construction skips the sim.timeout() wrapper frame
-            # (one think timer per request across the population).
-            yield Timeout(sim, float(exponential(think_time)))
+            yield float(exponential(think_time))
 
 
 def _weighted(
@@ -312,7 +310,7 @@ class OpenLoopProber:
         probe_id = 0
         while True:
             gap = float(self.rng.exponential(1.0 / self.rate))
-            yield self.sim.timeout(gap)
+            yield gap
             request = self.request_factory(probe_id)
             probe_id += 1
             self.sim.process(self._probe_once(request))

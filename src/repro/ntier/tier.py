@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..hardware.vm import VirtualMachine
-from ..sim.core import _PENDING, Simulator, Timeout
+from ..sim.core import _PENDING, Simulator
 from ..sim.resources import Request as PoolRequest
 from ..sim.resources import Resource
 from .request import Request
@@ -267,10 +267,10 @@ class Tier:
                         )
                     elif net_delay > 0:
                         hop = sim._now
-                        # Direct construction skips the sim.timeout()
-                        # wrapper frame — two hops per downstream call
-                        # makes this one of the hottest event sites.
-                        yield Timeout(sim, net_delay)
+                        # A bare sleep, no Event: two hops per
+                        # downstream call make this one of the hottest
+                        # event sites.
+                        yield net_delay
                         if trace is not None:
                             trace.add("net", net_names[1], hop, sim._now)
                     # Inline admit + serve (not handle): one generator
@@ -287,7 +287,7 @@ class Tier:
                         )
                     elif net_delay > 0:
                         hop = sim._now
-                        yield Timeout(sim, net_delay)
+                        yield net_delay
                         if trace is not None:
                             trace.add("net", net_names[2], hop, sim._now)
                 if post > 0:

@@ -1,6 +1,7 @@
 """Discrete-event simulation kernel and the models built directly on it.
 
-Events, timeouts and generator processes (:mod:`.core`), bounded
+Events and the generator processes that wait on them or sleep
+(:mod:`.core`), bounded
 resource pools (:mod:`.resources`), the processor-sharing CPU
 (:mod:`.psserver`), the fluid bulk of a hybrid run (:mod:`.hybrid`),
 named random streams (:mod:`.rng`) and the sharded kernel
@@ -16,7 +17,6 @@ from .core import (
     SimulationError,
     Simulator,
     StopSimulation,
-    Timeout,
 )
 from .hybrid import FluidEngine, FluidTier, FluidWindow, HybridConfig
 from .psserver import ProcessorSharingServer
@@ -39,5 +39,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Timeout",
 ]

@@ -2,17 +2,17 @@
 
 This module provides the event loop that every other subsystem of the
 reproduction is built on: a :class:`Simulator` with a time-ordered event
-queue, one-shot :class:`Event` objects, :class:`Timeout` events, and
-generator-based :class:`Process` coroutines in the style of SimPy (but
-self-contained, so the reproduction has no runtime dependency beyond
-numpy).
+queue, one-shot :class:`Event` objects, and generator-based
+:class:`Process` coroutines in the style of SimPy (but self-contained,
+so the reproduction has no runtime dependency beyond numpy).  A process
+waits by yielding an event, or sleeps by yielding its delay in seconds.
 
 Typical usage::
 
     sim = Simulator()
 
     def worker(sim):
-        yield sim.timeout(1.0)
+        yield 1.0
         return "done"
 
     proc = sim.process(worker(sim))
@@ -53,7 +53,11 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
   bookkeeping.  :meth:`Simulator.defer_at` wraps a plain callable in a
   1-slot :class:`_Deferred`; the processor-sharing server schedules its
   own timer objects this way and lazily discards superseded ones via a
-  generation check rather than paying O(n) queue deletion.
+  generation check rather than paying O(n) queue deletion.  A process
+  sleep is such an entry too: the process's one reusable *wake*
+  (a :class:`_Deferred` whose ``fire`` is the process's cached resume
+  callback), pushed at ``now + delay`` with the same single ``seq`` a
+  waitable timer event would take — no Event is allocated per sleep.
 * **Inlined dispatch.**  :meth:`Simulator.run` has two dispatch loops
   with locals bound outside the loop: ``_drain`` (``run()`` and
   ``run(until=event)``) and the horizon loop (``run(until=t)``).  They
@@ -76,10 +80,10 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
   of them every batch.  Young cycles (aborted generator frames,
   exception tracebacks) are still reclaimed, which bounds garbage
   accumulation.  Finished processes are not cycles — ``_resume`` drops
-  the cached bound method on exit — so they die by reference counting
-  even where the collector never runs.  Pure memory management:
-  simulation results are identical either way, and a caller that
-  already disabled GC is left alone.
+  the cached bound method and retires the wake holding it on exit —
+  so they die by reference counting even where the collector never
+  runs.  Pure memory management: simulation results are identical
+  either way, and a caller that already disabled GC is left alone.
 """
 
 from __future__ import annotations
@@ -88,11 +92,11 @@ import gc as _gc
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
+from numbers import Real as _Real
 from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
     "Event",
-    "Timeout",
     "Process",
     "Interrupt",
     "Simulator",
@@ -104,6 +108,7 @@ __all__ = [
 _PENDING = object()
 
 _INF = float("inf")
+_NAN = float("nan")
 
 #: Dispatched events between generation-1 cyclic-GC collections inside
 #: :meth:`Simulator.run` (see "Batched cyclic GC" in the module
@@ -212,35 +217,14 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Timeout(Event):
-    """An event that triggers after a fixed delay.
-
-    Construction is flattened (no ``super().__init__`` chain): a timeout
-    is born triggered-but-unprocessed and goes straight into the
-    calendar wheel.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-        sim._push_timed(sim._now + delay, self)
-
-
 class _Deferred:
     """A bare scheduled callback: one queue entry, no Event machinery.
 
     Any queue entry whose ``callbacks`` attribute is ``None`` is
     dispatched as ``entry.fire()`` — no callbacks list is allocated, no
     value/failure bookkeeping happens.  ``_Deferred`` stores the
-    callable directly in its ``fire`` slot; other subsystems (the
+    callable directly in its ``fire`` slot; a process's sleep *wake*
+    is one holding its resume callback.  Other subsystems (the
     processor-sharing server) provide their own objects implementing
     the same ``callbacks = None`` / ``fire()`` protocol.
     """
@@ -268,16 +252,39 @@ class _Initialize(Event):
         sim._imm.append(self)
 
 
+def _retired() -> None:
+    """The ``fire`` of a retired wake: its process was interrupted
+    mid-sleep or has finished, so the queued entry wakes no one."""
+
+
+def _as_delay(value: Any) -> float:
+    """``value`` as a sleep delay in seconds, or NaN if it is not one.
+
+    The slow path of a sleep: an ``int`` or a numpy real is a delay, a
+    ``bool`` is not.
+    """
+    if isinstance(value, _Real) and value.__class__ is not bool:
+        return float(value)
+    return _NAN
+
+
 class Process(Event):
     """A generator-based coroutine driven by the simulator.
 
-    The generator yields :class:`Event` instances; the process resumes
-    when the yielded event triggers.  A process is itself an event that
-    triggers with the generator's return value, so processes can wait on
-    each other (this is how synchronous RPC between tiers is modelled).
+    The generator yields :class:`Event` instances, and the process
+    resumes when the yielded event triggers; or it yields a delay in
+    seconds (``yield 0.5``) and resumes that much later with ``None``.
+    A process is itself an event that triggers with the generator's
+    return value, so processes can wait on each other (this is how
+    synchronous RPC between tiers is modelled).
+
+    A sleep allocates no event.  The process owns one *wake*, a bare
+    timer whose ``fire`` is the cached resume callback, created on the
+    first sleep and pushed into the timed queue again on every later
+    one; the queue entry carries the wake time.
     """
 
-    __slots__ = ("_generator", "_target", "_presume")
+    __slots__ = ("_generator", "_target", "_presume", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "send"):
@@ -290,7 +297,10 @@ class Process(Event):
         # registers it, and binding a method per wait is measurable at
         # kernel scale.
         self._presume = self._resume
-        self._target: Optional[Event] = _Initialize(sim, self)
+        #: The reusable sleep timer; built lazily, so a process that
+        #: never sleeps (a per-request RPC server) pays nothing.
+        self._wake: Optional[_Deferred] = None
+        self._target: Any = _Initialize(sim, self)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process.
@@ -303,11 +313,18 @@ class Process(Event):
         # Detach from whatever the process is waiting on so the stale
         # resume callback never fires.
         target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._presume)
-            except ValueError:
-                pass
+        if target is not None:
+            if target is self._wake:
+                # Sleeping: the queued wake still fires, as a no-op —
+                # the one dispatched event a timer event would cost.
+                # The next sleep gets a fresh wake.
+                target.fire = _retired
+                self._wake = None
+            elif target.callbacks is not None:
+                try:
+                    target.callbacks.remove(self._presume)
+                except ValueError:
+                    pass
         self._target = None
         failure = Event(self.sim)
         failure.callbacks.append(self._presume)
@@ -316,8 +333,26 @@ class Process(Event):
         failure._defused = True
         self.sim._imm.append(failure)
 
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+    def _release(self) -> None:
+        """Drop the finished process's references to itself.
+
+        The cached bound method and the wake's ``fire`` both hold the
+        process; dropping them keeps a finished process out of any
+        cycle, so it dies by reference counting, not by the cyclic
+        collector — even while its last wake entry still sits in a
+        consumed wheel bucket.
+        """
+        self._presume = None
+        wake = self._wake
+        if wake is not None:
+            wake.fire = _retired
+            self._wake = None
+
+    def _resume(self, event: Optional[Event] = None) -> None:
+        """Advance the generator with the outcome of ``event``.
+
+        A wake calls it with no event: the sleep is over, send ``None``.
+        """
         if self._value is not _PENDING:
             # Stale wakeup: the process already terminated.  Reachable
             # when a resume callback could not be detached — e.g. the
@@ -338,14 +373,11 @@ class Process(Event):
                     event._defused = True
                     target = generator.throw(event._value)
             except StopIteration as stop:
-                # The generator is done: drop the cached bound method
-                # so the finished process is not a self-cycle and dies
-                # by reference counting, not by the cyclic collector.
-                self._presume = None
+                self._release()
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self._presume = None
+                self._release()
                 # The traceback's head is this frame, whose locals hold
                 # ``self``; the process keeps ``exc`` as its value, so
                 # unlink the frame to keep the pair acyclic.
@@ -353,24 +385,39 @@ class Process(Event):
                 self.fail(exc)
                 return
 
-            # Fast path: yielded events are overwhelmingly pending or
-            # freshly triggered (Timeouts are born triggered) — both
-            # cases register the resume callback and park the process.
-            try:
-                callbacks = target.callbacks
-            except AttributeError:
-                callbacks = None
-            if callbacks is not None:
-                callbacks.append(presume)
-                self._target = target
+            if target.__class__ is float:
+                # Fast path: a sleep, the most common yield.
+                delay = target
+            else:
+                # Yielded events are overwhelmingly pending or freshly
+                # triggered — both register the resume callback and
+                # park the process.
+                try:
+                    callbacks = target.callbacks
+                except AttributeError:
+                    callbacks = None
+                if callbacks is not None:
+                    callbacks.append(presume)
+                    self._target = target
+                    return
+                if isinstance(target, Event):
+                    # Already triggered and processed: resume
+                    # synchronously.
+                    event = target
+                    continue
+                delay = _as_delay(target)
+            if 0.0 <= delay < _INF:
+                wake = self._wake
+                if wake is None:
+                    wake = self._wake = _Deferred(presume)
+                self._target = wake
+                sim = self.sim
+                sim._push_timed(sim._now + delay, wake)
                 return
-            if isinstance(target, Event):
-                # Already triggered and processed: resume synchronously.
-                event = target
-                continue
 
             exc = SimulationError(
-                f"process yielded a non-event: {target!r}"
+                "process yielded neither an event nor a finite delay "
+                f">= 0: {target!r}"
             )
             # Deliver the error to the generator so it can clean up.
             generator.throw(exc)
@@ -472,10 +519,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
 
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` driving ``generator``."""

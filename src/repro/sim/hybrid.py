@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
-from .core import Simulator, Timeout
+from .core import Simulator
 from .psserver import ProcessorSharingServer
 from .resources import Resource
 
@@ -304,7 +304,7 @@ class FluidEngine:
         sim = self.sim
         tick = self.config.fluid_tick
         while True:
-            yield Timeout(sim, tick)
+            yield tick
             self.sync()
 
     # -- stepping ----------------------------------------------------------

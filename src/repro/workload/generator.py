@@ -79,7 +79,7 @@ class OpenLoopGenerator:
     def _run(self) -> Generator:
         while True:
             gap = float(self.rng.exponential(1.0 / self.rate))
-            yield self.sim.timeout(gap)
+            yield gap
             request = self.request_factory(self.arrivals)
             self.arrivals += 1
             self.sim.process(

@@ -89,7 +89,7 @@ class TraceReplayGenerator:
                 )
             delay = max(0.0, fire_at - self.sim.now)
             if delay > 0:
-                yield self.sim.timeout(delay)
+                yield delay
             request = Request(
                 rid=rid, page=entry.page, demands=dict(entry.demands)
             )

@@ -3,7 +3,8 @@
 :class:`ReferenceQueueChain` is :class:`~repro.net.queues.QueueChain`
 with a verbatim copy of its former ``transfer``, which drove each
 traversal through a nested ``_attempt`` generator (one extra generator
-frame on every stage ``Timeout``).  Stages, counters and the bus
+frame on every stage sleep) and slept on a ``Timeout`` event, the one
+kept in ``tests/_reference_timeout.py``.  Stages, counters and the bus
 payloads are the run-time ones.  Nothing in ``src`` uses it: it is the
 reference ``tests/test_reference_equivalence.py`` checks the run-time
 chain against.
@@ -12,7 +13,7 @@ chain against.
 from typing import Generator, Optional
 
 from repro.net.queues import NetEvent, NetworkOverflowError, QueueChain
-from repro.sim.core import Timeout
+from tests._reference_timeout import Timeout
 
 __all__ = ["ReferenceQueueChain"]
 

@@ -41,7 +41,7 @@ def drive(sim, app, n, demand=0.01, gap=0.02):
         for rid in range(n):
             request = Request(rid=rid, page="p", demands={"db": demand})
             yield from fetch(sim, app, request)
-            yield sim.timeout(gap)
+            yield gap
 
     sim.process(client(sim))
 

@@ -129,7 +129,7 @@ class TestProcessorSharingBackground:
         sim = Simulator()
         cpu = ProcessorSharingServer(sim, cores=2)
         cpu.set_background_load(1.5)
-        sim.timeout(2.0)
+        sim.call_in(2.0, lambda: None)
         sim.run()
         assert cpu.busy_core_seconds == pytest.approx(3.0)
 

@@ -1,5 +1,5 @@
 """Direct unit coverage for kernel edge cases the calendar-queue
-refactor must not break: zero-delay timeout vs. urgent ordering,
+refactor must not break: zero-delay timer vs. urgent ordering,
 interrupt-during-resume, the wheel/spill machinery itself (window
 rotation, cursor demotion, re-entry after a horizon stop), and the
 kernel's memory discipline (finished processes are acyclic; the
@@ -29,14 +29,18 @@ def collect(order, label):
     return lambda _event: order.append(label)
 
 
+def timer(sim, delay, order, label):
+    """A waitable timer ``delay`` from now that appends ``label``."""
+    return sim.call_in(delay, lambda: order.append(label))
+
+
 class TestUrgentVsTimedOrdering:
     def test_urgent_beats_earlier_scheduled_zero_delay_timeout(self, sim):
         """Priority dominates the sequence counter: an urgent event
-        scheduled *after* a zero-delay timeout still dispatches first."""
+        scheduled *after* a zero-delay timer still dispatches first."""
         order = []
-        timer = sim.timeout(0.0)
+        timer(sim, 0.0, order, "timeout")
         urgent = sim.event().succeed()
-        timer.callbacks.append(collect(order, "timeout"))
         urgent.callbacks.append(collect(order, "urgent"))
         sim.run()
         assert order == ["urgent", "timeout"]
@@ -44,9 +48,8 @@ class TestUrgentVsTimedOrdering:
     def test_urgent_beats_later_scheduled_zero_delay_timeout(self, sim):
         order = []
         urgent = sim.event().succeed()
-        timer = sim.timeout(0.0)
+        timer(sim, 0.0, order, "timeout")
         urgent.callbacks.append(collect(order, "urgent"))
-        timer.callbacks.append(collect(order, "timeout"))
         sim.run()
         assert order == ["urgent", "timeout"]
 
@@ -60,21 +63,19 @@ class TestUrgentVsTimedOrdering:
     def test_equal_time_timeouts_keep_creation_order(self, sim):
         order = []
         for label in ("a", "b", "c"):
-            sim.timeout(1.0).callbacks.append(collect(order, label))
+            timer(sim, 1.0, order, label)
         sim.run()
         assert order == ["a", "b", "c"]
         assert sim.now == 1.0
 
     def test_urgent_scheduled_mid_run_preempts_due_timeout(self, sim):
         """An event succeeded during dispatch at time t runs before a
-        timeout that is also due at t but still queued."""
+        timer that is also due at t but still queued."""
         order = []
         gate = sim.event()
-        first = sim.timeout(1.0)
-        second = sim.timeout(1.0)
-        first.callbacks.append(lambda _e: gate.succeed())
+        sim.call_in(1.0, gate.succeed)
+        timer(sim, 1.0, order, "second-timeout")
         gate.callbacks.append(collect(order, "urgent"))
-        second.callbacks.append(collect(order, "second-timeout"))
         sim.run()
         assert order == ["urgent", "second-timeout"]
 
@@ -120,12 +121,12 @@ class TestInterruptDuringResume:
 
         def victim(sim):
             try:
-                yield sim.timeout(10.0)
+                yield 10.0
             except Interrupt as intr:
                 return f"stopped:{intr.cause}"
 
         def attacker(sim, proc):
-            yield sim.timeout(1.0)
+            yield 1.0
             proc.interrupt("one")
             proc.interrupt("two")
 
@@ -142,13 +143,13 @@ class TestInterruptDuringResume:
         def victim(sim):
             for _ in range(2):
                 try:
-                    yield sim.timeout(10.0)
+                    yield 10.0
                 except Interrupt as intr:
                     causes.append(intr.cause)
             return "survived"
 
         def attacker(sim, proc):
-            yield sim.timeout(1.0)
+            yield 1.0
             proc.interrupt("one")
             proc.interrupt("two")
 
@@ -169,7 +170,7 @@ class TestCalendarQueueMachinery:
         ]
         order = []
         for d in delays:
-            sim.timeout(d).callbacks.append(collect(order, d))
+            timer(sim, d, order, d)
         assert sim._spill  # some of those really crossed the window
         sim.run()
         assert order == sorted(delays)
@@ -180,9 +181,9 @@ class TestCalendarQueueMachinery:
         later insert into an earlier (empty) bucket must pull the
         cursor back."""
         order = []
-        sim.timeout(5.0).callbacks.append(collect(order, 5.0))
+        timer(sim, 5.0, order, 5.0)
         assert sim.peek() == 5.0
-        sim.timeout(1.0).callbacks.append(collect(order, 1.0))
+        timer(sim, 1.0, order, 1.0)
         assert sim.peek() == 1.0
         sim.run()
         assert order == [1.0, 5.0]
@@ -192,13 +193,13 @@ class TestCalendarQueueMachinery:
         than the halted position afterwards must still dispatch in
         order."""
         order = []
-        sim.timeout(1.0).callbacks.append(collect(order, 1.0))
-        sim.timeout(5.0).callbacks.append(collect(order, 5.0))
+        timer(sim, 1.0, order, 1.0)
+        timer(sim, 5.0, order, 5.0)
         sim.run(until=2.0)
         assert order == [1.0]
         assert sim.now == 2.0
-        sim.timeout(0.5).callbacks.append(collect(order, 2.5))
-        sim.timeout(0.25).callbacks.append(collect(order, 2.25))
+        timer(sim, 0.5, order, 2.5)
+        timer(sim, 0.25, order, 2.25)
         sim.run()
         assert order == [1.0, 2.25, 2.5, 5.0]
 
@@ -208,30 +209,26 @@ class TestCalendarQueueMachinery:
         order = []
 
         def chain(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             order.append("first")
             # now == 1.0; schedule within the same bucket, after the
             # cursor has consumed the first entry.
-            sim.timeout(sim._width / 4).callbacks.append(
-                collect(order, "second")
-            )
+            timer(sim, sim._width / 4, order, "second")
 
         sim.process(chain(sim))
-        sim.timeout(1.0 + sim._width / 2).callbacks.append(
-            collect(order, "third")
-        )
+        timer(sim, 1.0 + sim._width / 2, order, "third")
         sim.run()
         assert order == ["first", "second", "third"]
 
     def test_non_finite_schedule_time_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim.timeout(float("inf"))
+            sim.call_in(float("inf"), lambda: None)
         with pytest.raises(SimulationError):
-            sim.timeout(float("nan"))
+            sim.call_in(float("nan"), lambda: None)
 
     def test_peek_and_run_until_now_with_mixed_queues(self, sim):
         order = []
-        sim.timeout(3.0).callbacks.append(collect(order, "timed"))
+        timer(sim, 3.0, order, "timed")
         assert sim.peek() == 3.0
         sim.event().succeed().callbacks.append(collect(order, "urgent"))
         assert sim.peek() == 0.0  # urgent is due now
@@ -247,8 +244,8 @@ class TestCalendarQueueMachinery:
     def test_pending_events_counts_all_queues(self, sim):
         assert sim.pending_events == 0
         sim.event().succeed()                  # imm
-        sim.timeout(1.0)                       # wheel
-        sim.timeout(100 * sim._span)           # spill
+        sim.call_in(1.0, lambda: None)         # wheel
+        sim.call_in(100 * sim._span, lambda: None)  # spill
         assert sim.pending_events == 3
         sim.run(until=2.0)
         assert sim.pending_events == 1
@@ -260,7 +257,7 @@ class TestCalendarQueueMachinery:
         delays = [0.2, 1.7, 0.9, 3.1, 0.4, 2.6, 0.401, 1.1]
         order = []
         for d in delays:
-            sim.timeout(d).callbacks.append(collect(order, d))
+            timer(sim, d, order, d)
         sim.run()
         assert order == sorted(delays)
 
@@ -287,12 +284,12 @@ class TestCalendarQueueMachinery:
 
         def worker(sim):
             for _ in range(5):
-                yield sim.timeout(1.0)
+                yield 1.0
             return "done"
 
         proc = sim.process(worker(sim))
         assert sim.run(until=proc) == "done"
-        # _Initialize + 5 timeouts + the process-completion event = 7
+        # _Initialize + 5 sleeps + the process-completion event = 7
         assert hooks.events == 7
         assert hooks.processes == 1
 
@@ -322,7 +319,7 @@ class TestProcessMemory:
 
     def test_finished_process_dies_with_last_reference(self, sim, gc_off):
         def body(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             return "done"
 
         proc = _WeakProcess(sim, body(sim))
@@ -334,7 +331,7 @@ class TestProcessMemory:
 
     def test_failed_process_dies_with_last_reference(self, sim, gc_off):
         def body(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             raise ValueError("boom")
 
         proc = _WeakProcess(sim, body(sim))
@@ -347,7 +344,7 @@ class TestProcessMemory:
 
     def test_interrupted_process_dies_with_last_reference(self, sim, gc_off):
         def body(sim):
-            yield sim.timeout(10.0)
+            yield 10.0
 
         proc = _WeakProcess(sim, body(sim))
         proc.defuse()
@@ -358,6 +355,22 @@ class TestProcessMemory:
         ref = weakref.ref(proc)
         del proc
         assert ref() is None
+
+
+    def test_slept_process_leaves_no_cycle(self, sim, gc_off):
+        def body(sim):
+            for _ in range(3):
+                yield 1.0  # one wake, pushed three times
+            return "done"
+
+        gc.collect()
+        proc = _WeakProcess(sim, body(sim))
+        sim.run()
+        assert proc.value == "done"
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+        assert gc.collect() == 0
 
 
 class TestBatchedGcCadence:
@@ -372,7 +385,7 @@ class TestBatchedGcCadence:
         sim = Simulator()
         step = 0.01
         for k in range(1, self.EVENTS + 1):
-            sim.timeout(k * step)
+            sim.call_in(k * step, lambda: None)
         starts = []
 
         def on_gc(phase, info):
@@ -406,7 +419,7 @@ class TestBatchedGcCadence:
         monkeypatch.setattr(core, "_GC_EVENT_BATCH", self.BATCH)
         sim = Simulator()
         for k in range(1, self.EVENTS + 1):
-            sim.timeout(k * 0.01)
+            sim.call_in(k * 0.01, lambda: None)
         sim.run(until=0.05)
         assert sim._gc_budget == self.BATCH - 5
         sim.run()

@@ -27,7 +27,6 @@ from repro.net import (
 )
 from repro.ntier import RetransmissionPolicy, TierOverflowError
 from repro.sim import Simulator
-from repro.sim.core import Timeout
 from repro.sim.sharded import (
     FLAG_FINAL,
     FrameChannel,
@@ -41,7 +40,7 @@ def drive(sim, chain, start, results, count=1):
 
     def proc():
         if start > 0:
-            yield Timeout(sim, start)
+            yield start
         try:
             yield from chain.transfer()
         except NetworkOverflowError:

@@ -109,7 +109,7 @@ class TestFetch:
             yield from fetch(sim, app, blocker)
 
         def second(sim):
-            yield sim.timeout(0.1)
+            yield 0.1
             yield from fetch(sim, app, victim)
 
         sim.process(first(sim))
@@ -129,7 +129,7 @@ class TestFetch:
             yield from fetch(sim, app, blocker)
 
         def second(sim):
-            yield sim.timeout(0.1)
+            yield 0.1
             yield from fetch(sim, app, victim, tcp=tcp)
 
         sim.process(first(sim))
@@ -226,7 +226,7 @@ def drive_pair(sim, app, second_at=0.05, tcp=None):
 
     def client(sim, request, delay):
         if delay:
-            yield sim.timeout(delay)
+            yield delay
         yield from fetch(sim, app, request, **kwargs)
 
     sim.process(client(sim, requests[0], 0.0))
@@ -280,7 +280,7 @@ class TestDropPaths:
         )
 
         def attacker_stops(sim):
-            yield sim.timeout(0.5)
+            yield 0.5
             ring.set_background(0.0, 0.0)
 
         sim.process(attacker_stops(sim))

@@ -109,7 +109,7 @@ class TestTier:
             yield from tier.handle(blocker)
 
         def second(sim):
-            yield sim.timeout(0.1)
+            yield 0.1
             try:
                 yield from tier.handle(rejected)
             except TierOverflowError as exc:
@@ -155,7 +155,7 @@ class TestTier:
             yield from front.handle(slow)
 
         def second(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             try:
                 yield from front.handle(
                     Request(rid=2, page="p", demands={"front": 0.1})
@@ -270,7 +270,7 @@ class TestTierAdmit:
                 outcome["interrupted"] = sim.now
 
         def killer(sim, victim):
-            yield sim.timeout(0.5)
+            yield 0.5
             assert tier.pool.queued == 1
             victim.interrupt("abort")
 

@@ -128,7 +128,7 @@ class TestKernelProfiler:
 
         def ticker():
             for _ in range(20):
-                yield sim.timeout(0.5)
+                yield 0.5
 
         sim.process(ticker())
         sim.process(ticker())
@@ -162,7 +162,7 @@ class TestKernelProfiler:
 
         def ticker():
             while True:
-                yield sim.timeout(0.001)
+                yield 0.001
 
         sim.process(ticker())
         sim.run(until=1.0005)
@@ -183,7 +183,7 @@ class TestKernelProfiler:
         sim.attach_hooks(profiler)
 
         def one_tick():
-            yield sim.timeout(1.0)
+            yield 1.0
 
         sim.process(one_tick())
         sim.run(until=2.0)

@@ -41,8 +41,7 @@ class TestEventOrderingProperties:
         sim = Simulator()
         fired = []
         for delay in delays:
-            t = sim.timeout(delay)
-            t.callbacks.append(lambda ev: fired.append(sim.now))
+            sim.call_in(delay, lambda: fired.append(sim.now))
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
@@ -61,7 +60,7 @@ class TestEventOrderingProperties:
         completions = []
 
         def proc(sim, delay, idx):
-            yield sim.timeout(delay)
+            yield delay
             completions.append(idx)
 
         for idx, delay in enumerate(delays):
@@ -91,7 +90,7 @@ class TestResourceProperties:
             yield req
             if pool.in_use > capacity:
                 over_capacity.append(idx)
-            yield sim.timeout(hold)
+            yield hold
             pool.release(req)
             served.append(idx)
 

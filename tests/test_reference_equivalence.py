@@ -1,14 +1,16 @@
-"""The run-time PS server and queue chain against their references.
+"""The run-time kernel sleep, PS server and queue chain against references.
 
-``tests/_reference_psserver.py`` and ``tests/_reference_queues.py``
-keep the former implementations: the PS server that walked its job
+``tests/_reference_timeout.py``, ``tests/_reference_psserver.py`` and
+``tests/_reference_queues.py`` keep the former implementations: the
+``Timeout`` event a process slept on, the PS server that walked its job
 table three times per completion, and the chain whose traversals ran in
-a nested generator.  Hypothesis drives random programs on a reference
-and on the run-time object, each on its own simulator, and asserts that
-everything observable is equal, floats by ``float.hex``: completion and
-delivery times and their order, drops and marks, integrators, counters,
-and the number of timed events scheduled (``Simulator._seq``), which is
-what the pinned event counts of ``tests/test_determinism.py`` measure.
+a nested generator (sleeping on that ``Timeout``).  Hypothesis drives
+random programs on a reference and on the run-time code, each on its
+own simulator, and asserts that everything observable is equal, floats
+by ``float.hex``: resume, completion and delivery times and their
+order, drops and marks, integrators, counters, and the number of timed
+events scheduled (``Simulator._seq``), which is what the pinned event
+counts of ``tests/test_determinism.py`` measure.
 """
 
 from hypothesis import given, settings
@@ -16,12 +18,128 @@ from hypothesis import strategies as st
 
 from repro.net import FiniteQueue, NetworkOverflowError, QueueChain
 from repro.ntier import RetransmissionPolicy
-from repro.sim import ProcessorSharingServer, Simulator
+from repro.sim import Interrupt, ProcessorSharingServer, Simulator
+from repro.sim.sharded import EventCounter
 from tests._reference_psserver import (
     ProcessorSharingServer as ReferencePSServer,
 )
 from tests._reference_queues import ReferenceQueueChain
+from tests._reference_timeout import Timeout
 from tests.conftest import max_examples
+
+# -- process sleeps ---------------------------------------------------------
+
+#: Zero, tied and spilled (past the default 8.192 s wheel) delays.
+SLEEP = st.sampled_from([0.0, 0.0, 0.001, 0.25, 0.25, 1.0, 10.0, 20.0])
+
+#: One step of a process: sleep, wait on / fire a shared event, spawn
+#: or join a process, or interrupt a process that is mid-sleep.
+PROC_OP = st.one_of(
+    st.tuples(st.just("sleep"), SLEEP),
+    st.tuples(st.just("sleep"), st.floats(0.0, 30.0)),
+    st.tuples(st.just("wait"), st.integers(0, 3)),
+    st.tuples(st.just("fire"), st.integers(0, 3)),
+    st.tuples(st.just("spawn"), st.integers(0, 7)),
+    st.tuples(st.just("join"), st.integers(0, 31)),
+    st.tuples(st.just("interrupt"), st.integers(0, 31)),
+)
+
+#: Processes started at t=0; spawns start programs from the same list.
+PROC_PROGRAMS = st.lists(
+    st.lists(PROC_OP, max_size=8), min_size=1, max_size=5
+)
+
+#: Spawns past this many processes are skipped, so programs terminate.
+MAX_PROCESSES = 24
+
+
+def run_process_program(sleep, programs):
+    """Play ``programs`` with ``sleep(sim, delay)`` as the sleep yield."""
+    sim = Simulator()
+    hooks = EventCounter()
+    sim.attach_hooks(hooks)
+    events = [sim.event() for _ in range(4)]
+    procs = []
+    #: Ids of processes asleep and not yet interrupted.
+    asleep = set()
+    trace = []
+
+    def body(pid, ops):
+        for op, arg in ops:
+            value = None
+            try:
+                if op == "sleep":
+                    asleep.add(pid)
+                    try:
+                        value = yield sleep(sim, arg)
+                    finally:
+                        asleep.discard(pid)
+                elif op == "wait":
+                    value = yield events[arg]
+                elif op == "join":
+                    if arg % len(procs) == pid:
+                        continue
+                    value = yield procs[arg % len(procs)]
+                elif op == "fire":
+                    if not events[arg].triggered:
+                        events[arg].succeed(f"e{arg}@{sim.now.hex()}")
+                elif op == "spawn":
+                    if len(procs) < MAX_PROCESSES:
+                        start(programs[arg % len(programs)])
+                else:
+                    target = arg % len(procs)
+                    if target in asleep:
+                        asleep.discard(target)
+                        procs[target].interrupt(f"i{pid}")
+            except Interrupt as interrupt:
+                value = ("interrupt", interrupt.cause)
+            trace.append((sim.now.hex(), pid, op, value))
+        return pid
+
+    def start(ops):
+        procs.append(sim.process(body(len(procs), ops)))
+
+    for ops in programs:
+        start(ops)
+    sim.run()
+    return {
+        "trace": trace,
+        "values": [proc._value for proc in procs],
+        "now": sim.now.hex(),
+        "timed_events": sim._seq,
+        "events": hooks.count,
+    }
+
+
+def wake_sleep(sim, delay):
+    return delay
+
+
+def event_sleep(sim, delay):
+    return Timeout(sim, delay)
+
+
+class TestSleepMatchesReference:
+    @settings(max_examples=max_examples(200), deadline=None)
+    @given(programs=PROC_PROGRAMS)
+    def test_random_programs_are_float_identical(self, programs):
+        assert run_process_program(
+            wake_sleep, programs
+        ) == run_process_program(event_sleep, programs)
+
+    def test_interrupt_mid_sleep(self):
+        # Process 1 interrupts process 0 in the middle of its 10 s
+        # sleep, then both sleep to tied and spilled times.
+        programs = [
+            [("sleep", 10.0), ("sleep", 0.25), ("sleep", 20.0)],
+            [("sleep", 1.0), ("interrupt", 0), ("sleep", 0.25)],
+        ]
+        observed = run_process_program(wake_sleep, programs)
+        assert (1.0.hex(), 0, "sleep", ("interrupt", "i1")) in observed[
+            "trace"
+        ]
+        assert observed == run_process_program(event_sleep, programs)
+
 
 # -- processor sharing ------------------------------------------------------
 
@@ -179,7 +297,7 @@ def run_chain_program(chain_cls, stages, propagation, ecn_penalty,
     outcomes = []
 
     def message(sim, index, start):
-        yield sim.timeout(start)
+        yield start
         try:
             yield from chain.transfer(trace=recorder, span=f"m{index}")
         except NetworkOverflowError:
@@ -188,7 +306,7 @@ def run_chain_program(chain_cls, stages, propagation, ecn_penalty,
             outcomes.append((index, "delivered", sim.now.hex()))
 
     def change(sim, at, queue, share, fill):
-        yield sim.timeout(at)
+        yield at
         queue.set_background(share, fill)
 
     index = 0

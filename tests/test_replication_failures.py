@@ -91,7 +91,7 @@ class TestFailureInjection:
             )
 
         def assassin(sim):
-            yield sim.timeout(0.5)
+            yield 0.5
             for process in processes:
                 if not process.triggered:
                     process.interrupt("chaos")

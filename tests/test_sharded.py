@@ -46,7 +46,6 @@ from repro.ntier.remote import (
 )
 from repro.ntier.request import Request
 from repro.sim import SimulationError, Simulator
-from repro.sim.core import Timeout
 from repro.sim.sharded import FLAG_FINAL, FrameChannel, FrameCodec, ShardRunner
 
 TOPO = RackTopology(racks=(("r1", ("a", "b")), ("r2", ("c", "d"))))
@@ -391,7 +390,7 @@ class FakeTier:
 
     def serve(self, request, token):
         start = self.sim.now
-        yield Timeout(self.sim, 0.02)
+        yield 0.02
         if self.fail:
             raise TierOverflowError(self.name)
         request.record_span(self.name, start, self.sim.now)

@@ -2,13 +2,17 @@
 
 import pytest
 
+import gc
+
+import numpy as np
+
 from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
     Simulator,
-    Timeout,
 )
+from repro.sim.sharded import EventCounter
 
 
 @pytest.fixture
@@ -37,47 +41,127 @@ class TestSimulatorBasics:
         assert sim.peek() == float("inf")
 
     def test_peek_returns_next_event_time(self, sim):
-        sim.timeout(3.0)
+        sim.call_in(3.0, lambda: None)
         assert sim.peek() == 3.0
 
 
+def sleeper(sim, delay, log, tag=None):
+    """Sleep ``delay`` and log ``(now, tag, resumed value)``."""
+    value = yield delay
+    log.append((sim.now, tag, value))
+
+
 class TestTimeout:
+    """A process sleeps by yielding its delay in seconds."""
+
     def test_timeout_fires_at_delay(self, sim):
         fired = []
-        t = sim.timeout(2.5)
-        t.callbacks.append(lambda ev: fired.append(sim.now))
+        sim.process(sleeper(sim, 2.5, fired))
         sim.run()
-        assert fired == [2.5]
+        assert fired == [(2.5, None, None)]
 
     def test_timeout_carries_value(self, sim):
-        t = sim.timeout(1.0, value="payload")
+        # A sleep resumes with None; a value-carrying timer is gone.
+        log = []
+        sim.process(sleeper(sim, 1.0, log))
+        timer = sim.call_in(1.0, lambda: None)
         sim.run()
-        assert t.value == "payload"
+        assert log == [(1.0, None, None)] and timer.value is None
 
     def test_negative_delay_rejected(self, sim):
+        sim.process(sleeper(sim, -1.0, []))
         with pytest.raises(SimulationError):
-            sim.timeout(-1.0)
+            sim.run()
 
     def test_zero_delay_fires_immediately(self, sim):
-        t = sim.timeout(0.0)
+        log = []
+        sim.process(sleeper(sim, 0.0, log))
         sim.run()
-        assert t.callbacks is None and sim.now == 0.0
+        assert log == [(0.0, None, None)] and sim.now == 0.0
+        # One timed entry, like any other sleep.
+        assert sim._seq == 1
 
     def test_timeouts_fire_in_order(self, sim):
         order = []
         for delay in (3.0, 1.0, 2.0):
-            t = sim.timeout(delay)
-            t.callbacks.append(lambda ev, d=delay: order.append(d))
+            sim.process(sleeper(sim, delay, order, delay))
         sim.run()
-        assert order == [1.0, 2.0, 3.0]
+        assert [tag for _, tag, _ in order] == [1.0, 2.0, 3.0]
 
     def test_equal_time_fifo(self, sim):
         order = []
         for tag in ("a", "b", "c"):
-            t = sim.timeout(1.0)
-            t.callbacks.append(lambda ev, x=tag: order.append(x))
+            sim.process(sleeper(sim, 1.0, order, tag))
         sim.run()
-        assert order == ["a", "b", "c"]
+        assert [tag for _, tag, _ in order] == ["a", "b", "c"]
+
+
+class TestSleep:
+    def test_interrupted_sleeper_resumes_once(self, sim):
+        hooks = EventCounter()
+        sim.attach_hooks(hooks)
+        resumes = []
+
+        def body(sim):
+            try:
+                yield 5.0
+                resumes.append((sim.now, "woke"))
+            except Interrupt as interrupt:
+                resumes.append((sim.now, interrupt.cause))
+            yield 10.0  # a fresh wake: the first one is retired
+            resumes.append((sim.now, "slept"))
+
+        proc = sim.process(body(sim))
+        sim.run(until=1.0)
+        wake = proc._wake
+        proc.interrupt("stop")
+        assert proc._wake is None
+        sim.run(until=6.0)
+        # _Initialize, the interrupt, and the retired wake at t=5,
+        # which fires as a no-op.
+        assert resumes == [(1.0, "stop")]
+        assert hooks.count == 3
+        assert proc._wake is not wake
+        sim.run()
+        assert resumes == [(1.0, "stop"), (11.0, "slept")]
+        # Plus the second wake and the process's completion.
+        assert hooks.count == 5 and sim._seq == 2
+
+    @pytest.mark.parametrize(
+        "delay", [-1.0, float("nan"), float("inf"), True, "1.0", None]
+    )
+    def test_invalid_delay_raises_inside_generator(self, sim, delay):
+        caught = []
+
+        def body(sim):
+            try:
+                yield delay
+            except SimulationError as exc:
+                caught.append(exc)
+                raise
+
+        sim.process(body(sim))
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert len(caught) == 1 and sim._seq == 0
+
+    def test_int_delay_sleeps_one_second(self, sim):
+        log = []
+        sim.process(sleeper(sim, 1, log))
+        sim.run()
+        assert log == [(1.0, None, None)]
+        assert type(sim.now) is float
+
+    def test_numpy_delays_are_accepted(self, sim):
+        log = []
+        sim.process(sleeper(sim, np.float64(0.5), log, "f64"))
+        sim.process(sleeper(sim, np.float32(0.25), log, "f32"))
+        sim.process(sleeper(sim, np.int64(2), log, "i64"))
+        sim.run()
+        assert log == [
+            (0.25, "f32", None), (0.5, "f64", None), (2.0, "i64", None),
+        ]
+        assert type(sim.now) is float
 
 
 class TestEvent:
@@ -116,7 +200,7 @@ class TestEvent:
 class TestProcess:
     def test_process_return_value(self, sim):
         def proc(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             return "done"
 
         p = sim.process(proc(sim))
@@ -129,7 +213,7 @@ class TestProcess:
 
     def test_rpc_style_nesting(self, sim):
         def inner(sim):
-            yield sim.timeout(2.0)
+            yield 2.0
             return 10
 
         def outer(sim):
@@ -143,7 +227,7 @@ class TestProcess:
 
     def test_yield_from_composition(self, sim):
         def helper(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             return 5
 
         def main(sim):
@@ -157,7 +241,7 @@ class TestProcess:
 
     def test_process_exception_propagates_to_waiter(self, sim):
         def failing(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             raise ValueError("inner failure")
 
         bad = sim.event()
@@ -183,7 +267,7 @@ class TestProcess:
 
     def test_unwaited_process_failure_surfaces(self, sim):
         def failing(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
             raise ValueError("lost")
 
         sim.process(failing(sim))
@@ -192,7 +276,7 @@ class TestProcess:
 
     def test_yielding_non_event_is_an_error(self, sim):
         def bad(sim):
-            yield 42
+            yield object()  # 42 would be a 42 s sleep
 
         sim.process(bad(sim))
         with pytest.raises(SimulationError):
@@ -200,11 +284,11 @@ class TestProcess:
 
     def test_run_until_process_event(self, sim):
         def proc(sim):
-            yield sim.timeout(3.0)
+            yield 3.0
             return "target"
 
         p = sim.process(proc(sim))
-        sim.timeout(100.0)  # later noise that should not run
+        sim.call_in(100.0, lambda: None)  # later noise that should not run
         value = sim.run(until=p)
         assert value == "target"
         assert sim.now == 3.0
@@ -214,13 +298,13 @@ class TestProcess:
 
         def proc(sim, name, delay):
             for _ in range(3):
-                yield sim.timeout(delay)
+                yield delay
                 log.append((sim.now, name))
 
         sim.process(proc(sim, "fast", 1.0))
         sim.process(proc(sim, "slow", 2.0))
         sim.run()
-        # At t=2.0 "slow" fires first: its timeout was scheduled at
+        # At t=2.0 "slow" fires first: its sleep was scheduled at
         # t=0, before "fast" rescheduled at t=1 (FIFO among equal times).
         assert log == [
             (1.0, "fast"),
@@ -236,7 +320,7 @@ class TestInterrupt:
     def test_interrupt_delivers_cause(self, sim):
         def sleeper(sim):
             try:
-                yield sim.timeout(10.0)
+                yield 10.0
                 return "overslept"
             except Interrupt as interrupt:
                 return interrupt.cause
@@ -248,7 +332,7 @@ class TestInterrupt:
 
     def test_interrupt_dead_process_raises(self, sim):
         def quick(sim):
-            yield sim.timeout(0.1)
+            yield 0.1
 
         p = sim.process(quick(sim))
         sim.run()
@@ -258,15 +342,15 @@ class TestInterrupt:
     def test_interrupted_process_can_continue(self, sim):
         def resilient(sim):
             try:
-                yield sim.timeout(10.0)
+                yield 10.0
             except Interrupt:
-                yield sim.timeout(1.0)
+                yield 1.0
                 return "recovered"
 
         p = sim.process(resilient(sim))
         sim.call_in(2.0, lambda: p.interrupt())
         sim.run()
-        assert p.value == "recovered" and sim.now == 10.0  # stale timeout drains
+        assert p.value == "recovered" and sim.now == 10.0  # retired wake drains
 
 
 class TestCallAt:
@@ -280,7 +364,7 @@ class TestCallAt:
         hits = []
 
         def proc(sim):
-            yield sim.timeout(2.0)
+            yield 2.0
             sim.call_in(3.0, lambda: hits.append(sim.now))
 
         sim.process(proc(sim))

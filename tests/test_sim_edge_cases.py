@@ -24,7 +24,7 @@ class TestRunUntilEvent:
 
     def test_run_until_never_triggering_event_raises(self, sim):
         target = sim.event()
-        sim.timeout(1.0)
+        sim.call_in(1.0, lambda: None)
         with pytest.raises(SimulationError, match="drained"):
             sim.run(until=target)
 
@@ -62,7 +62,7 @@ class TestProcessEdgeCases:
     def test_interrupt_cause_accessible(self, sim):
         def sleeper(sim):
             try:
-                yield sim.timeout(10.0)
+                yield 10.0
             except Interrupt as interrupt:
                 return interrupt.cause
 
@@ -76,7 +76,7 @@ class TestProcessEdgeCases:
 
         def level(sim, depth):
             if depth == 0:
-                yield sim.timeout(1.0)
+                yield 1.0
                 return 0
             value = yield sim.process(level(sim, depth - 1))
             return value + 1

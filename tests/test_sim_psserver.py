@@ -92,7 +92,7 @@ class TestSharing:
         run_job(sim, cpu, 1.0, results, "early")
 
         def late(sim):
-            yield sim.timeout(0.5)
+            yield 0.5
             start = sim.now
             yield cpu.execute(0.25)
             results["late"] = (start, sim.now)

@@ -175,7 +175,7 @@ class TestResourceInProcesses:
             req = pool.request()
             yield req
             log.append((sim.now, name, "acquired"))
-            yield sim.timeout(hold)
+            yield hold
             pool.release(req)
 
         sim.process(user(sim, "u1", 2.0))
@@ -189,7 +189,7 @@ class TestResourceInProcesses:
         def user(sim, hold):
             req = pool.request()
             yield req
-            yield sim.timeout(hold)
+            yield hold
             pool.release(req)
 
         for _ in range(4):
