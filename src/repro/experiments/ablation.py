@@ -331,33 +331,34 @@ def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
     from ..cloud.platform import CloudDeployment
     from ..core.attack import MemCAAttack
     from ..monitoring.sampler import UtilizationMonitor
-    from ..sim.core import Simulator
+    from ..sim.core import Simulator, WorldCollector
     from .configs import PRIVATE_CLOUD
 
-    scenario = _replace(PRIVATE_CLOUD, duration=duration)
-    streams = RandomStreams(scenario.seed)
-    sim = Simulator()
-    deployment = CloudDeployment(sim, scenario.deployment_config())
-    workload = RubbosWorkload(
-        rng=streams.get("workload"), distribution=distribution
-    )
-    UserPopulation(
-        sim, deployment.app, workload.make_request,
-        users=scenario.users, think_time=scenario.think_time,
-        rng=streams.get("users"),
-    ).start()
-    monitor = UtilizationMonitor(
-        sim, deployment.vm("mysql").cpu, interval=0.05
-    )
-    monitor.start()
-    spec = scenario.attack
-    MemCAAttack(
-        sim, deployment,
-        length=spec.length, interval=spec.interval,
-        intensity=spec.intensity, jitter=spec.jitter,
-        rng=streams.get("attack"),
-    ).launch()
-    sim.run(until=scenario.duration)
+    with WorldCollector() as collector:
+        scenario = _replace(PRIVATE_CLOUD, duration=duration)
+        streams = RandomStreams(scenario.seed)
+        sim = Simulator()
+        deployment = CloudDeployment(sim, scenario.deployment_config())
+        workload = RubbosWorkload(
+            rng=streams.get("workload"), distribution=distribution
+        )
+        UserPopulation(
+            sim, deployment.app, workload.make_request,
+            users=scenario.users, think_time=scenario.think_time,
+            rng=streams.get("users"),
+        ).start()
+        monitor = UtilizationMonitor(
+            sim, deployment.vm("mysql").cpu, interval=0.05
+        )
+        monitor.start()
+        spec = scenario.attack
+        MemCAAttack(
+            sim, deployment,
+            length=spec.length, interval=spec.interval,
+            intensity=spec.intensity, jitter=spec.jitter,
+            rng=streams.get("attack"),
+        ).launch()
+        collector.run(sim, until=scenario.duration)
     requests = [
         r for r in deployment.app.completed
         if r.t_done is not None and r.t_done >= scenario.warmup
@@ -421,42 +422,43 @@ def _measure_dual_tier_point(
     from ..core.attack import MemCAAttack
     from ..monitoring.sampler import UtilizationMonitor
     from ..sim.rng import RandomStreams
-    from ..sim.core import Simulator
+    from ..sim.core import Simulator, WorldCollector
     from ..ntier.client import UserPopulation
     from ..cloud.platform import CloudDeployment
     from ..workload.rubbos import RubbosWorkload
     from .configs import PRIVATE_CLOUD
 
-    scenario = _replace(PRIVATE_CLOUD, duration=duration)
-    streams = RandomStreams(scenario.seed)
-    sim = Simulator()
-    deployment = CloudDeployment(sim, scenario.deployment_config())
-    workload = RubbosWorkload(rng=streams.get("workload"))
-    UserPopulation(
-        sim, deployment.app, workload.make_request,
-        users=scenario.users, think_time=scenario.think_time,
-        rng=streams.get("users"),
-    ).start()
-    monitor = UtilizationMonitor(
-        sim, deployment.vm("mysql").cpu, interval=0.05
-    )
-    monitor.start()
-    for index, (tier, intensity, phase) in enumerate(targets):
-        attack = MemCAAttack(
-            sim, deployment,
-            length=scenario.attack.length,
-            interval=scenario.attack.interval,
-            intensity=intensity,
-            target_tier=tier,
-            adversary_name=f"adversary-{tier}",
-            jitter=scenario.attack.jitter,
-            rng=streams.get(f"attack-{index}"),
+    with WorldCollector() as collector:
+        scenario = _replace(PRIVATE_CLOUD, duration=duration)
+        streams = RandomStreams(scenario.seed)
+        sim = Simulator()
+        deployment = CloudDeployment(sim, scenario.deployment_config())
+        workload = RubbosWorkload(rng=streams.get("workload"))
+        UserPopulation(
+            sim, deployment.app, workload.make_request,
+            users=scenario.users, think_time=scenario.think_time,
+            rng=streams.get("users"),
+        ).start()
+        monitor = UtilizationMonitor(
+            sim, deployment.vm("mysql").cpu, interval=0.05
         )
-        if phase > 0:
-            sim.call_in(phase, attack.launch)
-        else:
-            attack.launch()
-    sim.run(until=scenario.duration)
+        monitor.start()
+        for index, (tier, intensity, phase) in enumerate(targets):
+            attack = MemCAAttack(
+                sim, deployment,
+                length=scenario.attack.length,
+                interval=scenario.attack.interval,
+                intensity=intensity,
+                target_tier=tier,
+                adversary_name=f"adversary-{tier}",
+                jitter=scenario.attack.jitter,
+                rng=streams.get(f"attack-{index}"),
+            )
+            if phase > 0:
+                sim.call_in(phase, attack.launch)
+            else:
+                attack.launch()
+        collector.run(sim, until=scenario.duration)
     requests = [
         r for r in deployment.app.completed
         if r.t_done is not None and r.t_done >= scenario.warmup

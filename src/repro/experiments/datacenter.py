@@ -70,7 +70,7 @@ from ..ntier.remote import RemoteTierServer, RemoteTierStub
 from ..ntier.replicated import ReplicatedTier
 from ..ntier.request import Request
 from ..obs.sketch import LogHistogram
-from ..sim.core import Simulator
+from ..sim.core import Simulator, WorldCollector
 from ..sim.hybrid import HybridConfig
 from ..sim.rng import RandomStreams
 from ..sim.sharded import (
@@ -89,7 +89,6 @@ from ..workload.rubbos import (
 from .configs import AttackSpec, RubbosScenario
 from .runner import (
     World,
-    _population_frozen,
     build_world,
     split_attack_program,
 )
@@ -777,10 +776,12 @@ def _default_stride(window: float) -> int:
 
 def _run_single(scenario: DatacenterScenario) -> DatacenterRun:
     """Reference mode: every shard domain in one shared simulator."""
-    sim = Simulator()
-    group = _build_group(scenario, list(range(len(scenario.shards))), sim)
-    with _population_frozen():
-        sim.run(until=scenario.base.duration)
+    with WorldCollector() as collector:
+        sim = Simulator()
+        group = _build_group(
+            scenario, list(range(len(scenario.shards))), sim
+        )
+        collector.run(sim, until=scenario.base.duration)
     completed, failed = group.client_requests()
     return DatacenterRun(
         scenario=scenario,
@@ -808,9 +809,11 @@ def _worker_main(
 
     The cyclic collector stays off for the worker's whole life: its
     garbage dies by reference counting (finished processes are not
-    cycles), and the process exits right after shipping, so nothing is
-    ever unfrozen or swept.  ``cpu``, if set, is the one CPU this
-    worker runs on (:func:`_worker_cpus`).
+    cycles), and the process exits right after shipping.  No
+    collection ever runs, so the built world needs no freezing: the
+    worker builds outside :class:`~repro.sim.core.WorldCollector`,
+    which would do nothing here anyway.  ``cpu``, if set, is the one
+    CPU this worker runs on (:func:`_worker_cpus`).
     """
     gc.disable()
     try:
@@ -857,9 +860,6 @@ def _worker_main(
             on_window=on_window,
             window_stride=window_stride,
         )
-        # The kernel's batched generation-1 collections then skip the
-        # constructed world.
-        gc.freeze()
         runner.run()
         results = group.results(
             scenario,

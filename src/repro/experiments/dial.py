@@ -35,7 +35,7 @@ from ..ntier.app import NTierApplication
 from ..ntier.client import UserPopulation
 from ..ntier.replicated import ReplicatedTier
 from ..ntier.tier import Tier
-from ..sim.core import Simulator
+from ..sim.core import Simulator, WorldCollector
 from ..sim.rng import RandomStreams
 from ..workload.rubbos import RubbosWorkload
 from .configs import PRIVATE_CLOUD, RubbosScenario
@@ -164,29 +164,34 @@ def run_dial(scenario: Optional[RubbosScenario] = None) -> DialResult:
     from dataclasses import replace
 
     base = scenario or replace(PRIVATE_CLOUD, duration=60.0)
-    cases: Dict[str, DialCase] = {}
-    for name in CASES:
+    return DialResult(
+        scenario=base, cases={name: _run_case(base, name) for name in CASES}
+    )
+
+
+def _run_case(base: RubbosScenario, name: str) -> DialCase:
+    """Build and run one case; its world dies when this returns."""
+    with WorldCollector() as collector:
         sim, app, replicated, _attacker, _balancer = _build(
             base,
             with_attack=(name != "no-attack"),
             with_dial=(name == "dial"),
         )
-        sim.run(until=base.duration)
-        requests = [
-            r for r in app.completed
-            if r.t_done is not None and r.t_done >= base.warmup
-        ]
-        rts = np.array([r.response_time for r in requests])
-        total_dispatched = sum(replicated.dispatched) or 1
-        cases[name] = DialCase(
-            case=name,
-            client_p95=float(np.percentile(rts, 95)),
-            client_p99=float(np.percentile(rts, 99)),
-            fraction_above_rto=float(np.mean(rts > 1.0)),
-            drops=app.front.drops,
-            final_weights=tuple(
-                round(float(w), 4) for w in replicated.weights
-            ),
-            attacked_share=replicated.dispatched[0] / total_dispatched,
-        )
-    return DialResult(scenario=base, cases=cases)
+        collector.run(sim, until=base.duration)
+    requests = [
+        r for r in app.completed
+        if r.t_done is not None and r.t_done >= base.warmup
+    ]
+    rts = np.array([r.response_time for r in requests])
+    total_dispatched = sum(replicated.dispatched) or 1
+    return DialCase(
+        case=name,
+        client_p95=float(np.percentile(rts, 95)),
+        client_p99=float(np.percentile(rts, 99)),
+        fraction_above_rto=float(np.mean(rts > 1.0)),
+        drops=app.front.drops,
+        final_weights=tuple(
+            round(float(w), 4) for w in replicated.weights
+        ),
+        attacked_share=replicated.dispatched[0] / total_dispatched,
+    )

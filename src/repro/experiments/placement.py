@@ -28,7 +28,7 @@ from ..ntier.app import NTierApplication
 from ..ntier.client import fetch
 from ..ntier.request import Request
 from ..ntier.tier import Tier
-from ..sim.core import Simulator
+from ..sim.core import Simulator, WorldCollector
 from ..sim.rng import RandomStreams
 from ..workload.generator import OpenLoopGenerator, exponential_request_factory
 from .parallel import SweepCell, SweepExecutor, ensure_executor
@@ -62,33 +62,34 @@ def run_campaign(
     seed: int = 1,
 ) -> CampaignResult:
     """One full launch-probe-release campaign against a fresh zone."""
-    streams = RandomStreams(seed)
-    sim = Simulator()
-    zone = CloudZone(
-        sim,
-        n_hosts=n_hosts,
-        strategy=strategy,
-        prefill=prefill,
-        rng=streams.get("zone"),
-    )
-    app, factory = _build_victim(sim, zone, streams)
+    with WorldCollector() as collector:
+        streams = RandomStreams(seed)
+        sim = Simulator()
+        zone = CloudZone(
+            sim,
+            n_hosts=n_hosts,
+            strategy=strategy,
+            prefill=prefill,
+            rng=streams.get("zone"),
+        )
+        app, factory = _build_victim(sim, zone, streams)
 
-    def observe() -> Generator:
-        """Median of five sequential HTTP probes to the victim."""
-        samples = []
-        for i in range(5):
-            request = factory(10_000_000 + i)
-            yield from fetch(sim, app, request)
-            if request.response_time is not None:
-                samples.append(request.response_time)
-        return float(np.median(samples)) if samples else 0.0
+        def observe() -> Generator:
+            """Median of five sequential HTTP probes to the victim."""
+            samples = []
+            for i in range(5):
+                request = factory(10_000_000 + i)
+                yield from fetch(sim, app, request)
+                if request.response_time is not None:
+                    samples.append(request.response_time)
+            return float(np.median(samples)) if samples else 0.0
 
-    probe = CausalCoResidencyProbe(sim, zone, observe)
-    campaign = CoLocationCampaign(
-        sim, zone, probe, max_vms=max_vms
-    )
-    process = sim.process(campaign.run())
-    sim.run(until=process)
+        probe = CausalCoResidencyProbe(sim, zone, observe)
+        campaign = CoLocationCampaign(
+            sim, zone, probe, max_vms=max_vms
+        )
+        process = sim.process(campaign.run())
+        collector.run(sim, until=process)
     assert campaign.result is not None
     return campaign.result
 

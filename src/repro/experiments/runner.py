@@ -12,8 +12,6 @@ paper's Figs 6/7 compare.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,7 +31,7 @@ from ..monitoring.sampler import PeriodicSampler, UtilizationMonitor
 from ..obs import FULL_TRACING, LiveTelemetry, TelemetryConfig
 from ..ntier.request import Request
 from ..ntier.client import UserPopulation
-from ..sim.core import Simulator
+from ..sim.core import Simulator, WorldCollector
 from ..sim.hybrid import FluidEngine, HybridConfig, fluid_tiers_for
 from ..sim.rng import RandomStreams
 from ..workload.generator import OpenLoopGenerator, exponential_request_factory
@@ -52,30 +50,6 @@ __all__ = [
     "make_attack_program",
     "split_attack_program",
 ]
-
-
-@contextmanager
-def _population_frozen():
-    """Exempt the constructed world from cyclic-GC scans during a run.
-
-    A large closed-loop population is tens of thousands of live
-    generators, events, and monitors that every full collection would
-    re-traverse (measured at ~25% of kernel wall time at 10k users).
-    All of it stays reachable for the whole run, so we move it to the
-    permanent generation while the simulation executes; per-request
-    garbage created *after* the freeze is still collected normally.
-    Purely a memory-management change — simulation results are
-    unaffected.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.collect()
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.unfreeze()
 
 
 def make_attack_program(
@@ -358,90 +332,90 @@ def run_rubbos(
     the run takes the exact full-DES code path — byte-identical
     results, no RNG-stream perturbation.
     """
-    if hybrid is None:
-        hybrid = scenario.hybrid
-    obs = None
-    if tracing:
-        obs = LiveTelemetry(FULL_TRACING if tracing is True else tracing)
-    users, weight, bulk = scenario.users, 1.0, None
-    if hybrid is not None:
-        split = hybrid.split(scenario.users)
-        users, weight = split.sampled, split.weight
-        if split.bulk > 0:
-            bulk = (split.bulk, scenario.think_time, hybrid)
-    streams = RandomStreams(scenario.seed)
-    sim = Simulator()
-    world = build_world(
-        sim,
-        scenario,
-        streams,
-        users=users,
-        weight=weight,
-        bulk=bulk,
-        observer=obs,
-    )
-    deployment = world.deployment
-    attack = world.attack
-    fluid = world.fluid
-
-    if attack is not None and feedback_goals is not None:
-        attack.enable_feedback(
-            world.workload.make_request,
-            goals=feedback_goals,
-            rng=streams.get("prober"),
-        )
-
-    util_monitors = {}
-    for tier_name, vm in deployment.vms.items():
-        monitor = UtilizationMonitor(
-            sim, vm.cpu, interval=scenario.monitor_interval
-        )
-        monitor.start()
-        util_monitors[tier_name] = monitor
-
-    if fluid is None:
-        probes = {
-            tier.name: (lambda t=tier: t.queue_length)
-            for tier in deployment.app.tiers
-        }
-    else:
-        # Hybrid: the paper's per-tier queue length is discrete
-        # occupancy plus the bulk's nested fluid occupancy, clipped at
-        # the tier's admission capacity like Tier.queue_length.
-        def _hybrid_probe(tier, index, engine=fluid):
-            def probe():
-                cap = tier.admission_capacity
-                if cap is None:
-                    cap = tier.pool.capacity
-                occupancy = tier.occupancy + engine.occupancy(index)
-                return occupancy if occupancy < cap else cap
-            return probe
-
-        probes = {
-            tier.name: _hybrid_probe(tier, index)
-            for index, tier in enumerate(deployment.app.tiers)
-        }
-    queue_sampler = PeriodicSampler(
-        sim,
-        scenario.queue_sample_interval,
-        probes,
-    )
-    queue_sampler.start()
-
-    llc_profiler = None
-    if collect_llc:
-        mysql_vm = deployment.vm("mysql")
-        assert mysql_vm.llc is not None
-        llc_profiler = LLCMissProfiler(
+    with WorldCollector() as collector:
+        if hybrid is None:
+            hybrid = scenario.hybrid
+        obs = None
+        if tracing:
+            obs = LiveTelemetry(FULL_TRACING if tracing is True else tracing)
+        users, weight, bulk = scenario.users, 1.0, None
+        if hybrid is not None:
+            split = hybrid.split(scenario.users)
+            users, weight = split.sampled, split.weight
+            if split.bulk > 0:
+                bulk = (split.bulk, scenario.think_time, hybrid)
+        streams = RandomStreams(scenario.seed)
+        sim = Simulator()
+        world = build_world(
             sim,
-            mysql_vm.llc,
-            interval=scenario.monitor_interval,
-            rng=streams.get("oprofile"),
+            scenario,
+            streams,
+            users=users,
+            weight=weight,
+            bulk=bulk,
+            observer=obs,
         )
-        llc_profiler.start()
+        deployment = world.deployment
+        attack = world.attack
+        fluid = world.fluid
 
-    with _population_frozen():
-        sim.run(until=scenario.duration)
+        if attack is not None and feedback_goals is not None:
+            attack.enable_feedback(
+                world.workload.make_request,
+                goals=feedback_goals,
+                rng=streams.get("prober"),
+            )
+
+        util_monitors = {}
+        for tier_name, vm in deployment.vms.items():
+            monitor = UtilizationMonitor(
+                sim, vm.cpu, interval=scenario.monitor_interval
+            )
+            monitor.start()
+            util_monitors[tier_name] = monitor
+
+        if fluid is None:
+            probes = {
+                tier.name: (lambda t=tier: t.queue_length)
+                for tier in deployment.app.tiers
+            }
+        else:
+            # Hybrid: the paper's per-tier queue length is discrete
+            # occupancy plus the bulk's nested fluid occupancy, clipped at
+            # the tier's admission capacity like Tier.queue_length.
+            def _hybrid_probe(tier, index, engine=fluid):
+                def probe():
+                    cap = tier.admission_capacity
+                    if cap is None:
+                        cap = tier.pool.capacity
+                    occupancy = tier.occupancy + engine.occupancy(index)
+                    return occupancy if occupancy < cap else cap
+                return probe
+
+            probes = {
+                tier.name: _hybrid_probe(tier, index)
+                for index, tier in enumerate(deployment.app.tiers)
+            }
+        queue_sampler = PeriodicSampler(
+            sim,
+            scenario.queue_sample_interval,
+            probes,
+        )
+        queue_sampler.start()
+
+        llc_profiler = None
+        if collect_llc:
+            mysql_vm = deployment.vm("mysql")
+            assert mysql_vm.llc is not None
+            llc_profiler = LLCMissProfiler(
+                sim,
+                mysql_vm.llc,
+                interval=scenario.monitor_interval,
+                rng=streams.get("oprofile"),
+            )
+            llc_profiler.start()
+
+        collector.run(sim, until=scenario.duration)
     if obs is not None:
         obs.finalize(scenario.duration)
     return RubbosRun(
@@ -525,63 +499,64 @@ def run_model(
     """Run one of the Fig 6/7 model cases under the fixed burst."""
     if mode not in MODEL_MODES:
         raise ValueError(f"mode must be one of {MODEL_MODES}, got {mode!r}")
-    streams = RandomStreams(scenario.seed)
-    sim = Simulator()
-    deployment = CloudDeployment(
-        sim, _model_deployment_config(scenario, mode)
-    )
-    demand_means = {
-        name: 1.0 / rate
-        for name, rate in zip(scenario.tier_names, scenario.service_rates)
-    }
-    factory = exponential_request_factory(
-        demand_means, streams.get("demands")
-    )
-    generator = OpenLoopGenerator(
-        sim,
-        deployment.app,
-        factory,
-        rate=scenario.arrival_rate,
-        rng=streams.get("arrivals"),
-        tandem=(mode == "tandem"),
-    )
-    generator.start()
-
-    # Degrade MySQL to exactly C_on = D * C_off during ON bursts.
-    burst = scenario.burst
-    program = MemoryLockAttack(max_lock_duty=1.0 - burst.D)
-    memory = deployment.co_locate_adversary("mysql")
-    attacker = OnOffAttacker(
-        sim,
-        memory,
-        "adversary",
-        program,
-        length=burst.L,
-        interval=burst.I,
-        intensity=1.0,
-    )
-    attacker.start()
-
-    # Tandem stations have concurrency 1, so their queue is the raw
-    # occupancy; RPC tiers report the paper's clipped queue length.
-    if mode == "tandem":
-        probes = {
-            tier.name: (lambda t=tier: t.occupancy)
-            for tier in deployment.app.tiers
+    with WorldCollector() as collector:
+        streams = RandomStreams(scenario.seed)
+        sim = Simulator()
+        deployment = CloudDeployment(
+            sim, _model_deployment_config(scenario, mode)
+        )
+        demand_means = {
+            name: 1.0 / rate
+            for name, rate in zip(scenario.tier_names, scenario.service_rates)
         }
-    else:
-        probes = {
-            tier.name: (lambda t=tier: t.queue_length)
-            for tier in deployment.app.tiers
-        }
-    queue_sampler = PeriodicSampler(sim, queue_sample_interval, probes)
-    queue_sampler.start()
-    mysql_monitor = UtilizationMonitor(
-        sim, deployment.vm("mysql").cpu, interval=0.01
-    )
-    mysql_monitor.start()
+        factory = exponential_request_factory(
+            demand_means, streams.get("demands")
+        )
+        generator = OpenLoopGenerator(
+            sim,
+            deployment.app,
+            factory,
+            rate=scenario.arrival_rate,
+            rng=streams.get("arrivals"),
+            tandem=(mode == "tandem"),
+        )
+        generator.start()
 
-    sim.run(until=scenario.duration)
+        # Degrade MySQL to exactly C_on = D * C_off during ON bursts.
+        burst = scenario.burst
+        program = MemoryLockAttack(max_lock_duty=1.0 - burst.D)
+        memory = deployment.co_locate_adversary("mysql")
+        attacker = OnOffAttacker(
+            sim,
+            memory,
+            "adversary",
+            program,
+            length=burst.L,
+            interval=burst.I,
+            intensity=1.0,
+        )
+        attacker.start()
+
+        # Tandem stations have concurrency 1, so their queue is the raw
+        # occupancy; RPC tiers report the paper's clipped queue length.
+        if mode == "tandem":
+            probes = {
+                tier.name: (lambda t=tier: t.occupancy)
+                for tier in deployment.app.tiers
+            }
+        else:
+            probes = {
+                tier.name: (lambda t=tier: t.queue_length)
+                for tier in deployment.app.tiers
+            }
+        queue_sampler = PeriodicSampler(sim, queue_sample_interval, probes)
+        queue_sampler.start()
+        mysql_monitor = UtilizationMonitor(
+            sim, deployment.vm("mysql").cpu, interval=0.01
+        )
+        mysql_monitor.start()
+
+        collector.run(sim, until=scenario.duration)
     return ModelRun(
         scenario=scenario,
         mode=mode,

@@ -82,13 +82,25 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
   accumulation.  Finished processes are not cycles — ``_resume`` drops
   the cached bound method and retires the wake holding it on exit —
   so they die by reference counting even where the collector never
-  runs.  Pure memory management: simulation results are identical
-  either way, and a caller that already disabled GC is left alone.
+  runs.  Around the loop, every experiment entry point builds and runs
+  its world inside a :class:`WorldCollector`: one full collection on
+  entry only while a :class:`Simulator` built earlier in the process
+  is still alive (a dropped world is cyclic garbage that only a full
+  sweep reclaims), the collector off through the build (a fresh world
+  is all live objects, so collecting it reclaims nothing), the built
+  world frozen without a collection and run, and the collector's
+  state restored on exit, raise or not.  The forked shard worker is
+  the exception: it keeps the collector off for its whole life, so no
+  collection runs in it at all (:meth:`Simulator.run` and
+  :class:`WorldCollector` both leave a disabled collector alone).
+  Pure memory management: simulation results are identical either
+  way.
 """
 
 from __future__ import annotations
 
 import gc as _gc
+import weakref as _weakref
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
@@ -102,6 +114,7 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "StopSimulation",
+    "WorldCollector",
 ]
 
 #: Sentinel for "this event has not been triggered yet".
@@ -117,6 +130,11 @@ _NAN = float("nan")
 #: 4x smaller batch (young cycles die to refcounting long before the
 #: collector sees them) while each skipped collection saves ~90 ms.
 _GC_EVENT_BATCH = 500_000
+
+#: Every :class:`Simulator` still alive, held weakly: a
+#: :class:`WorldCollector` sweeps the heap on entry only while this is
+#: non-empty.
+_worlds = _weakref.WeakSet()
 
 
 class SimulationError(Exception):
@@ -415,13 +433,15 @@ class Process(Event):
                 sim._push_timed(sim._now + delay, wake)
                 return
 
-            exc = SimulationError(
+            # Throw the error into the generator like a failed event:
+            # it may catch it and return, yield again or re-raise, and
+            # each outcome takes the normal step above.
+            event = Event(self.sim)
+            event._ok = False
+            event._value = SimulationError(
                 "process yielded neither an event nor a finite delay "
                 f">= 0: {target!r}"
             )
-            # Deliver the error to the generator so it can clean up.
-            generator.throw(exc)
-            raise exc
 
 
 class Simulator:
@@ -463,6 +483,7 @@ class Simulator:
         "_hook_stride",
         "_hook_countdown",
         "_gc_budget",
+        "__weakref__",
     )
 
     def __init__(
@@ -503,6 +524,7 @@ class Simulator:
         #: Events left before the next batched collection; persists
         #: across run() calls so short safe windows keep the cadence.
         self._gc_budget = _GC_EVENT_BATCH
+        _worlds.add(self)
 
     @property
     def now(self) -> float:
@@ -943,3 +965,68 @@ class Simulator:
             self._gc_budget = budget
         self._now = horizon
         return None
+
+
+class WorldCollector:
+    """The cyclic collector's discipline around building and running
+    one world::
+
+        with WorldCollector() as collector:
+            sim = Simulator()
+            ...  # build the world
+            collector.run(sim, until=duration)
+
+    A freshly built world is tens of thousands of live generators,
+    events and monitors, so the collections its build triggers reclaim
+    nothing: at 10k users (``fig9-10k``) the build set off 103
+    generation-0, 9 generation-1 and 1 full collection, and a full
+    ``gc.collect()`` before the run added one more, all collecting 0
+    objects and together over half of the set-up time.  So:
+
+    * On entry, one full collection runs only while a
+      :class:`Simulator` built earlier in this process is still alive.
+      A dropped world is a web of cycles that only a full sweep
+      reclaims; freezing it along with the next world would keep it
+      for good, and a sweep of runs would grow without bound.  When
+      every earlier world is gone there is nothing worth sweeping.
+    * The collector stays off through the build.
+    * :meth:`run` freezes the built world without collecting, so the
+      kernel's batched generation-1 collections skip it, re-enables
+      the collector and runs the simulation.
+    * On exit, raise or not, the world is unfrozen and the collector
+      re-enabled.
+
+    A caller's own frozen set is respected: with a non-zero
+    ``gc.get_freeze_count()`` nothing is frozen or thawed, so the count
+    is left as it was found (``gc.unfreeze`` would thaw the caller's
+    objects too).  With the collector off on entry the whole
+    discipline is a no-op — the forked shard worker keeps it off for
+    its whole life.  Pure memory management: results are identical
+    either way.
+    """
+
+    __slots__ = ("_active", "_frozen")
+
+    def __enter__(self) -> "WorldCollector":
+        self._active = _gc.isenabled()
+        self._frozen = False
+        if self._active:
+            if _worlds:
+                _gc.collect()
+            _gc.disable()
+        return self
+
+    def run(self, sim: Simulator, until: Any = None) -> Any:
+        """Freeze the built world and run ``sim`` (``Simulator.run``)."""
+        if self._active:
+            if not _gc.get_freeze_count():
+                _gc.freeze()
+                self._frozen = True
+            _gc.enable()
+        return sim.run(until)
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._active:
+            if self._frozen:
+                _gc.unfreeze()
+            _gc.enable()

@@ -1,4 +1,5 @@
-"""Shared test fixtures: pinned global RNGs, opt-in perf gate.
+"""Shared test fixtures: pinned global RNGs, the collector on/off
+parametrisation, opt-in perf gate.
 
 Every component in the reproduction takes an explicit
 ``numpy.random.Generator`` (see ``repro.experiments.streams``); nothing
@@ -10,6 +11,7 @@ tests in ``tests/test_determinism.py`` assert the stronger property
 that a full simulation run does not consume the globals at all.
 """
 
+import gc
 import os
 import random
 
@@ -36,6 +38,17 @@ def _pinned_global_rngs():
     random.seed(GLOBAL_TEST_SEED)
     np.random.seed(GLOBAL_TEST_SEED)
     yield
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    """Run the test with the cyclic collector on, then off; restore it."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def pytest_addoption(parser):

@@ -606,15 +606,6 @@ class TestShardWorkerHost:
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         assert _worker_cpus(2) == [None, None]
 
-    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
-    def gc_state(self, request):
-        enabled = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        try:
-            yield request.param
-        finally:
-            (gc.enable if enabled else gc.disable)()
-
     SHORT = replace(DC_2HOST, base=replace(DC_2HOST.base, duration=1.5))
 
     def test_gc_state_restored_after_sharded_run(self, gc_state):

@@ -164,6 +164,64 @@ class TestSleep:
         assert type(sim.now) is float
 
 
+class TestNonEventErrorPath:
+    """A yield that is neither an event nor a delay throws
+    ``SimulationError`` into the generator; what the generator does with
+    it takes the normal resume step."""
+
+    def test_catch_and_return_succeeds_the_process(self, sim):
+        def body(sim):
+            try:
+                yield object()
+            except SimulationError:
+                return "cleaned up"
+
+        proc = sim.process(body(sim))
+        sim.run()
+        assert proc.triggered and proc.ok
+        assert proc.value == "cleaned up"
+
+    def test_catch_and_yield_honours_the_sleep(self, sim):
+        def body(sim):
+            try:
+                yield object()
+            except SimulationError:
+                yield 0.5
+            return sim.now
+
+        proc = sim.process(body(sim))
+        sim.run()
+        assert proc.value == 0.5 and sim.now == 0.5
+        assert sim._seq == 1
+
+    def test_catch_and_reraise_fails_the_process(self, sim):
+        def body(sim):
+            try:
+                yield object()
+            except SimulationError:
+                raise
+
+        proc = sim.process(body(sim))
+        with pytest.raises(SimulationError, match="neither an event"):
+            sim.run()
+        assert proc.triggered and proc.ok is False
+        assert isinstance(proc.value, SimulationError)
+
+    def test_uncaught_error_reaches_a_waiter(self, sim):
+        def child(sim):
+            yield object()
+
+        def parent(sim):
+            try:
+                yield sim.process(child(sim))
+            except SimulationError:
+                return "handled"
+
+        proc = sim.process(parent(sim))
+        sim.run()
+        assert proc.value == "handled"
+
+
 class TestEvent:
     def test_value_before_trigger_raises(self, sim):
         with pytest.raises(SimulationError):
