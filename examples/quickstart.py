@@ -16,6 +16,7 @@ from repro.analysis import (
 )
 from repro.cloud import CloudDeployment, rubbos_3tier
 from repro.core import MemCAAttack, MemoryLockAttack
+from repro.experiments import completed_after_warmup
 from repro.ntier import UserPopulation
 from repro.sim import RandomStreams, Simulator
 from repro.workload import RubbosWorkload
@@ -56,7 +57,7 @@ def main() -> None:
     print("running 60 simulated seconds of MemCA ...")
     sim.run(until=60.0)
 
-    requests = deployment.app.completed_after(8.0)  # skip warm-up
+    requests = completed_after_warmup(deployment.app.completed, warmup=8.0)
     curves = tier_percentile_curves(
         requests, ("apache", "tomcat", "mysql")
     )

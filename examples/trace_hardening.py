@@ -18,7 +18,11 @@ import numpy as np
 from repro.analysis import format_table
 from repro.cloud import CloudDeployment, rubbos_3tier
 from repro.core import MemCAAttack
-from repro.experiments import PRIVATE_CLOUD, run_rubbos
+from repro.experiments import (
+    PRIVATE_CLOUD,
+    completed_after_warmup,
+    run_rubbos,
+)
 from repro.sim import RandomStreams, Simulator
 from repro.workload import TraceReplayGenerator, record_trace
 
@@ -51,10 +55,9 @@ def replay_against(trace, *, apache_threads, apache_backlog,
     replay = TraceReplayGenerator(sim, deployment.app, trace)
     replay.start()
     sim.run(until=scenario.duration)
-    requests = [
-        r for r in deployment.app.completed
-        if r.t_done is not None and r.t_done >= scenario.warmup
-    ]
+    requests = completed_after_warmup(
+        deployment.app.completed, scenario.warmup
+    )
     rts = np.array([r.response_time for r in requests])
     return [
         label,

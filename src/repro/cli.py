@@ -830,65 +830,67 @@ def _run_monitor(args) -> int:
         + ")..."
     )
     started = time.time()
-    # Build with the clock held at zero so the display callback is in
-    # place before the first window closes, then run for real.
-    run = run_rubbos(
-        replace(scenario, duration=0.0), tracing=config, hybrid=hybrid
-    )
-    live = run.obs
-    assert live is not None
     # Bulk-population state streamed by the fluid engine: keep the
     # latest fluid.window payload so each telemetry row can show the
     # bulk queue depths alongside the sampled-request tail quantiles.
     latest_fluid = [None]
-    if run.fluid is not None:
-        live.bus.subscribe(
-            "fluid.window", lambda w: latest_fluid.__setitem__(0, w)
-        )
 
-    bulk_header = "  " + "bulk a/t/m q".rjust(14) if run.fluid else ""
-    print(
-        f"{'window':>13}  {'done':>5} {'fail':>4} {'drop':>4}  "
-        f"{'p50':>7} {'p99':>7} {'p99.9':>7}  {'traces':>7} {'stride':>6}"
-        + bulk_header
-    )
-
-    def show(report):
-        def cell(q):
-            value = report.quantile(q, E2E)
-            return "-".rjust(7) if value is None else f"{value * 1e3:6.0f}m"
-
-        marks = ""
+    def attach_display(run) -> None:
+        # In place before the first window closes.
+        live = run.obs
         if run.fluid is not None:
-            window = latest_fluid[0]
-            if window is not None:
-                depths = "/".join(
-                    f"{window.queues.get(t.name, 0.0):.0f}"
-                    for t in run.fluid.tiers
-                )
-                marks += "  " + depths.rjust(14)
-            else:
-                marks += "  " + "-".rjust(14)
-        if live.detector is not None:
-            if live.detector.onsets and (
-                live.detector.onsets[-1][0] == report.end
-            ):
-                marks += "  << onset"
-            if live.detector.violations and (
-                live.detector.violations[-1][0] == report.end
-            ):
-                marks += "  !! SLO violation"
-        kept = f"{report.base_retained}+{report.promoted}"
+            live.bus.subscribe(
+                "fluid.window", lambda w: latest_fluid.__setitem__(0, w)
+            )
+        bulk_header = "  " + "bulk a/t/m q".rjust(14) if run.fluid else ""
         print(
-            f"[{report.start:5.1f},{report.end:5.1f})  "
-            f"{report.completed:5d} {report.failed:4d} {report.dropped:4d}  "
-            f"{cell(50.0)} {cell(99.0)} {cell(99.9)}  "
-            f"{kept:>7} {report.stride:6d}{marks}"
+            f"{'window':>13}  {'done':>5} {'fail':>4} {'drop':>4}  "
+            f"{'p50':>7} {'p99':>7} {'p99.9':>7}  {'traces':>7} "
+            f"{'stride':>6}" + bulk_header
         )
 
-    live.pipeline.on_window.append(show)
-    run.sim.run(until=scenario.duration)
-    live.finalize(scenario.duration)
+        def show(report):
+            def cell(q):
+                value = report.quantile(q, E2E)
+                if value is None:
+                    return "-".rjust(7)
+                return f"{value * 1e3:6.0f}m"
+
+            marks = ""
+            if run.fluid is not None:
+                window = latest_fluid[0]
+                if window is not None:
+                    depths = "/".join(
+                        f"{window.queues.get(t.name, 0.0):.0f}"
+                        for t in run.fluid.tiers
+                    )
+                    marks += "  " + depths.rjust(14)
+                else:
+                    marks += "  " + "-".rjust(14)
+            if live.detector is not None:
+                if live.detector.onsets and (
+                    live.detector.onsets[-1][0] == report.end
+                ):
+                    marks += "  << onset"
+                if live.detector.violations and (
+                    live.detector.violations[-1][0] == report.end
+                ):
+                    marks += "  !! SLO violation"
+            kept = f"{report.base_retained}+{report.promoted}"
+            print(
+                f"[{report.start:5.1f},{report.end:5.1f})  "
+                f"{report.completed:5d} {report.failed:4d} "
+                f"{report.dropped:4d}  "
+                f"{cell(50.0)} {cell(99.0)} {cell(99.9)}  "
+                f"{kept:>7} {report.stride:6d}{marks}"
+            )
+
+        live.pipeline.on_window.append(show)
+
+    run = run_rubbos(
+        scenario, attach=attach_display, tracing=config, hybrid=hybrid
+    )
+    live = run.obs
 
     report = live.report()
     tracer = report["traces"]

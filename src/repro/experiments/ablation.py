@@ -23,6 +23,7 @@ from ..model.attack_model import analyze
 from .configs import MODEL_3TIER, ModelScenario, model_system
 from .parallel import SweepCell, SweepExecutor, ensure_executor
 from .runner import run_model
+from .summary import completed_after_warmup
 
 __all__ = [
     "SweepPoint",
@@ -267,23 +268,27 @@ def rpc_vs_tandem(
     )
 
 
-def _measure_rubbos_point(scenario, label: str) -> SweepPoint:
-    """One RUBBoS-scenario sweep point (closed-loop, real workload)."""
-    from .runner import run_rubbos  # local import: avoids a cycle
-
-    run = run_rubbos(scenario)
-    requests = run.client_requests()
-    rts = np.array(
-        [r.response_time for r in requests if r.response_time is not None]
-    )
+def _rubbos_point(label: str, requests, app, mysql_monitor) -> SweepPoint:
+    """Score one closed-loop run's measured-window requests."""
+    rts = np.array([r.response_time for r in requests])
     return SweepPoint(
         label=label,
         client_p95=float(np.percentile(rts, 95)) if len(rts) else float("nan"),
         client_p99=float(np.percentile(rts, 99)) if len(rts) else float("nan"),
         fraction_above_rto=float(np.mean(rts > 1.0)) if len(rts) else 0.0,
-        drops=run.app.front.drops,
-        mean_mysql_util=run.util_monitors["mysql"].series.mean(),
+        drops=app.front.drops,
+        mean_mysql_util=mysql_monitor.series.mean(),
         predicted_rho=None,
+    )
+
+
+def _measure_rubbos_point(scenario, label: str, attach=None) -> SweepPoint:
+    """One RUBBoS-scenario sweep point (closed-loop, real workload)."""
+    from .runner import run_rubbos  # local import: avoids a cycle
+
+    run = run_rubbos(scenario, attach=attach)
+    return _rubbos_point(
+        label, run.client_requests(), run.app, run.util_monitors["mysql"]
     )
 
 
@@ -323,8 +328,6 @@ def compare_attack_programs(
 
 def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
     """Run the headline scenario under one service-demand distribution."""
-    from dataclasses import replace as _replace
-
     from ..sim.rng import RandomStreams
     from ..workload.rubbos import RubbosWorkload
     from ..ntier.client import UserPopulation
@@ -335,7 +338,7 @@ def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
     from .configs import PRIVATE_CLOUD
 
     with WorldCollector() as collector:
-        scenario = _replace(PRIVATE_CLOUD, duration=duration)
+        scenario = replace(PRIVATE_CLOUD, duration=duration)
         streams = RandomStreams(scenario.seed)
         sim = Simulator()
         deployment = CloudDeployment(sim, scenario.deployment_config())
@@ -359,19 +362,11 @@ def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
             rng=streams.get("attack"),
         ).launch()
         collector.run(sim, until=scenario.duration)
-    requests = [
-        r for r in deployment.app.completed
-        if r.t_done is not None and r.t_done >= scenario.warmup
-    ]
-    rts = np.array([r.response_time for r in requests])
-    return SweepPoint(
-        label=distribution.name,
-        client_p95=float(np.percentile(rts, 95)),
-        client_p99=float(np.percentile(rts, 99)),
-        fraction_above_rto=float(np.mean(rts > 1.0)),
-        drops=deployment.app.front.drops,
-        mean_mysql_util=monitor.series.mean(),
-        predicted_rho=None,
+    return _rubbos_point(
+        distribution.name,
+        completed_after_warmup(deployment.app.completed, scenario.warmup),
+        deployment.app,
+        monitor,
     )
 
 
@@ -417,62 +412,32 @@ def _measure_dual_tier_point(
     targets, label: str, duration: float
 ) -> SweepPoint:
     """Run one multi-adversary case; targets = ((tier, intensity, phase),)."""
-    from dataclasses import replace as _replace
-
     from ..core.attack import MemCAAttack
-    from ..monitoring.sampler import UtilizationMonitor
     from ..sim.rng import RandomStreams
-    from ..sim.core import Simulator, WorldCollector
-    from ..ntier.client import UserPopulation
-    from ..cloud.platform import CloudDeployment
-    from ..workload.rubbos import RubbosWorkload
     from .configs import PRIVATE_CLOUD
 
-    with WorldCollector() as collector:
-        scenario = _replace(PRIVATE_CLOUD, duration=duration)
+    spec = PRIVATE_CLOUD.attack
+    scenario = replace(PRIVATE_CLOUD, duration=duration, attack=None)
+
+    def add_attacks(run) -> None:
         streams = RandomStreams(scenario.seed)
-        sim = Simulator()
-        deployment = CloudDeployment(sim, scenario.deployment_config())
-        workload = RubbosWorkload(rng=streams.get("workload"))
-        UserPopulation(
-            sim, deployment.app, workload.make_request,
-            users=scenario.users, think_time=scenario.think_time,
-            rng=streams.get("users"),
-        ).start()
-        monitor = UtilizationMonitor(
-            sim, deployment.vm("mysql").cpu, interval=0.05
-        )
-        monitor.start()
         for index, (tier, intensity, phase) in enumerate(targets):
             attack = MemCAAttack(
-                sim, deployment,
-                length=scenario.attack.length,
-                interval=scenario.attack.interval,
+                run.sim, run.deployment,
+                length=spec.length,
+                interval=spec.interval,
                 intensity=intensity,
                 target_tier=tier,
                 adversary_name=f"adversary-{tier}",
-                jitter=scenario.attack.jitter,
+                jitter=spec.jitter,
                 rng=streams.get(f"attack-{index}"),
             )
             if phase > 0:
-                sim.call_in(phase, attack.launch)
+                run.sim.call_in(phase, attack.launch)
             else:
                 attack.launch()
-        collector.run(sim, until=scenario.duration)
-    requests = [
-        r for r in deployment.app.completed
-        if r.t_done is not None and r.t_done >= scenario.warmup
-    ]
-    rts = np.array([r.response_time for r in requests])
-    return SweepPoint(
-        label=label,
-        client_p95=float(np.percentile(rts, 95)),
-        client_p99=float(np.percentile(rts, 99)),
-        fraction_above_rto=float(np.mean(rts > 1.0)),
-        drops=deployment.app.front.drops,
-        mean_mysql_util=monitor.series.mean(),
-        predicted_rho=None,
-    )
+
+    return _measure_rubbos_point(scenario, label, attach=add_attacks)
 
 
 def dual_tier_attack(

@@ -124,39 +124,38 @@ def _run_campaign(
         variant = replace(
             scenario, name=f"baseline/{campaign}", attack=None
         )
-    setup = replace(variant, duration=0.0)
-    run = run_rubbos(setup, collect_llc=True)
-    sim = run.sim
-    front = run.app.front
-    rate_sampler = PeriodicSampler(
-        sim, 1.0, {"arrivals": lambda: float(front.arrivals)}
-    )
-    rate_sampler.start()
+    rate_samplers = []
 
-    attacker = None
-    rng = np.random.default_rng(scenario.seed + 17)
-    if campaign == "flood":
-        attacker = FloodingAttack(
-            sim, run.app, run.workload.make_request,
-            rate=700.0, rng=rng,
+    def add_campaign(run: RubbosRun) -> None:
+        sim = run.sim
+        front = run.app.front
+        rate_sampler = PeriodicSampler(
+            sim, 1.0, {"arrivals": lambda: float(front.arrivals)}
         )
-    elif campaign == "pulsating":
-        attacker = PulsatingAttack(
-            sim, run.app, run.workload.make_request,
-            burst_rate=2000.0, length=0.25,
-            interval=scenario.attack.interval,
-            rng=rng,
-        )
-    if attacker is not None:
-        attacker.start()
-    sim.run(until=variant.duration)
+        rate_sampler.start()
+        rate_samplers.append(rate_sampler)
 
+        attacker = None
+        rng = np.random.default_rng(scenario.seed + 17)
+        if campaign == "flood":
+            attacker = FloodingAttack(
+                sim, run.app, run.workload.make_request,
+                rate=700.0, rng=rng,
+            )
+        elif campaign == "pulsating":
+            attacker = PulsatingAttack(
+                sim, run.app, run.workload.make_request,
+                burst_rate=2000.0, length=0.25,
+                interval=scenario.attack.interval,
+                rng=rng,
+            )
+        if attacker is not None:
+            attacker.start()
+
+    run = run_rubbos(variant, collect_llc=True, attach=add_campaign)
+    (rate_sampler,) = rate_samplers
     legit = [
-        r
-        for r in run.app.completed
-        if r.t_done is not None
-        and r.t_done >= variant.warmup
-        and not r.page.startswith("attack:")
+        r for r in run.client_requests() if not r.page.startswith("attack:")
     ]
     rts = np.array([r.response_time for r in legit])
     mysql_util = run.util_monitors["mysql"].series.between(

@@ -16,6 +16,7 @@ from typing import List, Optional
 from ..analysis.report import format_table
 from ..core.attack import AttackEffect
 from ..core.backend import CommanderEpoch, ControlGoals
+from ..sim.rng import RandomStreams
 from .configs import PRIVATE_CLOUD, AttackSpec, RubbosScenario
 from .runner import RubbosRun, run_rubbos
 
@@ -96,8 +97,16 @@ def run_controller(
                 jitter=0.1,
             ),
         )
-    run = run_rubbos(scenario, feedback_goals=goals)
-    assert run.attack is not None and run.attack.backend is not None
+
+    def add_feedback(run: RubbosRun) -> None:
+        assert run.attack is not None
+        run.attack.enable_feedback(
+            run.workload.make_request,
+            goals=goals,
+            rng=RandomStreams(scenario.seed).get("prober"),
+        )
+
+    run = run_rubbos(scenario, attach=add_feedback)
     # Measure the effect over the final third, after convergence.
     t0 = scenario.duration * 2 / 3
     effect = run.attack.effect(since=t0)

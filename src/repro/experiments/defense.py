@@ -166,39 +166,38 @@ def run_rubbos_with_defense(
 ):
     """Like :func:`run_rubbos`, plus the defense and the cat-and-mouse.
 
-    Builds the scenario *without* running it to completion, installs
-    the defense on the bottleneck VM and (optionally) an adversary
-    re-co-location process, then runs.  ``trigger="latency"`` swaps
-    the post-hoc utilization harvester for the live path: the run
-    carries the streaming telemetry stack and the defense consumes its
-    ``slo.violation`` topic instead of sampling the victim's CPU.
+    Installs the defense on the bottleneck VM and (optionally) an
+    adversary re-co-location process through ``run_rubbos``'s
+    ``attach`` hook, so they are in place before the first event and
+    run inside the one collector run; the returned record is
+    ``run_rubbos``'s own, with the caller's scenario and every world
+    component (network, NIC attacker, fluid bulk) it built.
+    ``trigger="latency"`` swaps the post-hoc utilization harvester for
+    the live path: the run carries the streaming telemetry stack and
+    the defense consumes its ``slo.violation`` topic instead of
+    sampling the victim's CPU.  Returns ``(run, defense,
+    recolocations)``.
     """
     if trigger not in ("utilization", "latency"):
         raise ValueError(
             f"trigger must be 'utilization' or 'latency': {trigger!r}"
         )
-    # Build everything but hold the clock at zero by using duration=0,
-    # then attach the defense and run manually.
-    setup = replace(scenario, duration=0.0)
-    if trigger == "latency":
-        config = telemetry if telemetry is not None else (
-            LATENCY_DEFENSE_TELEMETRY
-        )
-        run = run_rubbos(setup, tracing=config)
-    else:
-        run = run_rubbos(setup)
-    sim = run.sim
-    victim = run.deployment.vm(run.deployment.bottleneck.name)
-    defense = MillibottleneckDefense(
-        sim, victim, episodes_to_trigger=episodes_to_trigger
-    )
-    if trigger == "latency":
-        defense.attach_bus(run.obs.bus)
-    else:
-        defense.start()
-
+    defenses: List[MillibottleneckDefense] = []
     recolocations: List[float] = []
-    if recolocate_after is not None and run.attack is not None:
+
+    def add_defense(run: RubbosRun) -> None:
+        sim = run.sim
+        victim = run.deployment.vm(run.deployment.bottleneck.name)
+        defense = MillibottleneckDefense(
+            sim, victim, episodes_to_trigger=episodes_to_trigger
+        )
+        defenses.append(defense)
+        if trigger == "latency":
+            defense.attach_bus(run.obs.bus)
+        else:
+            defense.start()
+        if recolocate_after is None or run.attack is None:
+            return
         attacker = run.attack.attacker
 
         def chase() -> Generator:
@@ -222,20 +221,9 @@ def run_rubbos_with_defense(
 
         sim.process(chase())
 
-    sim.run(until=scenario.duration)
-    if run.obs is not None:
-        run.obs.finalize(scenario.duration)
-    # Rebuild the run record with the real scenario (durations differ).
-    run = RubbosRun(
-        scenario=scenario,
-        sim=sim,
-        deployment=run.deployment,
-        workload=run.workload,
-        population=run.population,
-        attack=run.attack,
-        util_monitors=run.util_monitors,
-        queue_sampler=run.queue_sampler,
-        llc_profiler=run.llc_profiler,
-        obs=run.obs,
-    )
+    tracing = False
+    if trigger == "latency":
+        tracing = LATENCY_DEFENSE_TELEMETRY if telemetry is None else telemetry
+    run = run_rubbos(scenario, attach=add_defense, tracing=tracing)
+    (defense,) = defenses
     return run, defense, recolocations

@@ -39,6 +39,7 @@ from ..sim.core import Simulator, WorldCollector
 from ..sim.rng import RandomStreams
 from ..workload.rubbos import RubbosWorkload
 from .configs import PRIVATE_CLOUD, RubbosScenario
+from .summary import completed_after_warmup
 
 __all__ = ["DialCase", "DialResult", "run_dial"]
 
@@ -178,10 +179,7 @@ def _run_case(base: RubbosScenario, name: str) -> DialCase:
             with_dial=(name == "dial"),
         )
         collector.run(sim, until=base.duration)
-    requests = [
-        r for r in app.completed
-        if r.t_done is not None and r.t_done >= base.warmup
-    ]
+    requests = completed_after_warmup(app.completed, base.warmup)
     rts = np.array([r.response_time for r in requests])
     total_dispatched = sum(replicated.dispatched) or 1
     return DialCase(

@@ -30,7 +30,7 @@ from ..analysis.report import format_table
 from ..cloud.detection import ThresholdDetector
 from ..monitoring.sampler import UtilizationMonitor
 from .configs import PRIVATE_CLOUD, RubbosScenario
-from .runner import run_rubbos
+from .runner import RubbosRun, run_rubbos
 
 __all__ = ["OverheadPoint", "OverheadResult", "run_overhead_study"]
 
@@ -135,20 +135,20 @@ def run_overhead_study(
     but attributes to each granularity its nominal share.
     """
     base = scenario or replace(PRIVATE_CLOUD, duration=60.0)
-    setup = replace(base, duration=0.0)
-    run = run_rubbos(setup)
-    sim = run.sim
-    cpu = run.deployment.vm("mysql").cpu
     monitors = []
-    for interval in granularities:
-        monitor = UtilizationMonitor(
-            sim, cpu, interval=interval,
-            overhead_work=per_sample_cost,
-            name=f"agent-{interval:g}",
-        )
-        monitor.start()
-        monitors.append(monitor)
-    sim.run(until=base.duration)
+
+    def add_agents(run: RubbosRun) -> None:
+        cpu = run.deployment.vm("mysql").cpu
+        for interval in granularities:
+            monitor = UtilizationMonitor(
+                run.sim, cpu, interval=interval,
+                overhead_work=per_sample_cost,
+                name=f"agent-{interval:g}",
+            )
+            monitor.start()
+            monitors.append(monitor)
+
+    run_rubbos(base, attach=add_agents)
 
     detector = ThresholdDetector(threshold=0.95, min_duration=0.0)
     points = []

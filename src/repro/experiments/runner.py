@@ -5,7 +5,11 @@ population, adversaries, fluid bulk in a fixed order), shared by
 ``run_rubbos`` and every datacenter shard.  ``run_rubbos`` executes a
 closed-loop RUBBoS scenario (with or without MemCA) and returns a
 :class:`RubbosRun` carrying the application, the attack handle, and
-all monitors.  ``run_model`` executes an open-loop
+all monitors; experiments that add components of their own (agent
+monitors, baseline attackers, the migration defense, the feedback
+controller, the live ``monitor`` display) add them through its
+``attach`` hook, so every RUBBoS run is one build and one collector
+run.  ``run_model`` executes an open-loop
 queueing-network scenario in one of the three service disciplines the
 paper's Figs 6/7 compare.
 """
@@ -13,7 +17,7 @@ paper's Figs 6/7 compare.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cloud.platform import CloudDeployment, DeploymentConfig, TierConfig
 from ..core.attack import MemCAAttack
@@ -295,7 +299,7 @@ class RubbosRun:
 def run_rubbos(
     scenario: RubbosScenario,
     collect_llc: bool = False,
-    feedback_goals=None,
+    attach: Optional[Callable[[RubbosRun], None]] = None,
     tracing: Union[bool, TelemetryConfig] = False,
     hybrid: Optional[HybridConfig] = None,
 ) -> RubbosRun:
@@ -304,8 +308,19 @@ def run_rubbos(
     The world comes from :func:`build_world` over the full chain (the
     same builder every datacenter shard uses); this function adds the
     observers around it — the observability stack before, then the
-    attack's feedback controller, per-tier utilization monitors, the
-    queue sampler and the LLC profiler, in that order — and runs it.
+    per-tier utilization monitors, the queue sampler and the LLC
+    profiler, in that order — packages them in the returned
+    :class:`RubbosRun` and runs it inside a
+    :class:`~repro.sim.core.WorldCollector`.
+
+    ``attach(run)`` adds the caller's own components — extra monitors,
+    attackers, a defense, a feedback controller, a display on the
+    telemetry bus — to the world.  It is called once, with the record
+    this function returns, after everything above is in place and
+    before the first event, inside the collector discipline, so what
+    it builds is frozen and run with the world.  Add components here,
+    not by running a zero-length scenario and then the clock by hand:
+    that second run would execute outside the collector discipline.
 
     ``tracing`` attaches the observability stack
     (:class:`repro.obs.LiveTelemetry`, landing in ``RubbosRun.obs``):
@@ -356,15 +371,7 @@ def run_rubbos(
             observer=obs,
         )
         deployment = world.deployment
-        attack = world.attack
         fluid = world.fluid
-
-        if attack is not None and feedback_goals is not None:
-            attack.enable_feedback(
-                world.workload.make_request,
-                goals=feedback_goals,
-                rng=streams.get("prober"),
-            )
 
         util_monitors = {}
         for tier_name, vm in deployment.vms.items():
@@ -415,24 +422,27 @@ def run_rubbos(
             )
             llc_profiler.start()
 
+        run = RubbosRun(
+            scenario=scenario,
+            sim=sim,
+            deployment=deployment,
+            workload=world.workload,
+            population=world.population,
+            attack=world.attack,
+            util_monitors=util_monitors,
+            queue_sampler=queue_sampler,
+            llc_profiler=llc_profiler,
+            obs=obs,
+            fluid=fluid,
+            network=world.network,
+            net_attack=world.net_attack,
+        )
+        if attach is not None:
+            attach(run)
         collector.run(sim, until=scenario.duration)
     if obs is not None:
         obs.finalize(scenario.duration)
-    return RubbosRun(
-        scenario=scenario,
-        sim=sim,
-        deployment=deployment,
-        workload=world.workload,
-        population=world.population,
-        attack=attack,
-        util_monitors=util_monitors,
-        queue_sampler=queue_sampler,
-        llc_profiler=llc_profiler,
-        obs=obs,
-        fluid=fluid,
-        network=world.network,
-        net_attack=world.net_attack,
-    )
+    return run
 
 
 #: The three service disciplines compared in Figs 6/7.

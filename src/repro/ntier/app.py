@@ -92,9 +92,3 @@ class NTierApplication:
         for tier, entered in enters:
             request.record_span(tier.name, entered, done)
         return None
-
-    # -- aggregate accounting -------------------------------------------
-
-    def completed_after(self, t: float) -> List[Request]:
-        """Completed requests that finished at or after time ``t``."""
-        return [r for r in self.completed if r.t_done is not None and r.t_done >= t]

@@ -76,6 +76,23 @@ class TestCli:
         assert "e2e" in report["sketches"]
         assert report["experiment"] == "fig2"
 
+    def test_monitor_hybrid_shows_bulk_queue_depths(self, capsys):
+        import re
+
+        assert main([
+            "monitor", "fig2", "--users", "4000", "--duration", "3",
+            "--hybrid", "--sample-fraction", "0.05",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "bulk a/t/m q" in out
+        rows = [
+            line for line in out.splitlines()
+            if re.match(r"\[\s*[\d.]+,", line)
+        ]
+        assert len(rows) == 3
+        # The fluid.window subscription feeds every row its depth cell.
+        assert all(re.search(r" \d+/\d+/\d+$", row) for row in rows)
+
     def test_monitor_listed_in_help(self, capsys):
         assert main(["list"]) == 0
         assert "monitor <scenario>" in capsys.readouterr().out

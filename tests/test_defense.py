@@ -306,6 +306,28 @@ class TestLatencyTriggeredDefense:
         assert live.pipeline.reports[-1].end == 12.0
         assert len(live.detector.violations) >= len(defense.episodes)
 
+    def test_run_record_is_run_rubbos_own(self):
+        """The world's network, NIC attacker and fluid bulk, and the
+        caller's scenario, reach the returned record."""
+        from dataclasses import replace
+
+        from repro.experiments.configs import NET_ATTACK
+        from repro.experiments.defense import run_rubbos_with_defense
+        from repro.sim.hybrid import HybridConfig
+
+        scenario = replace(
+            NET_ATTACK,
+            users=300,
+            duration=2.0,
+            hybrid=HybridConfig(sample_fraction=0.5),
+        )
+        run, _, _ = run_rubbos_with_defense(scenario, None, 8)
+        assert run.scenario is scenario
+        assert run.network is not None
+        assert run.net_attack is not None
+        assert run.fluid is not None
+        assert run.sim.now == scenario.duration
+
     def test_stale_violations_ignored_after_migration(self):
         """A violation timestamped before the migration cannot re-arm."""
         from repro.cloud.defense import MillibottleneckDefense

@@ -7,6 +7,7 @@ the built world frozen for the run, and the collector's state — enabled
 flag and freeze count — restored afterwards, raise or not.
 """
 
+import ast
 import gc
 import json
 import os
@@ -18,9 +19,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import datacenter, runner
+from repro.experiments.ablation import dual_tier_cell
+from repro.experiments.baselines import baseline_cell
 from repro.experiments.configs import MODEL_3TIER, PRIVATE_CLOUD
+from repro.experiments.controller import run_controller
 from repro.experiments.datacenter import DC_2HOST, run_datacenter
+from repro.experiments.defense import run_rubbos_with_defense
+from repro.experiments.overhead import run_overhead_study
 from repro.experiments.runner import run_model, run_rubbos
 from repro.sim.core import Simulator
 
@@ -43,7 +50,42 @@ ENTRIES = {
         datacenter,
         "_build_group",
     ),
+    # The experiments that add components through ``run_rubbos``'s
+    # ``attach`` hook: one build and one frozen run, like any world.
+    "overhead": (
+        lambda: run_overhead_study(SMALL, granularities=(0.1, 0.01)),
+        runner,
+        "build_world",
+    ),
+    "baseline": (
+        lambda: baseline_cell((SMALL, "pulsating")),
+        runner,
+        "build_world",
+    ),
+    "defense": (
+        lambda: run_rubbos_with_defense(SMALL, 0.5, 1),
+        runner,
+        "build_world",
+    ),
+    "controller": (lambda: run_controller(SMALL), runner, "build_world"),
+    "dual_tier": (
+        lambda: dual_tier_cell(
+            ((("mysql", 1.0, 0.0), ("tomcat", 1.0, 0.5)), "both", 1.0)
+        ),
+        runner,
+        "build_world",
+    ),
+    "monitor": (
+        lambda: main(["monitor", "fig2", "--duration", "1", "--users", "50"]),
+        runner,
+        "build_world",
+    ),
 }
+
+#: The only ``<simulator>.run(until=...)`` calls the package may make:
+#: :meth:`WorldCollector.run`'s kernel and the forked shard worker,
+#: whose collector stays off for life.
+OWN_RUN_LOOPS = {"sim/core.py", "sim/sharded.py"}
 
 
 #: Only meaningful with the collector on: off, there is nothing to sweep.
@@ -201,3 +243,23 @@ class TestStateRestored:
             call()
         assert gc.isenabled() is gc_state
         assert gc.get_freeze_count() == frozen
+
+
+def test_no_bare_run_outside_the_collector():
+    """Every other world runs through ``WorldCollector.run``."""
+    package = SRC / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        if relative in OWN_RUN_LOOPS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "run"
+                and not node.args
+                and any(k.arg == "until" for k in node.keywords)
+            ):
+                found.append(f"{relative}:{node.lineno}")
+    assert found == []
