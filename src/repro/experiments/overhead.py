@@ -8,8 +8,9 @@ both sides of the dilemma for an attacked system:
 
 * **cost** — the agent's own CPU overhead on the monitored VM;
 * **visibility** — whether that granularity reveals the transient
-  saturations (max sampled utilization, and whether a millibottleneck
-  detector fires).
+  saturations: the highest utilization it sampled
+  (``max_sampled_util``), and how many distinct episodes its samples
+  show above 95% utilization (``saturation_episodes``).
 
 The measured shape refines the paper's argument: coarse granularities
 (>= 1 s) are cheap but blind, ultra-fine (10 ms) busts the budget —
@@ -27,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..analysis.report import format_table
-from ..cloud.detection import ThresholdDetector
 from ..monitoring.sampler import UtilizationMonitor
 from .configs import PRIVATE_CLOUD, RubbosScenario
 from .runner import RubbosRun, run_rubbos
@@ -150,7 +150,6 @@ def run_overhead_study(
 
     run_rubbos(base, attach=add_agents)
 
-    detector = ThresholdDetector(threshold=0.95, min_duration=0.0)
     points = []
     for monitor in monitors:
         series = monitor.series.between(base.warmup, base.duration)

@@ -6,8 +6,8 @@ run of 10k users records ~1M spans, and one
 dict each roughly doubles the wall time of the whole simulation in
 allocation and GC traffic.  This module stores every span of a trace as
 one *row* of numbers in a single flat sequence per trace — a
-:data:`ROW_HEADER`-slot header ``(code, name id, start, end, parent)``
-followed by the span's attribute values — and materializes
+:data:`ROW_HEADER`-slot header ``(head, start, end)`` followed by the
+span's attribute values — and materializes
 :class:`~repro.obs.span.Span` trees lazily, only for the traces an
 exporter or analysis actually touches.
 
@@ -23,17 +23,26 @@ Design notes:
   attribute-free spans.  Each call writes its values as extra numeric
   slots of the span's row: numbers as they are, strings as ids from
   the store's intern table, constants (``dropped=True``,
-  ``aborted=True``) not at all.  The row's *code* slot packs the span
+  ``aborted=True``) not at all.  The row's *code* packs the span
   kind, the schema, and a 2-bit type tag per numeric value, so
   materialization restores the keys, their order and each value's
   Python type (float, int or bool).  No kwargs dict is built on the
   hot path and none is kept.
+* **One head slot.**  A row's first slot packs its code, its depth in
+  the tree and its name id: ``code | depth << DEPTH_SHIFT | name id <<
+  NAME_SHIFT``.  The store precomputes, per (code, name), the heads of
+  every depth, so recording a span picks up a shared int instead of
+  building one.  The head stays below 2**30 (one CPython digit, exact
+  in a double): the intern table refuses a name past
+  :data:`MAX_NAMES`, and a span may not open at depth
+  :data:`MAX_DEPTH` or deeper.  Both raise ``ValueError``; nothing is
+  wrapped or truncated.
 * **Row lengths.**  A leaf row (``add`` and the leaf schemas) is the
   header plus its schema's slots.  A nesting row (``begin``) always
   reserves :data:`NEST_ATTRS` slots, because its attributes arrive at
   ``end_*`` time, after its children's rows; the reserved slots stay
   unused when a plain ``end`` closes it.  Readers step from row to row
-  by :func:`row_slots` of the code.
+  by :func:`row_slots` of the head.
 * **Staging, then packing.**  Instrumentation sites run inside the
   simulation hot loop, so a trace stages its rows in a plain list (one
   ``list.extend`` per span; ``end`` writes slots in place).  When the
@@ -46,8 +55,9 @@ Design notes:
 * **Row order is pre-order.**  Every span row is appended after its
   parent's row and after all rows of earlier siblings' subtrees, so a
   trace's row sequence is exactly the pre-order walk of its finished
-  tree (the first row is always the root).  Parent slots hold the
-  parent row's trace-local base offset (-1 for the root).
+  tree (the first row is always the root), and a row's parent is the
+  latest earlier row one level up: readers rebuild the tree from the
+  depths alone.
   :meth:`ColumnarTrace.leaf_durations` folds leaf durations straight
   off the rows — same keys, same insertion order, same sums as
   the reference recorder's ``leaf_durations`` — without building a
@@ -81,11 +91,21 @@ __all__ = [
 ]
 
 #: Slot offsets of a row's header inside a trace's flat ``data``; slot 0
-#: holds the row's code.
-NAME_ID, START, END, PARENT = range(1, 5)
+#: holds the row's head.
+START, END = 1, 2
 
 #: Header slots per row; attribute slots follow.
-ROW_HEADER = 5
+ROW_HEADER = 3
+
+#: Head layout: ``code | depth << DEPTH_SHIFT | name id << NAME_SHIFT``.
+DEPTH_SHIFT = 12
+NAME_SHIFT = 18
+
+#: Spans open at depths ``0 .. MAX_DEPTH - 1``; the intern table holds
+#: at most ``MAX_NAMES`` strings.  Together they keep every head below
+#: 2**30.
+MAX_DEPTH = (1 << (NAME_SHIFT - DEPTH_SHIFT)) - 1
+MAX_NAMES = 1 << (30 - NAME_SHIFT)
 
 #: Attribute slots every nesting row reserves for its ``end_*`` call.
 NEST_ATTRS = 2
@@ -123,6 +143,8 @@ _TAG_SHIFT = _KIND_BITS + _SCHEMA_BITS
 _KIND_MASK = (1 << _KIND_BITS) - 1
 _SCHEMA_MASK = (1 << _SCHEMA_BITS) - 1
 _LAYOUT_MASK = (1 << _TAG_SHIFT) - 1
+_CODE_MASK = (1 << DEPTH_SHIFT) - 1
+_DEPTH_MASK = (1 << (NAME_SHIFT - DEPTH_SHIFT)) - 1
 
 #: Type tags of numeric values; any other type is stored as a float.
 _TAGS = {float: 0, int: 1, bool: 2}
@@ -137,6 +159,7 @@ _LEAF_KIND_SET = frozenset(_LEAF_CODES.values())
 _RTO_CODE = _KIND_CODES["rto_wait"]
 assert len(SPAN_KINDS) <= 1 << _KIND_BITS
 assert len(SCHEMAS) <= 1 << _SCHEMA_BITS
+assert _TAG_SHIFT + 2 * max(map(len, SCHEMAS)) <= DEPTH_SHIFT
 assert max(
     sum(spec in (NUM, STR) for _key, spec in SCHEMAS[schema])
     for schema in (_ERROR, _DROPPED, _STATUS)
@@ -178,9 +201,9 @@ for _kind, _code in _KIND_CODES.items():
 _OPEN = math.nan
 
 
-def row_slots(code: float) -> int:
-    """Slots taken by a row whose code slot holds ``code``."""
-    return _ROW_SLOTS[int(code) & _LAYOUT_MASK]
+def row_slots(head: float) -> int:
+    """Slots taken by a row whose head slot holds ``head``."""
+    return _ROW_SLOTS[int(head) & _LAYOUT_MASK]
 
 
 def _row_bases(data: Sequence) -> Iterator[int]:
@@ -215,19 +238,35 @@ def _decode_attrs(
 class SpanStore:
     """The shared backing of every trace in one run.
 
-    Owns the intern table (span names and string attribute values) and
-    the registry of retained traces (in retention order); the rows
-    themselves live on the traces.
+    Owns the intern table (span names and string attribute values), the
+    row heads precomputed from it, and the registry of retained traces
+    (in retention order); the rows themselves live on the traces.
     """
 
-    __slots__ = ("traces", "names", "_name_codes")
+    __slots__ = (
+        "traces", "names", "_name_codes", "_heads", "_nest_heads",
+        "_leaf_heads", "_service_heads",
+    )
 
     def __init__(self) -> None:
         #: Every retained :class:`ColumnarTrace`, in adoption order.
         self.traces: List["ColumnarTrace"] = []
-        #: Interned strings; ``NAME_ID`` and string slots index this.
+        #: Interned strings; head name ids and string slots index this.
         self.names: List[str] = []
         self._name_codes: Dict[str, int] = {}
+        #: code -> name -> the head of that row at each depth.
+        self._heads: Dict[int, Dict[str, List[int]]] = {
+            code: {} for code in (*_KIND_CODES.values(), _SERVICE_CODE)
+        }
+        # The same tables by kind, for begin() and add(): an unknown or
+        # wrong-shaped kind raises KeyError.
+        self._nest_heads = {
+            kind: self._heads[code] for kind, code in _NEST_CODES.items()
+        }
+        self._leaf_heads = {
+            kind: self._heads[code] for kind, code in _LEAF_CODES.items()
+        }
+        self._service_heads = self._heads[_SERVICE_CODE]
 
     def __len__(self) -> int:
         """Retained spans across every adopted trace."""
@@ -238,9 +277,27 @@ class SpanStore:
         nid = self._name_codes.get(name)
         if nid is None:
             nid = len(self.names)
+            if nid >= MAX_NAMES:
+                raise ValueError(
+                    f"intern table is full ({MAX_NAMES} names); "
+                    f"cannot add {name!r}"
+                )
             self._name_codes[name] = nid
             self.names.append(name)
         return nid
+
+    def heads(self, code: int, name: str) -> List[int]:
+        """The heads of a ``code`` row named ``name``, indexed by depth."""
+        by_name = self._heads.get(code)
+        if by_name is None:
+            by_name = self._heads[code] = {}
+        heads = by_name.get(name)
+        if heads is None:
+            row = code | self.intern(name) << NAME_SHIFT
+            heads = by_name[name] = [
+                row | depth << DEPTH_SHIFT for depth in range(MAX_DEPTH)
+            ]
+        return heads
 
     def adopt(self, trace: "ColumnarTrace") -> None:
         """Retain ``trace``: the one way a trace enters the store.
@@ -273,7 +330,9 @@ class ColumnarTrace:
     kind and ``add``/``backoff`` a leaf kind (others raise KeyError).
     """
 
-    __slots__ = ("store", "rid", "data", "_stack", "_tree", "_name_codes")
+    __slots__ = (
+        "store", "rid", "data", "_stack", "_tree", "_name_codes",
+    )
 
     def __init__(self, store: SpanStore, rid: int):
         self.store = store
@@ -282,10 +341,14 @@ class ColumnarTrace:
         #: the root.  A list while recording, an ``array('d')`` once
         #: adopted.
         self.data: Any = []
+        #: Base offsets of the open spans; its length is the depth of
+        #: the next span.
         self._stack: Any = []
         self._tree: Optional[Span] = None
         # Direct ref to the shared intern table: one dict probe on the
-        # hot path instead of two attribute hops through the store.
+        # end_* paths instead of two attribute hops through the store.
+        # The head tables are reached through the store: a slot per
+        # table would cost every retained trace 8 bytes.
         self._name_codes = store._name_codes
 
     @property
@@ -300,25 +363,31 @@ class ColumnarTrace:
     def __len__(self) -> int:
         return sum(1 for _base in _row_bases(self.data))
 
+    def _too_deep(self) -> ValueError:
+        return ValueError(
+            f"trace {self.rid}: a span would open at depth "
+            f"{len(self._stack)} (limit {MAX_DEPTH - 1})"
+        )
+
     # -- recording (hot path) ------------------------------------------
 
     def begin(self, kind: str, name: str, t: float) -> int:
         """Open a nesting span at time ``t``; returns its base offset."""
         stack = self._stack
         data = self.data
-        if stack:
-            parent = stack[-1]
-        elif not data:
-            parent = -1
-        else:
+        if data and not stack:
             raise ValueError(
                 f"trace {self.rid} already has a closed root span"
             )
-        nid = self._name_codes.get(name)
-        if nid is None:
-            nid = self.store.intern(name)
+        heads = self.store._nest_heads[kind].get(name)
+        if heads is None:
+            heads = self.store.heads(_NEST_CODES[kind], name)
+        try:
+            head = heads[len(stack)]
+        except IndexError:
+            raise self._too_deep() from None
         base = len(data)
-        data.extend((_NEST_CODES[kind], nid, t, _OPEN, parent, 0, 0))
+        data.extend((head, t, _OPEN, 0, 0))
         stack.append(base)
         return base
 
@@ -331,31 +400,36 @@ class ColumnarTrace:
         self.data[base + END] = t
         return base
 
-    def end_error(self, t: float, error: str) -> int:
-        """Close the innermost span with ``error=<exception name>``."""
+    def _end_with(self, t: float, bits: int, value: str) -> int:
+        """Close the innermost span with schema ``bits`` and a string."""
+        if not self._stack:
+            raise ValueError(f"trace {self.rid} has no open span to end")
+        sid = self._name_codes.get(value)
+        if sid is None:
+            sid = self.store.intern(value)
         base = self.end(t)
         data = self.data
-        data[base] += _ERROR_BITS
-        data[base + ROW_HEADER] = self.store.intern(error)
+        data[base] += bits
+        data[base + ROW_HEADER] = sid
         return base
+
+    def end_error(self, t: float, error: str) -> int:
+        """Close the innermost span with ``error=<exception name>``."""
+        return self._end_with(t, _ERROR_BITS, error)
 
     def end_dropped(self, t: float, tier: str) -> int:
         """Close an attempt dropped at ``tier``: ``dropped=True``."""
-        base = self.end(t)
-        data = self.data
-        data[base] += _DROPPED_BITS
-        data[base + ROW_HEADER] = self.store.intern(tier)
-        return base
+        return self._end_with(t, _DROPPED_BITS, tier)
 
     def end_status(self, t: float, status: str, attempts: int) -> int:
         """Close a request with its ``status`` and ``attempts``."""
         stack = self._stack
         if not stack:
             raise ValueError(f"trace {self.rid} has no open span to end")
-        base = stack.pop()
         sid = self._name_codes.get(status)
         if sid is None:
             sid = self.store.intern(status)
+        base = stack.pop()
         data = self.data
         data[base] += (
             _STATUS_INT_BITS
@@ -367,18 +441,17 @@ class ColumnarTrace:
         data[base + ROW_HEADER + 1] = attempts
         return base
 
-    def _leaf(self, name: str) -> Tuple[Any, int, int]:
-        """(data, base, name id) of a leaf row about to be appended."""
+    def _leaf_head(self, code: int, name: str) -> int:
+        """The head of a leaf row about to be appended."""
         stack = self._stack
         if not stack:
             raise ValueError(
                 f"trace {self.rid}: add() outside any open span"
             )
-        nid = self._name_codes.get(name)
-        if nid is None:
-            nid = self.store.intern(name)
-        data = self.data
-        return data, len(data), nid
+        try:
+            return self.store.heads(code, name)[len(stack)]
+        except IndexError:
+            raise self._too_deep() from None
 
     def add(self, kind: str, name: str, start: float, end: float) -> int:
         """Record a closed attribute-free leaf span."""
@@ -387,12 +460,16 @@ class ColumnarTrace:
             raise ValueError(
                 f"trace {self.rid}: add() outside any open span"
             )
-        nid = self._name_codes.get(name)
-        if nid is None:
-            nid = self.store.intern(name)
+        heads = self.store._leaf_heads[kind].get(name)
+        if heads is None:
+            heads = self.store.heads(_LEAF_CODES[kind], name)
+        try:
+            head = heads[len(stack)]
+        except IndexError:
+            raise self._too_deep() from None
         data = self.data
         base = len(data)
-        data.extend((_LEAF_CODES[kind], nid, start, end, stack[-1]))
+        data.extend((head, start, end))
         return base
 
     def service(
@@ -409,45 +486,44 @@ class ColumnarTrace:
             raise ValueError(
                 f"trace {self.rid}: add() outside any open span"
             )
-        nid = self._name_codes.get(name)
-        if nid is None:
-            nid = self.store.intern(name)
         effective = work / (end - start) if end > start else speed
         if type(work) is float and type(speed) is float:
-            code = _SERVICE_CODE
+            heads = self.store._service_heads.get(name)
+            if heads is None:
+                heads = self.store.heads(_SERVICE_CODE, name)
+            try:
+                head = heads[len(stack)]
+            except IndexError:
+                raise self._too_deep() from None
         else:
-            code = _SERVICE_CODE | _tag_bits(work, speed, effective)
+            head = self._leaf_head(
+                _SERVICE_CODE | _tag_bits(work, speed, effective), name
+            )
         data = self.data
         base = len(data)
-        data.extend(
-            (code, nid, start, end, stack[-1], work, speed, effective)
-        )
+        data.extend((head, start, end, work, speed, effective))
         return base
 
     def service_aborted(
         self, name: str, start: float, end: float, work: float, speed: float
     ) -> int:
         """Record a CPU slice cut short: ``aborted=True``."""
-        data, base, nid = self._leaf(name)
-        data.extend(
-            (
-                _ABORTED_CODE | _tag_bits(work, speed),
-                nid, start, end, self._stack[-1], work, speed,
-            )
-        )
+        head = self._leaf_head(_ABORTED_CODE | _tag_bits(work, speed), name)
+        data = self.data
+        base = len(data)
+        data.extend((head, start, end, work, speed))
         return base
 
     def backoff(
         self, kind: str, name: str, start: float, end: float, rto: float
     ) -> int:
         """Record a retransmission backoff leaf annotated ``rto``."""
-        data, base, nid = self._leaf(name)
-        data.extend(
-            (
-                _LEAF_CODES[kind] | _BACKOFF_BITS | _tag_bits(rto),
-                nid, start, end, self._stack[-1], rto,
-            )
+        head = self._leaf_head(
+            _LEAF_CODES[kind] | _BACKOFF_BITS | _tag_bits(rto), name
         )
+        data = self.data
+        base = len(data)
+        data.extend((head, start, end, rto))
         return base
 
     # -- tree views (lazy) ---------------------------------------------
@@ -455,14 +531,15 @@ class ColumnarTrace:
     def _materialize(self) -> Optional[Span]:
         data = self.data
         names = self.store.names
-        spans: Dict[int, Span] = {}
-        root: Optional[Span] = None
+        #: The latest span at each depth: a row's parent is path[depth - 1].
+        path: List[Span] = []
         for base in _row_bases(data):
-            code = int(data[base])
+            head = int(data[base])
+            code = head & _CODE_MASK
             end = data[base + END]
             span = Span(
                 SPAN_KINDS[code & _KIND_MASK],
-                names[int(data[base + NAME_ID])],
+                names[head >> NAME_SHIFT],
                 data[base + START],
                 None if end != end else end,
                 attrs=(
@@ -471,13 +548,14 @@ class ColumnarTrace:
                     else None
                 ),
             )
-            parent = int(data[base + PARENT])
-            if parent < 0:
-                root = span
+            depth = head >> DEPTH_SHIFT & _DEPTH_MASK
+            if depth:
+                path[depth - 1].children.append(span)
+            if depth < len(path):
+                path[depth] = span
             else:
-                spans[parent].children.append(span)
-            spans[base] = span
-        return root
+                path.append(span)
+        return path[0] if path else None
 
     @property
     def root(self) -> Optional[Span]:
@@ -516,7 +594,8 @@ class ColumnarTrace:
         names = self.store.names
         out: Dict[str, float] = {}
         for base in _row_bases(data):
-            kind = int(data[base]) & _KIND_MASK
+            head = int(data[base])
+            kind = head & _KIND_MASK
             if kind not in _LEAF_KIND_SET:
                 continue
             end = data[base + END]
@@ -525,7 +604,7 @@ class ColumnarTrace:
             key = (
                 "rto_wait"
                 if kind == _RTO_CODE
-                else f"{SPAN_KINDS[kind]}:{names[int(data[base + NAME_ID])]}"
+                else f"{SPAN_KINDS[kind]}:{names[head >> NAME_SHIFT]}"
             )
             duration = end - data[base + START]
             if key in out:

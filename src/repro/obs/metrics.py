@@ -71,7 +71,18 @@ class StreamingHistogram:
     replaces a uniformly random kept one (algorithm R), so the reservoir
     stays a uniform sample of the whole stream.  Exact count/sum/min/max
     are tracked outside the reservoir.
+
+    ``observe`` only stages its value; the staged values are folded in
+    once :data:`BATCH` of them wait, and before any read.  A fold draws
+    every replacement index with one ``Generator.integers`` call, which
+    draws the same indices, and leaves the generator in the same state,
+    as one scalar call per observation would: reservoir, count, sum,
+    min and max equal the per-observation sketch's, bit for bit,
+    wherever the folds fall.
     """
+
+    #: Staged observations that trigger a fold.
+    BATCH = 4096
 
     def __init__(self, capacity: int = 4096, seed: int = 0):
         if capacity < 1:
@@ -79,23 +90,75 @@ class StreamingHistogram:
         self.capacity = int(capacity)
         self._buf = np.empty(self.capacity, dtype=float)
         self._rng = np.random.default_rng(seed)
-        self.count = 0
-        self.total = 0.0
-        self.low = float("inf")
-        self.high = float("-inf")
+        self._staged: List[float] = []
+        self._count = 0
+        self._total = 0.0
+        self._low = float("inf")
+        self._high = float("-inf")
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        if self.count < self.capacity:
-            self._buf[self.count] = value
-        else:
-            j = int(self._rng.integers(0, self.count + 1))
-            if j < self.capacity:
-                self._buf[j] = value
-        self.count += 1
-        self.total += value
-        self.low = min(self.low, value)
-        self.high = max(self.high, value)
+        staged = self._staged
+        staged.append(float(value))
+        if len(staged) >= self.BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the staged observations in, in stream order."""
+        staged = self._staged
+        if not staged:
+            return
+        self._staged = []
+        n = self._count
+        capacity = self.capacity
+        fill = min(max(capacity - n, 0), len(staged))
+        if fill:
+            self._buf[n : n + fill] = staged[:fill]
+        k = len(staged) - fill
+        if k:
+            # Observation i of the rest replaces slot j_i when j_i falls
+            # inside the reservoir; j_i ~ U[0, count before it].
+            first = n + fill + 1
+            slots = self._rng.integers(
+                0, np.arange(first, first + k)
+            ).tolist()
+            buf = self._buf
+            for j, value in zip(slots, staged[fill:]):
+                if j < capacity:
+                    buf[j] = value
+        # Left to right, as one += per observation: sum() compensates.
+        total = self._total
+        low = self._low
+        high = self._high
+        for value in staged:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self._count = n + len(staged)
+        self._total = total
+        self._low = low
+        self._high = high
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        self._fold()
+        return self._total
+
+    @property
+    def low(self) -> float:
+        self._fold()
+        return self._low
+
+    @property
+    def high(self) -> float:
+        self._fold()
+        return self._high
 
     @property
     def mean(self) -> float:

@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 from repro.experiments.configs import PRIVATE_CLOUD
 from repro.experiments.runner import run_rubbos
 from repro.obs.columnar import (
+    DEPTH_SHIFT,
     END,
-    NAME_ID,
-    PARENT,
+    MAX_DEPTH,
+    MAX_NAMES,
+    NAME_SHIFT,
     START,
     ColumnarTrace,
     SpanStore,
@@ -42,6 +44,8 @@ from tests._reference_trace import Trace
 from tests.conftest import max_examples
 
 NESTING_KINDS = tuple(k for k in SPAN_KINDS if k not in LEAF_KINDS)
+#: Mask of the depth field once a head is shifted right by DEPTH_SHIFT.
+DEPTH_FIELD = (1 << (NAME_SHIFT - DEPTH_SHIFT)) - 1
 BACKOFF_KINDS = ("rto_wait", "net_rto")
 
 
@@ -193,7 +197,7 @@ class TestTraceEquivalence:
     @given(ops=span_programs())
     @settings(max_examples=max_examples(100), deadline=None)
     def test_packed_columns_roundtrip(self, ops):
-        """The rows are the span tree, in pre-order."""
+        """The rows are the span tree, in pre-order, depth in the head."""
         _reference, staged, packed = recorded(ops)
         for trace in (staged, packed):
             data = trace.data
@@ -203,20 +207,25 @@ class TestTraceEquivalence:
                 bases.append(base)
                 base += row_slots(data[base])
             assert base == len(data)
-            flat = trace.spans()
-            assert len(bases) == len(trace) == len(flat)
-            # spans() is pre-order, which is exactly row order.
+            walked = list(trace.walk())
+            assert len(bases) == len(trace) == len(walked)
+            # walk() is pre-order, which is exactly row order.
             names = trace.store.names
-            for base, span in zip(bases, flat):
-                assert names[int(data[base + NAME_ID])] == span.name
+            for base, (span, depth) in zip(bases, walked):
+                head = int(data[base])
+                assert head == data[base] < 2**30
+                assert names[head >> NAME_SHIFT] == span.name
+                assert head >> DEPTH_SHIFT & DEPTH_FIELD == depth
                 assert data[base + START] == span.start
                 end = data[base + END]
                 assert (None if math.isnan(end) else end) == span.end
             if bases:
-                assert data[PARENT] == -1
-                # Parents are earlier rows; no second root.
-                for i, base in enumerate(bases[1:], start=1):
-                    assert int(data[base + PARENT]) in bases[:i]
+                # The root has depth 0, and no later row does.
+                depths = [
+                    int(data[base]) >> DEPTH_SHIFT & DEPTH_FIELD
+                    for base in bases
+                ]
+                assert depths[0] == 0 and 0 not in depths[1:]
 
 
 class TestSpanStorePacking:
@@ -284,10 +293,11 @@ class TestSpanStorePacking:
 
 
 class TestRetainedMemory:
-    #: Tracer bytes retained per span.  The packed layout holds ~63 B
-    #: here (8-byte slots, ~6.6 per span, plus per-trace overhead); the
-    #: kwargs-dict and object-list layout it replaced held ~163 B.
-    MAX_BYTES_PER_SPAN = 96
+    #: Tracer bytes retained per span.  The packed layout holds ~47 B
+    #: here (8-byte slots, ~4.6 per span, plus per-trace overhead); the
+    #: 5-slot row header before it held ~63 B, and the kwargs-dict and
+    #: object-list layout before that ~163 B.
+    MAX_BYTES_PER_SPAN = 64
 
     def test_retained_bytes_per_span_bounded(self):
         scenario = replace(
@@ -358,6 +368,42 @@ class TestErrorPaths:
         }.get(call, ("apache", 0.0, 1.0, 0.5, 1.0))
         with pytest.raises(ValueError, match="outside any open span"):
             getattr(trace, call)(*args)
+
+    def test_intern_table_refuses_name_past_limit(self):
+        store = SpanStore()
+        for i in range(MAX_NAMES):
+            assert store.intern(f"n{i}") == i
+        trace = ColumnarTrace(store, rid=1)
+        trace.begin("request", "n0", 0.0)
+        with pytest.raises(ValueError, match="intern table is full"):
+            trace.add("queue_wait", "one-too-many", 0.0, 1.0)
+        with pytest.raises(ValueError, match="intern table is full"):
+            trace.end_error(1.0, "one-too-many")
+        # Nothing was recorded or closed by the refused calls.
+        assert len(store.names) == MAX_NAMES
+        assert len(trace) == 1 and trace.depth == 1
+
+    def test_span_at_depth_limit_rejected(self):
+        trace = ColumnarTrace(SpanStore(), rid=1)
+        trace.begin("request", "client", 0.0)
+        for _ in range(MAX_DEPTH - 1):
+            trace.begin("tier", "apache", 0.0)
+        assert trace.depth == MAX_DEPTH
+        # Depth MAX_DEPTH - 1 was the deepest span; no span opens below.
+        for call, args in (
+            ("begin", ("tier", "apache", 0.0)),
+            ("add", ("queue_wait", "apache", 0.0, 1.0)),
+            ("service", ("apache", 0.0, 1.0, 0.5, 1.0)),
+            ("service", ("apache", 0.0, 1.0, 1, 1)),
+            ("service_aborted", ("apache", 0.0, 1.0, 0.5, 1.0)),
+            ("backoff", ("rto_wait", "rto-1", 0.0, 1.0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="depth 63"):
+                getattr(trace, call)(*args)
+        assert len(trace) == MAX_DEPTH
+        trace.end(1.0)
+        trace.add("queue_wait", "apache", 0.0, 1.0)
+        assert [d for _s, d in trace.walk()][-1] == MAX_DEPTH - 1
 
     def test_kinds_must_match_the_row_shape(self):
         # Nesting rows reserve end-attribute slots, leaf rows do not:
