@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.burst import BurstRecord
-from ..ntier.request import Request
+from ..ntier.request import Request, RequestLog
 from ..ntier.tcp import DEFAULT_TCP, RetransmissionPolicy
 from .report import format_table
 
@@ -206,15 +208,14 @@ def attribute_requests(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0: {threshold}")
-    total = 0
+    log = RequestLog.of(requests)
+    # Finished requests are counted from the columns; only the slow
+    # ones are rebuilt as objects.
+    total = int(np.count_nonzero(~np.isnan(log.column("t_done"))))
+    slow = log.take(np.flatnonzero(log.column("response_time") > threshold))
     attributions: List[RequestAttribution] = []
-    for request in requests:
-        if request.t_done is None:
-            continue
-        total += 1
+    for request in slow:
         rt = request.response_time
-        if rt is None or rt <= threshold:
-            continue
         t0, t1 = request.t_first_attempt, request.t_done
         components = component_breakdown(request, tcp=tcp)
         if components:

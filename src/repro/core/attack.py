@@ -197,14 +197,8 @@ class MemCAAttack:
         t0 = self.launched_at if since is None else since
         t1 = self.sim.now if until is None else until
         app = self.deployment.app
-        window_requests = [
-            r
-            for r in app.completed
-            if r.t_done is not None and t0 <= r.t_done < t1
-        ]
-        rts = np.array(
-            [r.response_time for r in window_requests], dtype=float
-        )
+        window_requests = app.completed.between(t0, t1)
+        rts = window_requests.column("response_time")
         if len(rts):
             pct = {
                 p: float(np.percentile(rts, p)) for p in percentiles
@@ -213,11 +207,7 @@ class MemCAAttack:
         else:
             pct = {p: float("nan") for p in percentiles}
             above = 0.0
-        failed = [
-            r
-            for r in app.failed
-            if r.t_done is not None and t0 <= r.t_done < t1
-        ]
+        failed = app.failed.between(t0, t1)
         assert self.attacker is not None
         bursts = self.attacker.bursts_since(t0)
         util_series = (
@@ -240,8 +230,8 @@ class MemCAAttack:
             fraction_above_rto=above,
             drops=app.front.drops,
             failed=len(failed),
-            retransmitted=sum(
-                1 for r in window_requests if r.was_retransmitted
+            retransmitted=int(
+                np.count_nonzero(window_requests.column("attempts") > 1)
             ),
             bursts=len(bursts),
             mean_burst_length=(

@@ -23,7 +23,6 @@ from ..model.attack_model import analyze
 from .configs import MODEL_3TIER, ModelScenario, model_system
 from .parallel import SweepCell, SweepExecutor, ensure_executor
 from .runner import run_model
-from .summary import completed_after_warmup
 
 __all__ = [
     "SweepPoint",
@@ -129,10 +128,7 @@ def _measure_point(
     scenario: ModelScenario, label: str, mode: str = "attack-finite"
 ) -> SweepPoint:
     run = run_model(scenario, mode)
-    requests = run.client_requests()
-    rts = np.array(
-        [r.response_time for r in requests if r.response_time is not None]
-    )
+    rts = run.client_requests().column("response_time")
     system = model_system(scenario)
     try:
         predicted = analyze(
@@ -268,27 +264,20 @@ def rpc_vs_tandem(
     )
 
 
-def _rubbos_point(label: str, requests, app, mysql_monitor) -> SweepPoint:
-    """Score one closed-loop run's measured-window requests."""
-    rts = np.array([r.response_time for r in requests])
-    return SweepPoint(
-        label=label,
-        client_p95=float(np.percentile(rts, 95)) if len(rts) else float("nan"),
-        client_p99=float(np.percentile(rts, 99)) if len(rts) else float("nan"),
-        fraction_above_rto=float(np.mean(rts > 1.0)) if len(rts) else 0.0,
-        drops=app.front.drops,
-        mean_mysql_util=mysql_monitor.series.mean(),
-        predicted_rho=None,
-    )
-
-
 def _measure_rubbos_point(scenario, label: str, attach=None) -> SweepPoint:
     """One RUBBoS-scenario sweep point (closed-loop, real workload)."""
     from .runner import run_rubbos  # local import: avoids a cycle
 
     run = run_rubbos(scenario, attach=attach)
-    return _rubbos_point(
-        label, run.client_requests(), run.app, run.util_monitors["mysql"]
+    rts = run.client_requests().column("response_time")
+    return SweepPoint(
+        label=label,
+        client_p95=float(np.percentile(rts, 95)) if len(rts) else float("nan"),
+        client_p99=float(np.percentile(rts, 99)) if len(rts) else float("nan"),
+        fraction_above_rto=float(np.mean(rts > 1.0)) if len(rts) else 0.0,
+        drops=run.app.front.drops,
+        mean_mysql_util=run.util_monitors["mysql"].series.mean(),
+        predicted_rho=None,
     )
 
 
@@ -328,46 +317,12 @@ def compare_attack_programs(
 
 def _measure_distribution_point(distribution, duration: float) -> SweepPoint:
     """Run the headline scenario under one service-demand distribution."""
-    from ..sim.rng import RandomStreams
-    from ..workload.rubbos import RubbosWorkload
-    from ..ntier.client import UserPopulation
-    from ..cloud.platform import CloudDeployment
-    from ..core.attack import MemCAAttack
-    from ..monitoring.sampler import UtilizationMonitor
-    from ..sim.core import Simulator, WorldCollector
     from .configs import PRIVATE_CLOUD
 
-    with WorldCollector() as collector:
-        scenario = replace(PRIVATE_CLOUD, duration=duration)
-        streams = RandomStreams(scenario.seed)
-        sim = Simulator()
-        deployment = CloudDeployment(sim, scenario.deployment_config())
-        workload = RubbosWorkload(
-            rng=streams.get("workload"), distribution=distribution
-        )
-        UserPopulation(
-            sim, deployment.app, workload.make_request,
-            users=scenario.users, think_time=scenario.think_time,
-            rng=streams.get("users"),
-        ).start()
-        monitor = UtilizationMonitor(
-            sim, deployment.vm("mysql").cpu, interval=0.05
-        )
-        monitor.start()
-        spec = scenario.attack
-        MemCAAttack(
-            sim, deployment,
-            length=spec.length, interval=spec.interval,
-            intensity=spec.intensity, jitter=spec.jitter,
-            rng=streams.get("attack"),
-        ).launch()
-        collector.run(sim, until=scenario.duration)
-    return _rubbos_point(
-        distribution.name,
-        completed_after_warmup(deployment.app.completed, scenario.warmup),
-        deployment.app,
-        monitor,
+    scenario = replace(
+        PRIVATE_CLOUD, duration=duration, distribution=distribution
     )
+    return _measure_rubbos_point(scenario, distribution.name)
 
 
 def sweep_service_distribution(

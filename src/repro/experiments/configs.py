@@ -27,6 +27,7 @@ from ..hardware.topology import EC2_E5_2680, XEON_E5_2603_V3, CpuSpec
 from ..model.parameters import AttackBurst, SystemModel, TierModel
 from ..net import NetworkConfig
 from ..sim.hybrid import HybridConfig
+from ..workload.distributions import DemandDistribution
 
 __all__ = [
     "AttackSpec",
@@ -100,6 +101,10 @@ class RubbosScenario:
     #: through the finite queue chain and, like ``hybrid``, flows into
     #: ``stable_hash`` for the sweep cache.
     network: Optional[NetworkConfig] = None
+    #: Per-request service-demand law; ``None`` keeps the workload's
+    #: exponential demands.  A scenario field, so it flows into
+    #: ``stable_hash`` and the sweep cache key like ``hybrid``.
+    distribution: Optional[DemandDistribution] = None
 
     def deployment_config(self) -> DeploymentConfig:
         """The full-chain 3-tier deployment this scenario describes."""

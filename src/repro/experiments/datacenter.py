@@ -68,7 +68,7 @@ from ..cloud.topology import RackTopology
 from ..net.fabric import CrossHostLink
 from ..ntier.remote import RemoteTierServer, RemoteTierStub
 from ..ntier.replicated import ReplicatedTier
-from ..ntier.request import Request
+from ..ntier.request import RequestLog
 from ..obs.sketch import LogHistogram
 from ..sim.core import Simulator, WorldCollector
 from ..sim.hybrid import HybridConfig
@@ -588,10 +588,9 @@ class _Group:
             first = position == 0
             if domain.world.population is not None:
                 # Front shard: observe every client response time.
-                for request in domain.app.completed:
-                    rt = request.response_time
-                    if rt is not None:
-                        domain.sketch.observe(rt)
+                rts = domain.app.completed.column("response_time")
+                for rt in rts.tolist():
+                    domain.sketch.observe(rt)
             engine = domain.world.fluid
             fluid = None
             if engine is not None:
@@ -630,12 +629,12 @@ class _Group:
             )
         return results
 
-    def client_requests(self) -> Tuple[List[Request], List[Request]]:
-        """(completed, failed) client requests; empty off the front."""
+    def client_requests(self) -> Tuple[RequestLog, RequestLog]:
+        """(completed, failed) client request logs; empty off the front."""
         front = self.domains[0]
         if front.world.population is None:
-            return [], []
-        return list(front.app.completed), list(front.app.failed)
+            return RequestLog(), RequestLog()
+        return front.app.completed, front.app.failed
 
 
 def _build_group(
@@ -702,8 +701,8 @@ class DatacenterRun:
     groups: List[List[int]]
     shard_results: List[ShardResult]
     #: Client-side requests from the front shard, completion order.
-    completed: List[Request]
-    failed: List[Request]
+    completed: RequestLog
+    failed: RequestLog
 
     @property
     def event_count(self) -> int:
@@ -752,7 +751,7 @@ class DatacenterRun:
             "dropped": sum(s["dropped"] for s in stats),
         }
 
-    def client_requests(self) -> List[Request]:
+    def client_requests(self) -> RequestLog:
         """Completed requests that finished after warmup."""
         return completed_after_warmup(
             self.completed, self.scenario.base.warmup

@@ -94,14 +94,13 @@ def defense_cell(spec) -> DefenseResult:
         scenario, recolocate_after, episodes_to_trigger, trigger=trigger
     )
     timeline = []
+    completed = rubbos_run.app.completed
     start = scenario.warmup
     while start + window <= scenario.duration:
-        rts = [
-            r.response_time
-            for r in rubbos_run.app.completed
-            if r.t_done is not None and start <= r.t_done < start + window
-        ]
-        if rts:
+        rts = completed.between(start, start + window).column(
+            "response_time"
+        )
+        if len(rts):
             timeline.append(
                 (start, float(np.percentile(rts, 95)), len(rts))
             )

@@ -17,7 +17,7 @@ paper's Figs 6/7 compare.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..cloud.platform import CloudDeployment, DeploymentConfig, TierConfig
 from ..core.attack import MemCAAttack
@@ -33,7 +33,7 @@ from ..net import TierNetwork
 from ..monitoring.oprofile import LLCMissProfiler
 from ..monitoring.sampler import PeriodicSampler, UtilizationMonitor
 from ..obs import FULL_TRACING, LiveTelemetry, TelemetryConfig
-from ..ntier.request import Request
+from ..ntier.request import RequestLog
 from ..ntier.client import UserPopulation
 from ..sim.core import Simulator, WorldCollector
 from ..sim.hybrid import FluidEngine, HybridConfig, fluid_tiers_for
@@ -171,7 +171,9 @@ def build_world(
         )
         network.attach(app)
 
-    workload = RubbosWorkload(rng=streams.get("workload"))
+    workload = RubbosWorkload(
+        rng=streams.get("workload"), distribution=scenario.distribution
+    )
     population = None
     if app.front.name == front:
         population = UserPopulation(
@@ -285,7 +287,7 @@ class RubbosRun:
     def app(self):
         return self.deployment.app
 
-    def client_requests(self) -> List[Request]:
+    def client_requests(self) -> RequestLog:
         """Completed requests that finished after warmup."""
         return completed_after_warmup(
             self.app.completed, self.scenario.warmup
@@ -466,7 +468,7 @@ class ModelRun:
     def app(self):
         return self.deployment.app
 
-    def client_requests(self) -> List[Request]:
+    def client_requests(self) -> RequestLog:
         return completed_after_warmup(
             self.app.completed, self.scenario.warmup
         )

@@ -35,7 +35,7 @@ from ..analysis.stats import (
 from ..core.attack import AttackEffect
 from ..core.burst import BurstRecord
 from ..monitoring.metrics import TimeSeries
-from ..ntier.request import Request
+from ..ntier.request import Request, RequestLog
 from ..sim.hybrid import FluidWindow
 
 __all__ = [
@@ -53,57 +53,46 @@ __all__ = [
 
 def completed_after_warmup(
     completed: Iterable[Request], warmup: float
-) -> List[Request]:
-    """The shared measurement-window filter.
+) -> RequestLog:
+    """The shared measurement-window filter: ``t_done >= warmup``.
 
     One definition used by ``RubbosRun.client_requests()``,
     ``ModelRun.client_requests()``, and the :class:`RunSummary`
     extractor, so the three can never disagree on which requests are
-    inside the measured window.
+    inside the measured window.  A simulation's log is cut by
+    bisection on its completion times (:meth:`RequestLog.between`).
     """
-    return [
-        r for r in completed if r.t_done is not None and r.t_done >= warmup
-    ]
+    return RequestLog.of(completed).between(warmup)
 
 
 def request_table(
-    requests: Sequence[Request], tiers: Sequence[str]
+    requests: Iterable[Request], tiers: Sequence[str]
 ) -> np.ndarray:
     """Pack request records into a structured numpy array.
 
     Per-tier response times land in ``rt_<tier>`` columns (NaN when the
     request has no span at that tier), mirroring the accessor methods
     on :class:`~repro.ntier.request.Request` exactly — the floats in
-    the table are the same Python floats those methods return.
+    the table are the same Python floats those methods return.  Each
+    column is filled from the log's columns in one assignment.
     """
-    dtype = np.dtype(
-        [
-            ("rid", "i8"),
-            ("t_first_attempt", "f8"),
-            ("t_done", "f8"),
-            ("response_time", "f8"),
-            ("attempts", "i4"),
-            ("failed", "?"),
-            ("drops", "i4"),
-            ("weight", "f8"),
-        ]
-        + [(f"rt_{tier}", "f8") for tier in tiers]
-    )
-    table = np.empty(len(requests), dtype=dtype)
-    for i, r in enumerate(requests):
-        row = table[i]
-        row["rid"] = r.rid
-        row["t_first_attempt"] = r.t_first_attempt
-        row["t_done"] = r.t_done if r.t_done is not None else np.nan
-        rt = r.response_time
-        row["response_time"] = rt if rt is not None else np.nan
-        row["attempts"] = r.attempts
-        row["failed"] = r.failed
-        row["drops"] = r.drops
-        row["weight"] = r.weight
-        for tier in tiers:
-            tier_rt = r.tier_response_time(tier)
-            row[f"rt_{tier}"] = tier_rt if tier_rt is not None else np.nan
+    log = RequestLog.of(requests)
+    fields = [
+        ("rid", "i8"),
+        ("t_first_attempt", "f8"),
+        ("t_done", "f8"),
+        ("response_time", "f8"),
+        ("attempts", "i4"),
+        ("failed", "?"),
+        ("drops", "i4"),
+        ("weight", "f8"),
+    ]
+    dtype = np.dtype(fields + [(f"rt_{tier}", "f8") for tier in tiers])
+    table = np.empty(len(log), dtype=dtype)
+    for name, _ in fields:
+        table[name] = log.column(name)
+    for tier in tiers:
+        table[f"rt_{tier}"] = log.tier_response_times(tier)
     return table
 
 

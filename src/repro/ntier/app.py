@@ -22,7 +22,7 @@ from typing import Generator, List
 
 from ..obs.tracer import NULL_TRACER
 from ..sim.core import Simulator
-from .request import Request
+from .request import Request, RequestLog
 from .tier import Tier
 
 __all__ = ["NTierApplication"]
@@ -39,9 +39,9 @@ class NTierApplication:
         for upstream, downstream in zip(self.tiers, self.tiers[1:]):
             upstream.downstream = downstream
         #: Requests that received a response (includes retransmitted).
-        self.completed: List[Request] = []
+        self.completed = RequestLog()
         #: Requests abandoned after exhausting TCP retries.
-        self.failed: List[Request] = []
+        self.failed = RequestLog()
         #: Request tracer consulted by ``fetch`` for every entry point
         #: (closed-loop users, open-loop generators, probers).  The
         #: null singleton is the zero-overhead default; swap in a
@@ -64,7 +64,7 @@ class NTierApplication:
         raise KeyError(f"no tier named {name!r}")
 
     def record(self, request: Request) -> None:
-        """File a finished request under completed or failed."""
+        """Pack a finished request into the completed or failed log."""
         if request.failed:
             self.failed.append(request)
         else:

@@ -48,13 +48,6 @@ class TestRequest:
         assert r.tier_response_time("apache") == 1.5
         assert r.tier_response_time("mysql") is None
 
-    def test_retransmission_flag(self):
-        r = Request(rid=1, page="p", demands={})
-        r.attempts = 1
-        assert not r.was_retransmitted
-        r.attempts = 2
-        assert r.was_retransmitted
-
 
 class TestRetransmissionPolicy:
     def test_default_is_rfc6298(self):

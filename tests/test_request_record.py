@@ -1,4 +1,4 @@
-"""The compact request record: flat spans, slots, pickling, memory.
+"""The compact request record: flat spans, slots, the columnar log.
 
 :class:`~repro.ntier.request.Request` keeps its per-visit spans in one
 flat ``[tier, enter, leave, ...]`` list and rebuilds ``tier_spans`` on
@@ -7,6 +7,13 @@ repeated tiers and remote-tier merges through
 :meth:`RemoteTierStub.serve` — against a dict-of-lists reference kept
 here, the layout the record used to store: every view must agree and
 ``tier_response_time`` must return bit-identical floats.
+
+Finished requests live in a :class:`~repro.ntier.request.RequestLog`.
+Hypothesis packs random requests (repeated tiers, remote merges, drops,
+several attempts, failures, weights, demand shapes, unfinished ones)
+and checks that every row rebuilds equal to its request with every
+float's bits intact, and that the column-filled request table equals
+the per-row loop it replaced (``tests/_reference_request_table.py``).
 """
 
 import gc
@@ -14,15 +21,19 @@ import pickle
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ntier.request as request_module
 from repro.experiments.configs import PRIVATE_CLOUD
 from repro.experiments.runner import run_rubbos
+from repro.experiments.summary import request_table
 from repro.ntier.remote import RemoteTierStub
-from repro.ntier.request import Request
+from repro.ntier.request import Request, RequestLog
 from repro.sim import Simulator
+from tests import _reference_request_table as reference
 from tests.conftest import max_examples
 
 TIERS = ("apache", "tomcat", "mysql", "memcached")
@@ -166,12 +177,171 @@ class TestPickle:
         assert "tomcat" not in request.tier_spans
 
 
+_floats = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.5, 7.0]),
+)
+_names = st.one_of(st.sampled_from(TIERS), st.text(max_size=6))
+
+
+@st.composite
+def _requests(draw):
+    """One finished (or unfinished) request with everything set."""
+    request = Request(
+        rid=draw(st.integers(-(2**63), 2**63 - 1)),
+        page=draw(_names),
+        demands=draw(st.dictionaries(_names, _floats, max_size=4)),
+        t_first_attempt=draw(_floats),
+        t_done=draw(st.one_of(st.none(), _floats)),
+        attempts=draw(st.integers(0, 12)),
+        failed=draw(st.booleans()),
+        weight=draw(_floats),
+    )
+    for step in draw(st.lists(_step, max_size=6)):
+        if step[0] == "local":
+            _, tier, (enter, leave) = step
+            request.record_span(tier, enter, leave)
+        else:
+            merge_remote(request, step[1])
+    request.attempt_times += draw(st.lists(_floats, max_size=4))
+    request.drop_tiers += draw(st.lists(_names, max_size=4))
+    return request
+
+
+def float_bits(request):
+    """Every float the request holds, as ``hex`` strings, in order."""
+    floats = [request.t_first_attempt, request.weight]
+    floats += request.demands.values()
+    floats += request.attempt_times
+    floats += [t for spans in request.tier_spans.values() for s in spans
+               for t in s]
+    if request.t_done is not None:
+        floats.append(request.t_done)
+    return [float(value).hex() for value in floats]
+
+
+def assert_same_rows(log, requests, pickled=False):
+    assert len(log) == len(requests)
+    for row, request in zip(log, requests):
+        assert row == request
+        assert float_bits(row) == float_bits(request)
+        assert list(row.demands) == list(request.demands)
+        if pickled:  # a span tree pickles by value
+            assert (row.trace is None) == (request.trace is None)
+        else:
+            assert row.trace is request.trace
+
+
+class TestRequestLogRoundTrip:
+    @given(
+        st.lists(_requests(), max_size=12),
+        st.sampled_from([1, 2, 5, 256]),
+        st.data(),
+    )
+    @settings(max_examples=max_examples(100), deadline=None)
+    def test_rows_rebuild_bit_identical(self, requests, batch, data):
+        traced = object()
+        for request in requests[::3]:
+            request.trace = traced
+        saved = request_module._BATCH
+        request_module._BATCH = batch
+        try:
+            log = RequestLog()
+            split = data.draw(st.integers(0, len(requests)))
+            for request in requests[:split]:
+                log.append(request)
+            assert_same_rows(log, requests[:split])  # packs mid-stream
+            for request in requests[split:]:
+                log.append(request)
+        finally:
+            request_module._BATCH = saved
+        assert_same_rows(log, requests)
+        assert log == requests
+        assert_same_rows(
+            pickle.loads(pickle.dumps(log)), requests, pickled=True
+        )
+        for i in range(-len(requests), len(requests)):
+            assert log[i] == requests[i]
+        a = data.draw(st.integers(0, len(requests)))
+        b = data.draw(st.integers(0, len(requests)))
+        assert_same_rows(log[a:b], requests[a:b])
+        assert_same_rows(log + log[a:], requests + requests[a:])
+        tiers = TIERS + ("",)
+        assert (
+            request_table(log, tiers).tobytes()
+            == reference.request_table(requests, tiers).tobytes()
+        )
+
+    @given(
+        st.lists(_requests(), max_size=12),
+        _floats,
+        st.one_of(st.none(), _floats),
+    )
+    @settings(max_examples=max_examples(100), deadline=None)
+    def test_windows_match_a_filter(self, requests, t0, t1):
+        def window(rows):
+            return [
+                r
+                for r in rows
+                if r.t_done is not None
+                and t0 <= r.t_done
+                and (t1 is None or r.t_done < t1)
+            ]
+
+        # Finished in completion order, as a simulation records them:
+        # the bisected path.  Any order: the row-by-row filter.
+        finished = sorted(
+            (r for r in requests if r.t_done is not None),
+            key=lambda r: r.t_done,
+        )
+        for rows in (finished, requests):
+            log = RequestLog(rows)
+            assert_same_rows(log.between(t0, t1), window(rows))
+
+
+class TestColumnarReaders:
+    """The readers that use columns agree with the rebuilt rows."""
+
+    @pytest.fixture(scope="class")
+    def attacked(self):
+        # 3000 users against the 2600-user deployment: the front tier
+        # drops, so requests retransmit.
+        return run_rubbos(replace(PRIVATE_CLOUD, users=3000, duration=10.0))
+
+    def test_attack_effect_counts_the_window(self, attacked):
+        effect = attacked.attack.effect()
+        t0, t1 = effect.window
+        window = [r for r in attacked.app.completed if t0 <= r.t_done < t1]
+        failed = [r for r in attacked.app.failed if t0 <= r.t_done < t1]
+        rts = np.array([r.response_time for r in window])
+        assert effect.requests == len(window)
+        assert effect.failed == len(failed)
+        assert effect.retransmitted == sum(r.attempts > 1 for r in window)
+        assert effect.retransmitted > 0
+        assert effect.percentiles == {
+            p: float(np.percentile(rts, p)) for p in effect.percentiles
+        }
+        assert effect.fraction_above_rto == float(np.mean(rts > 1.0))
+
+    def test_request_table_of_a_run(self, attacked):
+        requests = attacked.client_requests()
+        assert len(requests) > 500
+        tiers = ("apache", "tomcat", "mysql")
+        assert (
+            request_table(requests, tiers).tobytes()
+            == reference.request_table(list(requests), tiers).tobytes()
+        )
+
+
 class TestRetainedMemory:
-    #: Bytes per completed request of a fresh copy of the records (what
-    #: an unpickle, e.g. a shard worker's pipe, materializes): ~911 B
-    #: here under CPython 3.11, where the dict-of-lists-of-tuples
-    #: dataclass it replaced held ~1,460 B.
-    MAX_BYTES_PER_REQUEST = 1100
+    #: Bytes per completed request of a fresh copy of the completed
+    #: log (what an unpickle, e.g. a shard worker's pipe, materializes):
+    #: 184-185 B under CPython 3.11 at seeds 3, 7 and 11, where the
+    #: list of slotted requests held ~911 B and the dict-of-lists
+    #: dataclass before it ~1,460 B.  The bound leaves ~8% for other
+    #: interpreters: the log's ~20 array headers and its intern tables
+    #: are a few kB in all, ~3 B per request at this size.
+    MAX_BYTES_PER_REQUEST = 200
 
     def test_retained_bytes_per_request_bounded(self):
         scenario = replace(

@@ -61,10 +61,12 @@ class TestRequestAccounting:
         assert len(completed) > 0
         # Closed loop: no user can hold more than one request, and
         # every finished request is filed exactly once.  (rids are
-        # per-user counters, so uniqueness is object identity.)
+        # per-user counters and the logs rebuild fresh objects, so a
+        # request is its rid with its first-attempt time.)
         assert len(completed) + len(failed) <= run.app.front.arrivals
         finished = completed + failed
-        assert len({id(r) for r in finished}) == len(finished)
+        keys = {(r.rid, r.t_first_attempt) for r in finished}
+        assert len(keys) == len(finished)
 
     def test_completed_requests_are_well_formed(self, matrix, name):
         scenario, run, _ = matrix[name]
