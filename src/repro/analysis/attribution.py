@@ -258,13 +258,16 @@ def attribute_run(
     utilization_threshold: float = 0.95,
     bottleneck: Optional[str] = None,
     fade_slack: float = 0.5,
+    requests: Optional[RequestLog] = None,
 ) -> AttributionReport:
     """Attribute a :class:`~repro.experiments.runner.RubbosRun`.
 
     Pulls the three timelines out of the run: post-warmup completed
     requests, the attacker's executed bursts, and millibottleneck
     episodes extracted from the bottleneck tier's fine-grained
-    utilization trace via :meth:`TimeSeries.intervals_above`.
+    utilization trace via :meth:`TimeSeries.intervals_above`.  A
+    caller that already holds the post-warmup window
+    (``run.client_requests()``) passes it as ``requests``.
     """
     bottleneck = bottleneck or run.app.back.name
     episodes: List[Tuple[float, float]] = []
@@ -280,8 +283,10 @@ def attribute_run(
     if net_attack is not None:
         bursts.extend(net_attack.bursts)
         bursts.sort(key=lambda b: b.start)
+    if requests is None:
+        requests = run.client_requests()
     return attribute_requests(
-        run.client_requests(),
+        requests,
         bursts=bursts,
         episodes=episodes,
         threshold=threshold,

@@ -231,10 +231,12 @@ class RunSummary:
         return float(ok["weight"].sum()) / window
 
 
-def _attribution_counts(run, threshold: float) -> AttributionCounts:
+def _attribution_counts(
+    run, threshold: float, requests: RequestLog
+) -> AttributionCounts:
     from ..analysis.attribution import attribute_run
 
-    report = attribute_run(run, threshold=threshold)
+    report = attribute_run(run, threshold=threshold, requests=requests)
     return AttributionCounts(
         threshold=threshold,
         total_requests=report.total_requests,
@@ -249,11 +251,12 @@ def summarize_rubbos(
     effect_percentiles: Optional[Sequence[int]] = None,
     attribution_threshold: float = 1.0,
 ) -> RunSummary:
-    """Extract a :class:`RunSummary` from a finished RUBBoS run."""
+    """Extract a :class:`RunSummary` from a finished RUBBoS run.
+
+    The post-warmup window is cut once, after the attack effect's own
+    window is gone, and the request table and the attribution share it.
+    """
     tiers = tuple(tier.name for tier in run.app.tiers)
-    requests = completed_after_warmup(
-        run.app.completed, run.scenario.warmup
-    )
     effect = None
     burst_log: List[BurstRecord] = []
     attribution = None
@@ -274,8 +277,13 @@ def summarize_rubbos(
     if net_attack is not None:
         burst_log.extend(net_attack.bursts)
         burst_log.sort(key=lambda b: b.start)
+    requests = completed_after_warmup(
+        run.app.completed, run.scenario.warmup
+    )
     if run.attack is not None or net_attack is not None:
-        attribution = _attribution_counts(run, attribution_threshold)
+        attribution = _attribution_counts(
+            run, attribution_threshold, requests
+        )
     bursts: Tuple[BurstRecord, ...] = tuple(burst_log)
     fluid = None
     engine = getattr(run, "fluid", None)

@@ -312,7 +312,6 @@ class QueueChain:
         stages = self.stages
         self.messages += 1
         start = sim._now
-        rtos = None
         attempt = 0
         while True:
             attempt += 1
@@ -367,11 +366,8 @@ class QueueChain:
                         marked=marked,
                     ),
                 )
-            if rtos is None:
-                rtos = self.tcp.timeouts()
-            try:
-                rto = next(rtos)
-            except StopIteration:
+            schedule = self.tcp.schedule
+            if attempt > len(schedule):
                 self.failed += 1
                 if bus is not None:
                     bus.publish(
@@ -383,7 +379,8 @@ class QueueChain:
                             attempts=attempt,
                         ),
                     )
-                raise NetworkOverflowError(f"net:{self.name}") from None
+                raise NetworkOverflowError(f"net:{self.name}")
+            rto = schedule[attempt - 1]
             backoff_start = sim._now
             yield rto
             if trace is not None:

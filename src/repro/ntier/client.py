@@ -80,7 +80,7 @@ def fetch(
     # directly (not app.serve) also keeps one generator frame out of
     # the yield-from chain every event delivery has to traverse.
     front = app.front
-    rtos = None
+    drops = 0
     while True:
         request.attempts += 1
         request.attempt_times.append(sim._now)
@@ -112,13 +112,8 @@ def fetch(
         if trace is not None:
             trace.end_dropped(sim._now, drop_tier)
             tracer.dropped(request, drop_tier)
-        if rtos is None:
-            # Lazily built: most requests never see a drop, so the
-            # backoff iterator is only created on the first one.
-            rtos = tcp.timeouts()
-        try:
-            rto = next(rtos)
-        except StopIteration:
+        schedule = tcp.schedule
+        if drops == len(schedule):
             request.failed = True
             request.t_done = now = sim._now
             if trace is not None:
@@ -126,6 +121,8 @@ def fetch(
                 tracer.finish(request)
             app.record(request)
             return request
+        rto = schedule[drops]
+        drops += 1
         backoff_start = sim._now
         yield rto
         if trace is not None:
@@ -142,8 +139,21 @@ class ClosedLoopClient:
     """One closed-loop user: think (exponential), request, repeat.
 
     ``request_factory(rid)`` returns the next request with its sampled
-    demands.
+    demands.  Between requests the user holds nothing of the last
+    one: once :func:`fetch` returns, the request lives on only in the
+    application's log.
     """
+
+    __slots__ = (
+        "sim",
+        "app",
+        "request_factory",
+        "think_time",
+        "rng",
+        "tcp",
+        "tandem",
+        "requests_sent",
+    )
 
     def __init__(
         self,
@@ -175,13 +185,15 @@ class ClosedLoopClient:
         factory = self.request_factory
         tcp = self.tcp
         tandem = self.tandem
-        exponential = self.rng.exponential
+        rng = self.rng
         think_time = self.think_time
         while True:
-            request = factory(self.requests_sent)
-            self.requests_sent += 1
-            yield from fetch(sim, app, request, tcp=tcp, tandem=tandem)
-            yield float(exponential(think_time))
+            rid = self.requests_sent
+            self.requests_sent = rid + 1
+            # No local keeps the request: through the think time only
+            # the log's pending batch holds it, so packing frees it.
+            yield from fetch(sim, app, factory(rid), tcp=tcp, tandem=tandem)
+            yield float(rng.exponential(think_time))
 
 
 def _weighted(

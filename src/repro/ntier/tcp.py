@@ -11,7 +11,6 @@ from sub-100 ms normal latency to the multi-second tail of Fig 2/7c/9d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = ["RetransmissionPolicy", "DEFAULT_TCP"]
 
@@ -24,6 +23,11 @@ class RetransmissionPolicy:
     ``backoff`` — multiplier applied after each failed attempt.
     ``max_rto`` — ceiling for the timeout (RFC 6298 suggests >= 60 s).
     ``max_retries`` — retransmissions before the client gives up.
+
+    ``schedule`` (not a field) is the tuple of backoffs, one per
+    retransmission: 1, 2, 4, ... capped at ``max_rto``.  The sleeping
+    paths index it by drop count, and attribution sums it, so the two
+    read the same floats.
     """
 
     min_rto: float = 1.0
@@ -40,13 +44,14 @@ class RetransmissionPolicy:
             raise ValueError("max_rto must be >= min_rto")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-
-    def timeouts(self) -> Iterator[float]:
-        """Yield the successive RTO values: 1, 2, 4, ... capped."""
+        schedule = []
         rto = self.min_rto
         for _ in range(self.max_retries):
-            yield min(rto, self.max_rto)
+            schedule.append(min(rto, self.max_rto))
             rto *= self.backoff
+        # Not a dataclass field: equality, hashing and the sweep cache
+        # key see only the four parameters it is built from.
+        object.__setattr__(self, "schedule", tuple(schedule))
 
     def rto_for_drop(self, drop_index: int) -> float:
         """The backoff slept after the ``drop_index``-th drop (0-based).
@@ -61,9 +66,7 @@ class RetransmissionPolicy:
             raise ValueError(
                 f"drop {drop_index} exceeds max_retries={self.max_retries}"
             )
-        return min(
-            self.min_rto * self.backoff ** drop_index, self.max_rto
-        )
+        return self.schedule[drop_index]
 
 
 #: RFC 6298 defaults used throughout the paper's analysis.

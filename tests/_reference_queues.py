@@ -4,18 +4,30 @@
 with a verbatim copy of its former ``transfer``, which drove each
 traversal through a nested ``_attempt`` generator (one extra generator
 frame on every stage sleep) and slept on a ``Timeout`` event, the one
-kept in ``tests/_reference_timeout.py``.  Stages, counters and the bus
-payloads are the run-time ones.  Nothing in ``src`` uses it: it is the
-reference ``tests/test_reference_equivalence.py`` checks the run-time
-chain against.
+kept in ``tests/_reference_timeout.py``; its backoffs came from the
+policy's former ``timeouts()`` generator (:func:`timeouts`), where the
+run-time chain indexes ``RetransmissionPolicy.schedule``.  Stages,
+counters and the bus payloads are the run-time ones.  Nothing in
+``src`` uses it: it is the reference
+``tests/test_reference_equivalence.py`` checks the run-time chain
+against.
 """
 
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 from repro.net.queues import NetEvent, NetworkOverflowError, QueueChain
+from repro.ntier.tcp import RetransmissionPolicy
 from tests._reference_timeout import Timeout
 
-__all__ = ["ReferenceQueueChain"]
+__all__ = ["ReferenceQueueChain", "timeouts"]
+
+
+def timeouts(tcp: RetransmissionPolicy) -> Iterator[float]:
+    """The former ``RetransmissionPolicy.timeouts``: 1, 2, 4, ... capped."""
+    rto = tcp.min_rto
+    for _ in range(tcp.max_retries):
+        yield min(rto, tcp.max_rto)
+        rto *= tcp.backoff
 
 
 class ReferenceQueueChain(QueueChain):
@@ -69,7 +81,7 @@ class ReferenceQueueChain(QueueChain):
                     ),
                 )
             if rtos is None:
-                rtos = self.tcp.timeouts()
+                rtos = timeouts(self.tcp)
             try:
                 rto = next(rtos)
             except StopIteration:

@@ -1,5 +1,7 @@
 """Unit tests for the assembled application and the client loops."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,35 @@ class TestClosedLoopClient:
         sim.run(until=20.0)
         assert client.requests_sent > 10
         assert len(app.completed) >= client.requests_sent - 1
+
+    def test_thinking_user_holds_no_finished_request(self, sim):
+        """A finished request dies when its log batch packs, mid-think."""
+
+        class Tracked(Request):
+            __slots__ = ("__weakref__",)
+
+        app, demands = build_app(sim)
+        finished = []
+
+        def factory(rid):
+            request = Tracked(rid=rid, page="p", demands=dict(demands))
+            finished.append(weakref.ref(request))
+            return request
+
+        client = ClosedLoopClient(
+            sim, app, factory, think_time=1000.0,
+            rng=np.random.default_rng(1),
+        )
+        sim.process(client.run())
+        sim.run(until=1.0)
+        # One request done, the user thinking: the log's pending batch
+        # is the only holder left.
+        assert client.requests_sent == 1 and len(app.completed) == 1
+        assert finished[0]() is not None
+        app.completed.column("t_done")  # a reader packs the batch
+        assert finished[0]() is None
+        sim.run(until=2.0)
+        assert client.requests_sent == 1
 
     def test_population_staggers_starts(self, sim):
         app, demands = build_app(sim, concurrencies=(50, 40))

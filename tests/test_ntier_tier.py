@@ -55,16 +55,16 @@ class TestRetransmissionPolicy:
         assert DEFAULT_TCP.backoff == 2.0
 
     def test_timeouts_double(self):
-        assert list(RetransmissionPolicy(max_retries=4).timeouts()) == [
+        assert RetransmissionPolicy(max_retries=4).schedule == (
             1.0,
             2.0,
             4.0,
             8.0,
-        ]
+        )
 
     def test_timeouts_capped(self):
         policy = RetransmissionPolicy(max_retries=8, max_rto=4.0)
-        assert max(policy.timeouts()) == 4.0
+        assert max(policy.schedule) == 4.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

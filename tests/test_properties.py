@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +19,17 @@ from repro.model import (
 )
 from repro.monitoring import TimeSeries
 from repro.core import ScalarKalmanFilter
-from repro.ntier import RetransmissionPolicy
+from repro.analysis.attribution import component_breakdown
+from repro.ntier import Request, RetransmissionPolicy, fetch
+from repro.obs.tracer import NULL_TRACER
 from repro.sim import (
     ProcessorSharingServer,
     RandomStreams,
     Resource,
     Simulator,
 )
+from tests._reference_queues import timeouts
+from tests.conftest import max_examples
 
 
 class TestEventOrderingProperties:
@@ -315,10 +320,80 @@ class TestTcpProperties:
         policy = RetransmissionPolicy(
             max_retries=retries, backoff=backoff, max_rto=64.0
         )
-        timeouts = list(policy.timeouts())
+        timeouts = list(policy.schedule)
         assert len(timeouts) == retries
         assert timeouts == sorted(timeouts)
         assert all(1.0 <= t <= 64.0 for t in timeouts)
+
+
+class _DroppingFront:
+    """A front tier that drops the first ``drops`` attempts it sees."""
+
+    name = "front"
+
+    def __init__(self, drops):
+        self.drops = drops
+
+    def admit(self, request):
+        if self.drops:
+            self.drops -= 1
+            return None
+        return "token"
+
+    def serve(self, request, token):
+        return
+        yield
+
+
+def _slept_backoffs(tcp, drops):
+    """Drive ``fetch`` against a front that drops ``drops`` attempts.
+
+    Returns the request and every delay ``fetch`` slept, in order.
+    """
+    app = SimpleNamespace(
+        tracer=NULL_TRACER,
+        front=_DroppingFront(drops),
+        record=lambda request: None,
+    )
+    sim = SimpleNamespace(_now=0.0)
+    request = Request(rid=0, page="p", demands={})
+    slept = []
+    for delay in fetch(sim, app, request, tcp=tcp):
+        slept.append(delay)
+        sim._now += delay
+    return request, slept
+
+
+class TestRtoScheduleProperties:
+    """Attribution sums the very backoffs the client sleeps."""
+
+    @given(
+        min_rto=st.floats(min_value=0.01, max_value=5.0),
+        backoff=st.floats(min_value=1.0, max_value=3.0),
+        cap=st.floats(min_value=1.0, max_value=100.0),
+        retries=st.integers(min_value=0, max_value=10),
+        drops=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=max_examples(200), deadline=None)
+    def test_attributed_rto_equals_slept_backoffs(
+        self, min_rto, backoff, cap, retries, drops
+    ):
+        tcp = RetransmissionPolicy(
+            min_rto=min_rto,
+            backoff=backoff,
+            max_rto=min_rto * cap,
+            max_retries=retries,
+        )
+        request, slept = _slept_backoffs(tcp, drops)
+        assert request.failed == (drops > retries)
+        assert request.drops == min(drops, retries + 1)
+        # The floats the former per-request generator slept.
+        assert slept == list(timeouts(tcp))[:drops]
+        attributed = component_breakdown(request, tcp=tcp).get(
+            "rto_wait", 0.0
+        )
+        assert attributed == sum(slept)
+        assert [tcp.rto_for_drop(i) for i in range(len(slept))] == slept
 
 
 class TestRngProperties:

@@ -9,7 +9,13 @@ documented and kept passing.
 The check is static.  It compiles the Python sources under ``src/``,
 ``benchmarks/`` (including ``benchmarks/e2e``) and ``examples/`` and
 reads the names their bytecode loads: globals, attributes and imported
-names, never strings, docstrings or comments.  Inside a module:
+names, never strings, docstrings or comments.  Annotations are the one
+place it reads strings: under ``from __future__ import annotations``
+the bytecode keeps each annotation as a string, and a quoted forward
+reference is one anyway, so the names of every annotation are parsed
+from the syntax tree.  They count as uses by the file that writes them,
+never inside their own module: a type alias still needs a use in
+another file.  Inside a module:
 
 * A top-level definition is *live* when another scanned file (not a
   package ``__init__.py``) names it, when module-level code that runs
@@ -33,6 +39,7 @@ it earns its lines.  An allowed definition counts as reached, so what
 it calls is live as well.
 """
 
+import ast
 import dis
 import re
 from pathlib import Path
@@ -111,6 +118,41 @@ def _names(code: CodeType) -> Set[str]:
             found |= _names(const)
         elif _entry_point(const):
             found.add(_entry_point(const))
+    return found
+
+
+def _annotation_names(tree: ast.AST) -> Set[str]:
+    """The names and attributes every annotation in ``tree`` mentions.
+
+    A string inside an annotation (the whole annotation or a part such
+    as ``Optional["Tier"]``) is parsed as an expression in turn.
+    """
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations.extend(
+                arg.annotation
+                for arg in args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]
+                if arg is not None
+            )
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    found: Set[str] = set()
+    pending = [a for a in annotations if a is not None]
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    pending.append(ast.parse(node.value, mode="eval"))
+                except SyntaxError:
+                    pass
     return found
 
 
@@ -248,9 +290,10 @@ def unreached(
     users: Dict[str, Set[Path]] = {}
     modules: Dict[Path, _Module] = {}
     for path, source in sources.items():
-        code = compile(source, str(path), "exec", dont_inherit=True)
+        tree = ast.parse(source, str(path))
+        code = compile(tree, str(path), "exec", dont_inherit=True)
         if path.name != "__init__.py":
-            for name in _names(code):
+            for name in _names(code) | _annotation_names(tree):
                 users.setdefault(name, set()).add(path)
         if package in path.parents:
             modules[path] = _Module(code)
@@ -396,3 +439,31 @@ class TestGateOnSyntheticModules:
         module = "def cell(seed):\n    return seed\n"
         script = "CELL = 'pkg.mod:cell'\nprint(CELL)\n"
         assert self.dead(module, script) == set()
+
+    def test_string_annotation_names_a_definition(self):
+        module = (
+            "from __future__ import annotations\n"
+            "from typing import Callable\n"
+            "Factory = Callable[[int], int]\n"
+            "Unused = Callable[[], int]\n"
+            "Local = Callable[[str], int]\n"
+            "def build(factory: Local) -> int:\n"
+            "    return factory('x')\n"
+        )
+        # Under the future import the script's annotations are strings
+        # in its bytecode; the quoted one is a string either way.
+        script = (
+            "from __future__ import annotations\n"
+            "from pkg.mod import build\n"
+            "def use(factory: Factory, other: 'Optional[Unused]') -> None:\n"
+            "    build(factory)\n"
+        )
+        # ``Local`` is annotated only inside its own module, and there
+        # as a string.
+        assert self.dead(module, script) == {"mod.Local"}
+        bare = "from pkg.mod import build\nbuild(len)\n"
+        assert self.dead(module, bare) == {
+            "mod.Factory",
+            "mod.Unused",
+            "mod.Local",
+        }

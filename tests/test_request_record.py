@@ -17,6 +17,7 @@ the per-row loop it replaced (``tests/_reference_request_table.py``).
 """
 
 import gc
+import inspect
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +30,9 @@ from hypothesis import strategies as st
 import repro.ntier.request as request_module
 from repro.experiments.configs import PRIVATE_CLOUD
 from repro.experiments.runner import run_rubbos
-from repro.experiments.summary import request_table
+from repro.experiments.summary import request_table, summarize_rubbos
+from repro.hardware import Host, MemorySubsystem, VirtualMachine
+from repro.ntier import ClosedLoopClient, NTierApplication, Tier
 from repro.ntier.remote import RemoteTierStub
 from repro.ntier.request import Request, RequestLog
 from repro.sim import Simulator
@@ -360,3 +363,80 @@ class TestRetainedMemory:
         assert len(copy) > 500
         per_request = retained / len(copy)
         assert per_request <= self.MAX_BYTES_PER_REQUEST, per_request
+
+    #: ``tracemalloc`` peak of summarizing the registered fig9 run
+    #: (private-cloud, 23,225 completions): 7.20 MB under CPython 3.11
+    #: with one post-warmup window shared by the request table and the
+    #: attribution, against 9.47 MB when each cut its own copy and the
+    #: attack effect's window was still alive.  The summary is numpy
+    #: arrays and typed columns, so the ~10% margin is for allocator
+    #: detail, and a second window copy (3.5 MB) fails it.
+    MAX_SUMMARY_PEAK_BYTES = 8_000_000
+
+    def test_summary_peak_bounded(self):
+        run = run_rubbos(PRIVATE_CLOUD)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            summary = summarize_rubbos(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.app.completed) == 23225
+        assert summary.attribution is not None
+        assert peak <= self.MAX_SUMMARY_PEAK_BYTES, peak
+
+    #: Bytes a closed-loop user holds while it thinks: its client, its
+    #: session generator, its process and its wake entry.  835-836 B
+    #: under CPython 3.11 at 3,000 and 5,000 users; a user that kept
+    #: its last finished request through the think time held 1,646 B
+    #: (the request, its demand dict, three lists and their floats).
+    #: The bound leaves ~40% for other interpreters' frame layouts and
+    #: still fails a user that keeps its request.
+    MAX_BYTES_PER_THINKING_USER = 1200
+
+    def test_retained_bytes_per_thinking_user_bounded(self):
+        users = 3000
+        sim = Simulator()
+        tiers = []
+        for name in ("front", "back"):
+            host = Host(f"h-{name}")
+            vm = VirtualMachine(sim, name, vcpus=4)
+            vm.attach(host, MemorySubsystem(host), package=0)
+            tiers.append(Tier(sim, name, vm, concurrency=16, net_delay=0.0))
+        app = NTierApplication(sim, tiers)
+        rng = np.random.default_rng(5)
+
+        def factory(rid):
+            return Request(rid, "p", {"front": 1e-4, "back": 2e-4})
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clients = [
+                ClosedLoopClient(sim, app, factory, think_time=1000.0, rng=rng)
+                for _ in range(users)
+            ]
+            for i, client in enumerate(clients):
+                sim.process(client.run(start_delay=i / users))
+            sim.run(until=5.0)
+            app.completed.column("t_done")  # pack the last batch
+            retained = tracemalloc.get_traced_memory()[0] - before
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        # Every user has finished one request and thinks (mean 1000 s).
+        assert len(app.completed) >= users
+        assert sim.now == 5.0
+        # The log's own bytes (its columns and intern tables, the code
+        # from ``_Interner`` on) are the requests', bounded above.
+        log_from = inspect.getsourcelines(request_module._Interner)[1]
+        log_bytes = sum(
+            trace.size
+            for trace in snapshot.traces
+            if trace.traceback[0].filename == request_module.__file__
+            and trace.traceback[0].lineno >= log_from
+        )
+        per_user = (retained - log_bytes) / users
+        assert per_user <= self.MAX_BYTES_PER_THINKING_USER, per_user
