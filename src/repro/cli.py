@@ -355,6 +355,8 @@ def _print_kernel_profile(kernel, duration: float) -> None:
 
 def _run_trace(args) -> int:
     """The ``trace`` subcommand: traced run + exports + attribution."""
+    import numpy as np
+
     from .analysis.attribution import attribute_run
     from .analysis.export import write_chrome_trace, write_spans_jsonl
     from .experiments.runner import run_rubbos
@@ -419,13 +421,12 @@ def _run_trace(args) -> int:
     )
     if args.profile:
         _print_kernel_profile(run.obs.kernel, scenario.duration)
-    snapshot = run.obs.metrics.snapshot()
-    rt = snapshot.get("response_time")
-    if rt and rt.get("count"):
+    rts = run.app.completed.column("response_time")
+    if len(rts):
+        p95, p99 = np.percentile(rts, [95.0, 99.0])
         print(
-            f"response time: count={rt['count']} "
-            f"mean={rt['mean']:.3f}s p95={rt['p95']:.3f}s "
-            f"p99={rt['p99']:.3f}s"
+            f"response time: count={len(rts)} "
+            f"mean={rts.mean():.3f}s p95={p95:.3f}s p99={p99:.3f}s"
         )
     print(f"[trace {args.scenario} done in {time.time() - started:.1f}s]")
     return 0

@@ -197,8 +197,9 @@ class MemCAAttack:
         t0 = self.launched_at if since is None else since
         t1 = self.sim.now if until is None else until
         app = self.deployment.app
-        window_requests = app.completed.between(t0, t1)
-        rts = window_requests.column("response_time")
+        rows = app.completed.rows_between(t0, t1)
+        rts = app.completed.column("response_time")[rows]
+        attempts = app.completed.column("attempts")[rows]
         if len(rts):
             pct = {
                 p: float(np.percentile(rts, p)) for p in percentiles
@@ -207,7 +208,7 @@ class MemCAAttack:
         else:
             pct = {p: float("nan") for p in percentiles}
             above = 0.0
-        failed = app.failed.between(t0, t1)
+        failed = app.failed.column("t_done")[app.failed.rows_between(t0, t1)]
         assert self.attacker is not None
         bursts = self.attacker.bursts_since(t0)
         util_series = (
@@ -225,14 +226,12 @@ class MemCAAttack:
         )
         return AttackEffect(
             window=(t0, t1),
-            requests=len(window_requests),
+            requests=len(rts),
             percentiles=pct,
             fraction_above_rto=above,
             drops=app.front.drops,
             failed=len(failed),
-            retransmitted=int(
-                np.count_nonzero(window_requests.column("attempts") > 1)
-            ),
+            retransmitted=int(np.count_nonzero(attempts > 1)),
             bursts=len(bursts),
             mean_burst_length=(
                 float(np.mean([b.length for b in bursts])) if bursts else None

@@ -32,6 +32,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -565,23 +566,34 @@ class RequestLog:
     # -- columnar readers -----------------------------------------------
 
     def between(self, t0: float, t1: Optional[float] = None) -> "RequestLog":
-        """Rows with ``t0 <= t_done < t1`` (``t1=None``: no upper bound).
+        """Rows with ``t0 <= t_done < t1`` (``t1=None``: no upper bound)."""
+        rows = self.rows_between(t0, t1)
+        if isinstance(rows, slice):
+            return self[rows]
+        return self.take(rows)
+
+    def rows_between(
+        self, t0: float, t1: Optional[float] = None
+    ) -> Union[slice, np.ndarray]:
+        """Positions of the rows with ``t0 <= t_done < t1``.
 
         A simulation records requests as they finish, so its log's
         ``t_done`` never decreases and the window is one slice found
         by bisection.  Any other log (one with an unset ``t_done``,
-        ``completed + failed``) is filtered by a mask.  Rows without a
-        ``t_done`` never match.
+        ``completed + failed``) is filtered by a mask into an index
+        array.  Rows without a ``t_done`` never match.  Either result
+        indexes a :meth:`column` array, so a reader of a few columns
+        need not copy the whole window.
         """
         done = self.column("t_done")
         if not np.isnan(done).any() and (done[1:] >= done[:-1]).all():
-            a = np.searchsorted(done, t0)
-            b = len(done) if t1 is None else np.searchsorted(done, t1)
-            return self[a:b]
+            a = int(np.searchsorted(done, t0))
+            b = len(done) if t1 is None else int(np.searchsorted(done, t1))
+            return slice(a, b)
         keep = done >= t0
         if t1 is not None:
             keep &= done < t1
-        return self.take(np.flatnonzero(keep))
+        return np.flatnonzero(keep)
 
     def column(self, name: str) -> np.ndarray:
         """One value per row as a fresh numpy array.

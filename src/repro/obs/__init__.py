@@ -10,9 +10,9 @@ The subsystem has three legs (see DESIGN.md "Observability"):
   tracer decides at finish which trees to keep.
 * **Metrics + event bus + streaming tails** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.bus`, :mod:`repro.obs.sketch`,
-  :mod:`repro.obs.streaming`) — counters/gauges/percentile sketches, a
-  pub/sub fabric for request lifecycle events, windowed tail quantiles
-  and the tail-SLO detector.
+  :mod:`repro.obs.streaming`) — counters/gauges, a pub/sub fabric for
+  request lifecycle events, log-bucketed windowed tail quantiles and
+  the tail-SLO detector.
 * **Kernel self-profiling** (:class:`~repro.obs.bus.KernelProfiler`)
   — events dispatched, heap depth, wall-time per sim-second via the
   simulator's hook slot.
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from .bus import EventBus, KernelProfiler
 from .columnar import ColumnarTrace, SpanStore
-from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from .sketch import LogHistogram, P2Quantile
+from .metrics import Counter, Gauge, MetricsRegistry
+from .sketch import LogHistogram
 from .span import LEAF_KINDS, SPAN_KINDS, Span
 from .streaming import (
     LiveTelemetry,
@@ -60,11 +60,9 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "P2Quantile",
     "SPAN_KINDS",
     "Span",
     "SpanStore",
-    "StreamingHistogram",
     "TailSloDetector",
     "TelemetryConfig",
     "TelemetryPipeline",

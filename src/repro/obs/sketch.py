@@ -1,140 +1,37 @@
-"""Streaming quantile sketches: O(1)-memory tail estimators.
+"""Streaming quantile sketch: an O(1)-memory tail estimator.
 
 The paper's thesis is that millibottleneck damage lives *only* in the
 latency tail, so live monitoring has to answer percentile queries over
-an unbounded completion stream without retaining it.  Two sketches,
-complementary roles:
+an unbounded completion stream without retaining it.
+:class:`LogHistogram` is a DDSketch-style log-bucketed histogram with a
+*guaranteed* relative accuracy: every value lands in the bucket
+``ceil(log_gamma(v))`` where ``gamma = (1 + a) / (1 - a)``, so any
+quantile read back from bucket representatives is within relative
+error ``a`` of the exact sample quantile.  Buckets are counts in a
+dict, so memory is O(log(max/min) / a) regardless of stream length,
+and two histograms merge by adding counts.  Its readers:
 
-* :class:`P2Quantile` — Jain & Chlamtac's P² marker algorithm: five
-  markers per tracked quantile, updated with a handful of float ops
-  per observation.  This is the *running* estimator the adaptive
-  tracer consults on every request completion to decide promotion
-  (see :mod:`repro.obs.streaming`) — cheap enough for the per-request
-  hot path, no bucket walk, no window boundary lag.
-* :class:`LogHistogram` — a DDSketch-style log-bucketed histogram with
-  a *guaranteed* relative accuracy: every value lands in the bucket
-  ``ceil(log_gamma(v))`` where ``gamma = (1 + a) / (1 - a)``, so any
-  quantile read back from bucket representatives is within relative
-  error ``a`` of the exact sample quantile.  Buckets are counts in a
-  dict, so memory is O(log(max/min) / a) regardless of stream length,
-  and two histograms merge by adding counts — which is how the
-  telemetry pipeline folds per-window sketches into run-cumulative
-  estimates (`repro.obs.streaming.TelemetryPipeline`).
+* the telemetry pipeline folds per-window sketches into run-cumulative
+  estimates (:class:`repro.obs.streaming.TelemetryPipeline`);
+* the adaptive tracer keeps one of its own and re-reads its promotion
+  threshold from it every ``min_promote_samples`` completions
+  (:class:`repro.obs.tracer.Tracer`);
+* each datacenter shard keeps one, and the run merges them into one
+  latency view across the fabric (:mod:`repro.experiments.datacenter`).
 
-Both are deterministic (no RNG, unlike the reservoir-sampled
-:class:`~repro.obs.metrics.StreamingHistogram`) and observation-order
-dependent only in the ways the algorithms define, so fixed-seed runs
-produce identical telemetry byte for byte.
+The sketch has no RNG and depends on nothing but the observed values,
+so fixed-seed runs produce identical telemetry byte for byte.  A run's
+*exact* tail is not a sketch's job: every run keeps its finished
+requests in a :class:`~repro.ntier.request.RequestLog`, whose
+``response_time`` column answers it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
-__all__ = ["P2Quantile", "LogHistogram"]
-
-
-class P2Quantile:
-    """P² estimator of one quantile (Jain & Chlamtac 1985).
-
-    ``q`` is the target quantile in (0, 1), e.g. ``0.99``.  The first
-    five observations initialize the markers exactly; after that each
-    observation adjusts marker heights with the piecewise-parabolic
-    (P²) interpolation formula.  :attr:`estimate` is exact until five
-    observations have arrived (it falls back to the sorted buffer).
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1): {q}")
-        self.q = float(q)
-        self.count = 0
-        #: Marker heights (the first five observations until warm).
-        self._heights: List[float] = []
-        # 1-based marker positions and their desired counterparts.
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [
-            1.0,
-            1.0 + 2.0 * q,
-            1.0 + 4.0 * q,
-            3.0 + 2.0 * q,
-            5.0,
-        ]
-        self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        # Locate the cell k with heights[k] <= value < heights[k+1].
-        if value < heights[0]:
-            heights[0] = value
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            k = 3
-        else:
-            k = 3
-            for i in range(1, 4):
-                if value < heights[i]:
-                    k = i - 1
-                    break
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._rates[i]
-        # Adjust the three interior markers toward their desired spots.
-        for i in (1, 2, 3):
-            delta = desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def estimate(self) -> Optional[float]:
-        """Current quantile estimate (None before any observation)."""
-        count = self.count
-        if count == 0:
-            return None
-        heights = self._heights
-        if count <= 5:
-            # Exact from the sorted warm-up buffer (nearest rank).
-            rank = max(0, min(count - 1, math.ceil(self.q * count) - 1))
-            return heights[rank]
-        return heights[2]
+__all__ = ["LogHistogram"]
 
 
 class LogHistogram:

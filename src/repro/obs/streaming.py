@@ -15,7 +15,9 @@ byte-identical to results with it off (pinned in
 * :class:`~repro.obs.tracer.Tracer` — records a span tree for *every*
   request and decides retention at finish: keep-all
   (:data:`~repro.obs.tracer.FULL_TRACING`), or a base sample plus the
-  promoted tail above the running P99, optionally budgeted per window.
+  promoted tail at or above a P99 that its own log-bucketed sketch
+  re-reads every ``min_promote_samples`` completions, optionally
+  budgeted per window.
 * :class:`TelemetryPipeline` — tumbling-window quantile sketches
   (:class:`~repro.obs.sketch.LogHistogram`, O(1) memory per window,
   mergeable) for end-to-end and per-tier latency, exposing live

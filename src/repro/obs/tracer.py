@@ -20,17 +20,19 @@ at the horizon are never retained.  Retention is configured only by
 * **keep-all** (:data:`FULL_TRACING`: ``base_sample_every=1``, no
   budget) — every finished request is kept.  No estimator is built and
   no window is tracked, so finish costs only the store append and the
-  completion metrics;
+  completion counters;
 * **base sample** — every ``stride``-th finished request; with a
   ``trace_budget_per_window`` the stride re-tunes at each window
   boundary to ``round(finished / budget)``;
 * **promoted** — any failed request, and any request whose response
-  time reaches the running ``promote_quantile`` estimate (a
-  :class:`~repro.obs.sketch.P2Quantile`, built only when retention can
-  discard).  Promotion ignores the budget: under attack the tail
-  inflates and the retained rate rises with it.
+  time reaches the promotion threshold: the ``promote_quantile`` of a
+  :class:`~repro.obs.sketch.LogHistogram` of completed response times,
+  re-read every ``min_promote_samples`` completions (the sketch is
+  built only when retention can discard).  Promotion ignores the
+  budget: under attack the tail inflates and the retained rate rises
+  with it.
 
-The tracer also folds completion statistics into a
+The tracer also counts completions, failures and retransmissions in a
 :class:`~repro.obs.metrics.MetricsRegistry` and publishes the request
 lifecycle topics on an optional :class:`~repro.obs.bus.EventBus`.
 """
@@ -44,7 +46,7 @@ from typing import Optional, Tuple
 from .bus import EventBus
 from .columnar import ColumnarTrace, SpanStore
 from .metrics import MetricsRegistry
-from .sketch import P2Quantile
+from .sketch import LogHistogram
 
 __all__ = [
     "FULL_TRACING",
@@ -72,10 +74,12 @@ class TelemetryConfig:
     #: stride each window to hit it.  None pins the stride at
     #: ``base_sample_every`` (the fixed 1/64 budget of the benchmark).
     trace_budget_per_window: Optional[int] = 8
-    #: Quantile (percentile units) whose running estimate is the
-    #: promotion threshold: any completion at/above it keeps its trace.
+    #: Quantile (percentile units) of the completed response times that
+    #: is the promotion threshold: any completion at/above it keeps its
+    #: trace.
     promote_quantile: float = 99.0
-    #: Completions needed before the promotion threshold arms.
+    #: Completions between re-reads of the promotion threshold; the
+    #: first read arms it.
     min_promote_samples: int = 100
     #: End-to-end tail SLO in seconds (None disables the detector).
     slo: Optional[float] = None
@@ -107,6 +111,11 @@ class TelemetryConfig:
         if self.base_sample_every < 1:
             raise ValueError(
                 f"base_sample_every must be >= 1: {self.base_sample_every}"
+            )
+        if self.min_promote_samples < 1:
+            raise ValueError(
+                f"min_promote_samples must be >= 1: "
+                f"{self.min_promote_samples}"
             )
         budget = self.trace_budget_per_window
         if budget is not None and budget < 1:
@@ -173,11 +182,13 @@ class Tracer:
         self.traces = self.store.traces
         self.stride = config.base_sample_every
         budget = config.trace_budget_per_window
-        #: Running promotion-quantile estimator; None when retention
+        #: Sketch of completed response times; None when retention
         #: keeps every trace and so never consults a threshold.
-        self.p2: Optional[P2Quantile] = None
+        self.tail: Optional[LogHistogram] = None
         if self.stride > 1 or budget is not None:
-            self.p2 = P2Quantile(config.promote_quantile / 100.0)
+            self.tail = LogHistogram(config.accuracy)
+        #: The armed promotion threshold (None while warming up).
+        self.threshold: Optional[float] = None
         self.promoted = 0
         self.discarded = 0
         self._finished_in_window = 0
@@ -191,15 +202,6 @@ class Tracer:
         self._c_dropped = metrics.counter("requests.dropped")
         self._c_retransmitted = metrics.counter("requests.retransmitted")
         self._c_tcp_retrans = metrics.counter("tcp.retransmissions")
-        self._h_response_time = metrics.histogram("response_time")
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The armed promotion threshold (None while warming up)."""
-        p2 = self.p2
-        if p2 is None or p2.count < self.config.min_promote_samples:
-            return None
-        return p2.estimate
 
     @property
     def retained(self) -> int:
@@ -233,8 +235,8 @@ class Tracer:
             self.bus.publish("request.dropped", request)
 
     def finish(self, request) -> None:
-        """Decide retention, then fold the request into metrics and the bus."""
-        if self.p2 is None:
+        """Decide retention, then count the request and publish it."""
+        if self.tail is None:
             self.store.adopt(request.trace)
         else:
             self._sample(request)
@@ -244,9 +246,6 @@ class Tracer:
         else:
             self._c_completed.inc()
             topic = "request.completed"
-            rt = request.response_time
-            if rt is not None:
-                self._h_response_time.observe(rt)
         if request.attempts > 1:
             self._c_retransmitted.inc()
             self._c_tcp_retrans.inc(request.attempts - 1)
@@ -274,7 +273,10 @@ class Tracer:
             request.trace = None
             self.discarded += 1
         if rt is not None and not request.failed:
-            self.p2.observe(rt)
+            tail = self.tail
+            tail.observe(rt)
+            if tail.count % self.config.min_promote_samples == 0:
+                self.threshold = tail.quantile(self.config.promote_quantile)
 
     def _retune(self, now: float) -> None:
         """Window rollover: adapt the base stride to the budget."""

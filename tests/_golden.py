@@ -23,6 +23,8 @@ import os
 import tempfile
 from dataclasses import replace
 
+import numpy as np
+
 from repro.analysis.attribution import attribute_run
 from repro.analysis.export import (
     requests_to_rows,
@@ -122,15 +124,19 @@ def requests_csv_text(run) -> str:
 
 
 def sketch_json_text(run) -> str:
-    """Percentile-sketch values of a traced run's response times."""
-    hist = run.obs.metrics.histogram("response_time")
+    """Exact tail of a run's response times, from its completed log."""
+    rts = run.app.completed.column("response_time")
+    # Left to right, one += per value: sum() compensates.
+    total = 0.0
+    for rt in rts.tolist():
+        total += rt
     payload = {
-        "count": hist.count,
-        "total": hist.total,
-        "min": hist.low,
-        "max": hist.high,
+        "count": len(rts),
+        "total": total,
+        "min": float(rts.min()),
+        "max": float(rts.max()),
         "percentiles": {
-            str(q): hist.percentile(q)
+            str(q): float(np.percentile(rts, q))
             for q in (50.0, 90.0, 95.0, 99.0, 99.9)
         },
     }

@@ -52,6 +52,38 @@ class TestCli:
         # The per-bin rows end with the totals line.
         assert "total" in out
 
+    def test_trace_prints_exact_tail_from_the_log(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.experiments import runner
+
+        runs = []
+        original = runner.run_rubbos
+
+        def run_rubbos(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(runner, "run_rubbos", run_rubbos)
+        assert main([
+            "trace", "fig2", "--duration", "8", "--users", "100",
+            "--out", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        (run,) = runs
+        rts = run.app.completed.column("response_time")
+        assert len(rts) > 100
+        p95, p99 = np.percentile(rts, [95.0, 99.0])
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("response time:")
+        )
+        assert f"count={len(rts)} " in line
+        assert f" p95={p95:.3f}s " in line
+        assert line.endswith(f" p99={p99:.3f}s")
+
     def test_monitor_unknown_scenario_fails(self, capsys):
         assert main(["monitor", "nope"]) == 2
         assert "scenario name" in capsys.readouterr().err
@@ -73,7 +105,9 @@ class TestCli:
         assert "slo:" in out
         report = json.loads(out_json.read_text())
         assert report["windows"] == 5
+        # The run's tail is the sketches' to report, not the metrics'.
         assert "e2e" in report["sketches"]
+        assert "response_time" not in report["metrics"]
         assert report["experiment"] == "fig2"
 
     def test_monitor_hybrid_shows_bulk_queue_depths(self, capsys):

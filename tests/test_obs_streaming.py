@@ -12,7 +12,6 @@ from repro.experiments.runner import run_rubbos
 from repro.obs import (
     EventBus,
     LogHistogram,
-    P2Quantile,
     TailSloDetector,
     TelemetryConfig,
     TelemetryPipeline,
@@ -45,30 +44,6 @@ class FakeRequest:
 
     def tier_response_time(self, tier):
         return self._tiers.get(tier)
-
-
-class TestP2Quantile:
-    def test_small_sample_is_exact(self):
-        p2 = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            p2.observe(v)
-        assert p2.estimate == pytest.approx(3.0)
-        assert p2.count == 3
-
-    def test_converges_on_lognormal_p99(self):
-        rng = np.random.default_rng(7)
-        values = rng.lognormal(mean=-2.0, sigma=0.8, size=20000)
-        p2 = P2Quantile(0.99)
-        for v in values:
-            p2.observe(float(v))
-        exact = float(np.percentile(values, 99))
-        assert p2.estimate == pytest.approx(exact, rel=0.05)
-
-    def test_monotone_input(self):
-        p2 = P2Quantile(0.9)
-        for v in range(1, 1001):
-            p2.observe(float(v))
-        assert p2.estimate == pytest.approx(900.0, rel=0.05)
 
 
 class TestLogHistogram:
@@ -141,6 +116,7 @@ class TestTelemetryConfig:
             {"accuracy": 1.0},
             {"quantiles": (50.0, 150.0)},
             {"quantiles": (-1.0, 99.0)},
+            {"min_promote_samples": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

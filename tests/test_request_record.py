@@ -300,6 +300,9 @@ class TestRequestLogRoundTrip:
         for rows in (finished, requests):
             log = RequestLog(rows)
             assert_same_rows(log.between(t0, t1), window(rows))
+            # The row positions pick the same rows out of a column.
+            picked = log.column("rid")[log.rows_between(t0, t1)]
+            assert picked.tolist() == [r.rid for r in window(rows)]
 
 
 class TestColumnarReaders:
