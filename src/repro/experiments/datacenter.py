@@ -58,6 +58,7 @@ from __future__ import annotations
 import gc
 import multiprocessing as mp
 import os
+import time
 import traceback
 from dataclasses import dataclass, replace
 from multiprocessing import connection as mp_connection
@@ -768,6 +769,15 @@ class DatacenterRun:
         return tuple(totals)
 
 
+#: Wall seconds a shard worker may stay silent (no window report, no
+#: result) before the coordinator declares it hung and stops the run.
+#: Wall time decides only liveness, never what a worker computes.
+#: Reports come about once per simulated second (:func:`_default_stride`),
+#: which takes a registered scenario well under a second, so this is
+#: generous; it bounds a hang instead of letting it last forever.
+LIVENESS_DEADLINE_S = 300.0
+
+
 def _default_stride(window: float) -> int:
     """Progress roughly once per simulated second of ``window``s."""
     return max(1, int(round(1.0 / window)))
@@ -974,13 +984,35 @@ def run_datacenter(
     payloads: Dict[int, Any] = {}
     pending = set(result_conns)
     failure: Optional[str] = None
+    # The liveness watchdog: wall time each worker was last heard from.
+    heard = dict.fromkeys(result_conns, time.monotonic())
     # Payloads are megabytes of pickled requests: unpickle them without
     # the collector re-walking every freshly built batch.
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
         while pending and failure is None:
-            for conn in mp_connection.wait(list(pending)):
+            oldest = min(heard[conn] for conn in pending)
+            ready = mp_connection.wait(
+                list(pending),
+                max(0.0, oldest + LIVENESS_DEADLINE_S - time.monotonic()),
+            )
+            if not ready:
+                expired = time.monotonic() - LIVENESS_DEADLINE_S
+                silent = [
+                    f"shard group {members} on "
+                    f"{scenario.shards[members[0]].host}"
+                    for conn, members in zip(result_conns, groups)
+                    if conn in pending and heard[conn] <= expired
+                ]
+                if silent:
+                    failure = (
+                        f"{', '.join(silent)} sent nothing for "
+                        f"{LIVENESS_DEADLINE_S:g} s (hung worker)"
+                    )
+                continue
+            for conn in ready:
+                heard[conn] = time.monotonic()
                 try:
                     message = conn.recv()
                 except EOFError:

@@ -325,17 +325,19 @@ class QueueChain:
                     break
                 departure, stage_marked = admitted
                 delay = departure - now
-                if delay > 0:
+                if delay > 0 and not sim.elapse(delay):
                     yield delay
                 stage.depart()
                 marked = marked or stage_marked
             else:
-                if self.propagation > 0:
-                    yield self.propagation
-                if marked and self.ecn_penalty > 0:
+                propagation = self.propagation
+                if propagation > 0 and not sim.elapse(propagation):
+                    yield propagation
+                penalty = self.ecn_penalty
+                if marked and penalty > 0 and not sim.elapse(penalty):
                     # The congestion response: one pacing delay per
                     # marked traversal, the cwnd-halving analog.
-                    yield self.ecn_penalty
+                    yield penalty
                 delivered = sim._now
                 self.delivered += 1
                 if trace is not None:

@@ -65,6 +65,14 @@ DESIGN.md ("Kernel invariants") and enforced byte-for-byte by
   semantically identical; a scenario run straight through and the
   same scenario stepped in ``run(until=t)`` windows must agree
   (``tests/test_net_queues.py::TestShardBoundaryProperties``).
+* **In-place continuations.**  A sleep whose wake would be the very
+  next dispatch (:meth:`Simulator.elapse`), or a sole urgent event a
+  process is about to wait on (:meth:`Simulator.consume`), is taken
+  without a trip through the loop: the clock, ``seq`` and the hook
+  count move exactly as the push and dispatch would have moved them,
+  so every event count still counts logical dispatches.  The loops
+  publish the two facts this needs: the running horizon and whether
+  they are partway through an event with several waiters.
 * **Batched cyclic GC.**  Event dispatch allocates heavily (events,
   queue entries, generator frames) and CPython's default generation-0
   cadence (every ~700 allocations) costs ~15% of kernel wall time at
@@ -483,6 +491,8 @@ class Simulator:
         "_hook_stride",
         "_hook_countdown",
         "_gc_budget",
+        "_horizon",
+        "_fanout",
         "__weakref__",
     )
 
@@ -524,6 +534,13 @@ class Simulator:
         #: Events left before the next batched collection; persists
         #: across run() calls so short safe windows keep the cadence.
         self._gc_budget = _GC_EVENT_BATCH
+        #: The running loop's horizon (``inf`` for a drain, ``-inf``
+        #: outside :meth:`run`) and whether it is partway through an
+        #: event with several waiters: the two facts an in-place
+        #: continuation (:meth:`elapse`, :meth:`consume`) needs from
+        #: the dispatcher.
+        self._horizon = -_INF
+        self._fanout = False
         _worlds.add(self)
 
     @property
@@ -792,6 +809,99 @@ class Simulator:
             return self._spill[0][0]
         return _INF
 
+    # -- in-place continuations ------------------------------------------
+
+    def elapse(self, delay: float) -> bool:
+        """Sleep ``delay`` seconds in place if that wake is the next
+        dispatch; return whether it was.
+
+        For a process that would otherwise ``yield delay``::
+
+            if not sim.elapse(delay):
+                yield delay
+
+        The wake would be the next dispatch when nothing urgent is
+        waiting, the dispatcher is not partway through an event with
+        several waiters, ``now + delay`` is within the running loop's
+        horizon and the wheel window, and it is strictly before the
+        next timed entry (an entry already queued at that instant has
+        the smaller ``seq``, so it would dispatch first).  Then the
+        clock moves to ``now + delay`` and the sleep's ``seq`` and its
+        dispatch are counted exactly as the push and the dispatch would
+        have counted them, and the caller goes on without a trip
+        through the event loop.  Otherwise nothing changes and the
+        caller yields.  A negative, NaN or infinite delay is never
+        taken in place, so the yield reports it.
+        """
+        now = self._now
+        t = now + delay
+        if (
+            self._imm
+            or self._fanout
+            or not now <= t < self._window_end
+            or t > self._horizon
+        ):
+            return False
+        if self._timed_count:
+            bucket = self._buckets[self._active_idx]
+            pos = self._active_pos
+            if pos < len(bucket):
+                if t >= bucket[pos][0]:
+                    return False
+            elif t >= self.peek():
+                return False
+        self._seq += 1
+        self._now = t
+        hooks = self._hooks
+        if hooks is not None:
+            countdown = self._hook_countdown - 1
+            if countdown:
+                self._hook_countdown = countdown
+            else:
+                self._hook_countdown = self._hook_stride
+                hooks.on_events(self._hook_stride, t, self.pending_events)
+        return True
+
+    def consume(self, event: Event) -> bool:
+        """Take a triggered ``event`` in place if its dispatch is the
+        next one; return whether it was.
+
+        For a process that would otherwise ``yield event``::
+
+            if not sim.consume(event):
+                yield event
+
+        It is the next dispatch, with the process as its only waiter,
+        when the event succeeded, is the only urgent entry, has no
+        callbacks yet, and the dispatcher is not partway through an
+        event with several waiters.  Then it is dequeued and marked
+        processed, its dispatch is counted as the dispatcher counts
+        one, and the caller reads ``event.value`` if it needs it.
+        Otherwise nothing changes and the caller yields.
+        """
+        imm = self._imm
+        if (
+            len(imm) != 1
+            or imm[0] is not event
+            or self._fanout
+            or event.callbacks
+            or not event._ok
+        ):
+            return False
+        imm.pop()
+        event.callbacks = None
+        hooks = self._hooks
+        if hooks is not None:
+            countdown = self._hook_countdown - 1
+            if countdown:
+                self._hook_countdown = countdown
+            else:
+                self._hook_countdown = self._hook_stride
+                hooks.on_events(
+                    self._hook_stride, self._now, self.pending_events
+                )
+        return True
+
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -805,6 +915,8 @@ class Simulator:
         try:
             return self._run(until)
         finally:
+            self._horizon = -_INF
+            self._fanout = False
             self._flush_hook_events()
             if manage_gc:
                 _gc.enable()
@@ -822,6 +934,7 @@ class Simulator:
         # Loop-hoisted: hooks (if any) are attached before run() — the
         # attach API is not meant to be called from callbacks.
         hooks = self._hooks
+        self._horizon = _INF
         try:
             while True:
                 if imm:
@@ -868,8 +981,12 @@ class Simulator:
                     # scale.
                     callbacks[0](event)
                 else:
+                    # Later waiters run at this instant after earlier
+                    # ones: no waiter may continue in place meanwhile.
+                    self._fanout = True
                     for callback in callbacks:
                         callback(event)
+                    self._fanout = False
                 if not event._ok and not event._defused:
                     # A failure nobody handled: surface it instead of
                     # silently dropping the exception.
@@ -911,6 +1028,7 @@ class Simulator:
         buckets = self._buckets
         budget = self._gc_budget
         hooks = self._hooks
+        self._horizon = horizon
         try:
             while True:
                 if imm:
@@ -957,8 +1075,10 @@ class Simulator:
                 if len(callbacks) == 1:
                     callbacks[0](event)
                 else:
+                    self._fanout = True
                     for callback in callbacks:
                         callback(event)
+                    self._fanout = False
                 if not event._ok and not event._defused:
                     raise event._value
         finally:

@@ -11,6 +11,12 @@ by ``float.hex``: resume, completion and delivery times and their
 order, drops and marks, integrators, counters, and the number of timed
 events scheduled (``Simulator._seq``), which is what the pinned event
 counts of ``tests/test_determinism.py`` measure.
+
+The in-place continuations (``Simulator.elapse`` for a sleep,
+``Simulator.consume`` for a pool grant) are checked the same way
+against the yielding programs, with the runs cut into random
+``run(until=t)`` windows and events injected between them, as the
+sharded kernel injects cross-shard deliveries.
 """
 
 from hypothesis import given, settings
@@ -18,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.net import FiniteQueue, NetworkOverflowError, QueueChain
 from repro.ntier import RetransmissionPolicy
-from repro.sim import Interrupt, ProcessorSharingServer, Simulator
+from repro.sim import Interrupt, ProcessorSharingServer, Resource, Simulator
 from repro.sim.sharded import EventCounter
 from tests._reference_psserver import (
     ProcessorSharingServer as ReferencePSServer,
@@ -32,11 +38,13 @@ from tests.conftest import max_examples
 #: Zero, tied and spilled (past the default 8.192 s wheel) delays.
 SLEEP = st.sampled_from([0.0, 0.0, 0.001, 0.25, 0.25, 1.0, 10.0, 20.0])
 
-#: One step of a process: sleep, wait on / fire a shared event, spawn
-#: or join a process, or interrupt a process that is mid-sleep.
+#: One step of a process: sleep, wait on / fire a shared event, hold
+#: the shared pool for a sleep, spawn or join a process, or interrupt a
+#: process that is mid-sleep.
 PROC_OP = st.one_of(
     st.tuples(st.just("sleep"), SLEEP),
     st.tuples(st.just("sleep"), st.floats(0.0, 30.0)),
+    st.tuples(st.just("pool"), SLEEP),
     st.tuples(st.just("wait"), st.integers(0, 3)),
     st.tuples(st.just("fire"), st.integers(0, 3)),
     st.tuples(st.just("spawn"), st.integers(0, 7)),
@@ -52,13 +60,51 @@ PROC_PROGRAMS = st.lists(
 #: Spawns past this many processes are skipped, so programs terminate.
 MAX_PROCESSES = 24
 
+#: ``run(until=t)`` window ends, each followed by an injected bare
+#: timer ``delta`` later that logs itself and fires shared event ``k``.
+SPLITS = st.lists(
+    st.tuples(
+        st.one_of(SLEEP, st.floats(0.0, 30.0)),
+        st.sampled_from([0.0, 0.001, 0.25]),
+        st.integers(0, 3),
+    ),
+    max_size=4,
+)
 
-def run_process_program(sleep, programs):
-    """Play ``programs`` with ``sleep(sim, delay)`` as the sleep yield."""
+
+def wake_sleep(sim, delay):
+    return (yield delay)
+
+
+def event_sleep(sim, delay):
+    return (yield Timeout(sim, delay))
+
+
+def elapse_sleep(sim, delay):
+    if not sim.elapse(delay):
+        yield delay
+
+
+def yield_grant(sim, token):
+    yield token
+
+
+def consume_grant(sim, token):
+    if not sim.consume(token):
+        yield token
+
+
+def run_process_program(
+    sleep, programs, grant=yield_grant, capacity=1, splits=()
+):
+    """Play ``programs`` with ``sleep(sim, delay)`` as the sleep and
+    ``grant(sim, token)`` as the pool-grant wait (generators driven by
+    ``yield from``), over the ``run(until=t)`` windows of ``splits``."""
     sim = Simulator()
     hooks = EventCounter()
     sim.attach_hooks(hooks)
     events = [sim.event() for _ in range(4)]
+    pool = Resource(sim, capacity)
     procs = []
     #: Ids of processes asleep and not yet interrupted.
     asleep = set()
@@ -71,9 +117,24 @@ def run_process_program(sleep, programs):
                 if op == "sleep":
                     asleep.add(pid)
                     try:
-                        value = yield sleep(sim, arg)
+                        value = yield from sleep(sim, arg)
                     finally:
                         asleep.discard(pid)
+                elif op == "pool":
+                    token = pool.request()
+                    try:
+                        yield from grant(sim, token)
+                        value = ("held", sim.now.hex())
+                        asleep.add(pid)
+                        try:
+                            yield from sleep(sim, arg)
+                        finally:
+                            asleep.discard(pid)
+                    finally:
+                        if token in pool.users:
+                            pool.release(token)
+                        else:
+                            pool.cancel(token)
                 elif op == "wait":
                     value = yield events[arg]
                 elif op == "join":
@@ -99,8 +160,16 @@ def run_process_program(sleep, programs):
     def start(ops):
         procs.append(sim.process(body(len(procs), ops)))
 
+    def inject(k):
+        trace.append((sim.now.hex(), -1, "inject", k))
+        if not events[k].triggered:
+            events[k].succeed(f"i{k}@{sim.now.hex()}")
+
     for ops in programs:
         start(ops)
+    for until, delta, k in sorted(splits):
+        sim.run(until=until)
+        sim.defer_at(until + delta, lambda k=k: inject(k))
     sim.run()
     return {
         "trace": trace,
@@ -109,14 +178,6 @@ def run_process_program(sleep, programs):
         "timed_events": sim._seq,
         "events": hooks.count,
     }
-
-
-def wake_sleep(sim, delay):
-    return delay
-
-
-def event_sleep(sim, delay):
-    return Timeout(sim, delay)
 
 
 class TestSleepMatchesReference:
@@ -139,6 +200,82 @@ class TestSleepMatchesReference:
             "trace"
         ]
         assert observed == run_process_program(event_sleep, programs)
+
+
+class TestInPlaceMatchesYielding:
+    """``elapse`` and ``consume`` leave the run as the yields would."""
+
+    @settings(max_examples=max_examples(300), deadline=None)
+    @given(
+        programs=PROC_PROGRAMS,
+        capacity=st.integers(1, 2),
+        splits=SPLITS,
+    )
+    def test_random_programs_are_float_identical(
+        self, programs, capacity, splits
+    ):
+        assert run_process_program(
+            elapse_sleep, programs, consume_grant, capacity, splits
+        ) == run_process_program(
+            wake_sleep, programs, yield_grant, capacity, splits
+        )
+
+    def test_tied_wake_dispatches_first(self):
+        # Process 1's wake is queued at 0.25 first; process 0 reaches
+        # 0.25 by a second sleep, which must not overtake it.
+        programs = [
+            [("sleep", 0.125), ("sleep", 0.125), ("fire", 0)],
+            [("sleep", 0.25), ("fire", 0)],
+        ]
+        observed = run_process_program(elapse_sleep, programs)
+        assert [entry[1] for entry in observed["trace"]] == [0, 1, 1, 0, 0]
+        assert observed == run_process_program(wake_sleep, programs)
+
+    def test_window_end_and_injection_stop_a_chain(self):
+        # The sleeper would run on to 1.0 in place; the window ends at
+        # 0.5 and an injected timer at 0.75 comes between.
+        programs = [[("sleep", 0.25), ("sleep", 0.75)]]
+        splits = [(0.5, 0.25, 0)]
+        observed = run_process_program(
+            elapse_sleep, programs, splits=splits
+        )
+        assert [entry[2] for entry in observed["trace"]] == [
+            "sleep", "inject", "sleep"
+        ]
+        assert observed == run_process_program(
+            wake_sleep, programs, splits=splits
+        )
+
+    def test_sole_grant_and_lone_sleep_run_in_place(self):
+        sim = Simulator()
+        hooks = EventCounter()
+        sim.attach_hooks(hooks)
+        pool = Resource(sim, 1)
+        taken = []
+
+        def holder():
+            token = pool.request()
+            taken.append(sim.consume(token))
+            taken.append(sim.elapse(1.0))
+            pool.release(token)
+            yield 0.0
+
+        sim.process(holder())
+        sim.run()
+        assert taken == [True, True]
+        assert sim.now == 1.0
+        # The start, the grant, the in-place sleep, the final wake and
+        # the exit: what the yields would have dispatched, two of them
+        # timed.
+        assert (hooks.count, sim._seq) == (5, 2)
+
+    def test_event_with_another_waiter_is_not_consumed(self):
+        sim = Simulator()
+        event = sim.event()
+        event.callbacks.append(lambda ev: None)
+        event.succeed()
+        assert not sim.consume(event)
+        assert list(sim._imm) == [event]
 
 
 # -- processor sharing ------------------------------------------------------

@@ -654,6 +654,37 @@ class TestShardWorkerHost:
         assert mp.active_children() == []
         assert gc.isenabled() is gc_state
 
+    def test_worker_hanging_after_build_fails_at_the_deadline(
+        self, gc_state, monkeypatch
+    ):
+        build = datacenter._build_group
+
+        def hangs_off_front(scenario, members, sim):
+            group = build(scenario, members, sim)
+            if 0 not in members:
+                signal.pause()  # alive, silent, until terminated
+            return group
+
+        def hung(signum, frame):
+            raise AssertionError("run_datacenter hung on a silent worker")
+
+        monkeypatch.setattr(datacenter, "_build_group", hangs_off_front)
+        monkeypatch.setattr(datacenter, "LIVENESS_DEADLINE_S", 1.0)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        started = time.monotonic()
+        try:
+            with pytest.raises(
+                RuntimeError, match=r"shard group \[1\] on h2 .*hung"
+            ):
+                run_datacenter(self.SHORT, shards=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10.0
+        assert mp.active_children() == []
+        assert gc.isenabled() is gc_state
+
 
 class TestShardGroups:
     """Event-weighted contiguous grouping of shards into workers."""
