@@ -1,6 +1,6 @@
 """Terminal plotting: render time series and curves as ASCII charts.
 
-The benchmark harness regenerates the paper's *figures*; these helpers
+``python -m repro`` regenerates the paper's *figures*; these helpers
 make the regenerated data look like figures on a terminal — a line
 chart for time series (Figs 6, 9, 10, 11) and a multi-series chart for
 percentile curves (Figs 2, 7).  Pure text, no dependencies.

@@ -3,7 +3,7 @@
 Every scenario in this reproduction is deterministic given a seed; the
 replication harness re-runs a metric extractor across seeds and reports
 mean, standard deviation, and a normal-approximation confidence
-interval, so benches can assert results hold *across* randomness, not
+interval, so tests can assert results hold *across* randomness, not
 just at one lucky seed.
 """
 
@@ -48,17 +48,6 @@ class Replication:
         """95% confidence interval on the mean (normal approximation)."""
         half = _Z95 * self.std / math.sqrt(self.n) if self.n > 1 else 0.0
         return (self.mean - half, self.mean + half)
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (relative spread)."""
-        return self.std / self.mean if self.mean else float("inf")
-
-    def all_above(self, threshold: float) -> bool:
-        return all(v > threshold for v in self.values)
-
-    def all_below(self, threshold: float) -> bool:
-        return all(v < threshold for v in self.values)
 
 
 def replicate(

@@ -1,6 +1,6 @@
-"""Plain-text reporting: the tables and series the benches print.
+"""Plain-text reporting: the tables and series the figures print.
 
-The benchmark harness regenerates every paper figure as rows/series on
+``python -m repro`` regenerates every paper figure as rows/series on
 stdout; this module renders them consistently.
 """
 

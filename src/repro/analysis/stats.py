@@ -35,12 +35,6 @@ class PercentileCurve:
     values: Tuple[float, ...]
     samples: int
 
-    def at(self, percentile: float) -> float:
-        for p, v in zip(self.percentiles, self.values):
-            if p == percentile:
-                return v
-        raise KeyError(f"percentile {percentile} not in curve")
-
     def as_dict(self) -> Dict[float, float]:
         return dict(zip(self.percentiles, self.values))
 

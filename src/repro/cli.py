@@ -1,8 +1,10 @@
 """Command-line interface: regenerate any paper figure from a shell.
 
 ``python -m repro list`` shows the available experiments;
-``python -m repro fig2`` (etc.) runs one and prints its rows/series;
-``python -m repro all`` runs the full evaluation;
+``python -m repro fig2`` (etc.) prints one committed table, or a group
+of them (``fig3`` is fig3, fig3_ec2 and fig3_hypervisors), and
+``--out DIR`` also writes each to ``DIR/<name>.txt``;
+``python -m repro all --out benchmarks/results`` regenerates them all;
 ``python -m repro trace fig9`` runs a scenario with the span tracer on,
 dumps JSONL spans + a Chrome trace_event file, and prints the
 root-cause attribution report (the programmatic Fig 9);
@@ -25,20 +27,22 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
+import numpy as np
+
+from .analysis import format_replications, format_series, replicate
 from .experiments import (
+    PRIVATE_CLOUD,
     compare_attack_programs,
-    run_overhead_study,
-    run_dial,
+    condition1_ablation,
     dual_tier_attack,
-    run_placement_study,
+    rpc_vs_tandem,
     run_baseline_comparison,
     run_capacity_validation,
-    condition1_ablation,
-    rpc_vs_tandem,
     run_controller,
     run_defense,
+    run_dial,
     run_fig2_both,
     run_fig3,
     run_fig6,
@@ -47,196 +51,262 @@ from .experiments import (
     run_fig10,
     run_fig11,
     run_net_comparison,
+    run_overhead_study,
+    run_placement_study,
+    run_rubbos,
     run_validation,
     sweep_burst_length,
     sweep_degradation,
+    sweep_ecn_threshold,
     sweep_interval,
+    sweep_rto_schedule,
     sweep_service_distribution,
+    sweep_switch_buffer,
     sweep_target_tier,
 )
+from .experiments.fig3 import run_fig3_hypervisors
+from .experiments.parallel import RunCache, SweepExecutor
+from .hardware import EC2_E5_2680
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main", "FIGURES"]
 
 
-def _fig2() -> str:
-    ec2, private = run_fig2_both()
+class Figure(NamedTuple):
+    """One committed table, ``benchmarks/results/<key>.txt``.
+
+    ``run`` computes the result with the table's parameters, routing
+    its simulations through the given executor where the experiment
+    takes one; ``render`` turns the result into the table's text.
+    """
+
+    description: str
+    run: Callable[[SweepExecutor], object]
+    render: Callable[[object], str] = lambda result: result.render()
+
+
+def _fig2_text(panels) -> str:
+    ec2, private = panels
     return ec2.render() + "\n\n" + private.render()
 
 
-def _ablation() -> str:
-    parts = [
-        sweep_burst_length().render(),
-        sweep_interval().render(),
-        sweep_degradation().render(),
-        condition1_ablation().render(),
-        rpc_vs_tandem().render(),
-        compare_attack_programs().render(),
-        sweep_target_tier().render(),
-        sweep_service_distribution().render(),
-        dual_tier_attack().render(),
-    ]
-    return "\n\n".join(parts)
-
-
-def _defense() -> str:
-    plain = run_defense()
-    chased = run_defense(recolocate_after=25.0)
-    return (
-        plain.render()
-        + "\n\n(with adversary re-co-location after 25 s)\n"
-        + chased.render()
+def _fig3_hypervisors_text(results) -> str:
+    return "\n\n".join(
+        f"--- {name} ---\n{result.render()}"
+        for name, result in results.items()
     )
 
 
-#: name -> (description, runner returning printable text).
-EXPERIMENTS: Dict[str, tuple] = {
-    "fig2": (
+def _fig6_text(result) -> str:
+    """Fig 6's table plus each tier's attack-model queue trajectory."""
+    lines = [result.render(), ""]
+    for tier in result.scenario.tier_names:
+        series = result.attack[tier]
+        lines.append(
+            format_series(
+                f"attack-model {tier} queue",
+                list(series.times),
+                list(series.values),
+                max_points=25,
+                value_format="{:.0f}",
+            )
+        )
+    return "\n".join(lines)
+
+
+def _replication_metrics(seed: int) -> Dict[str, float]:
+    """The Fig 2 private-cloud headline numbers under one seed."""
+    scenario = replace(
+        PRIVATE_CLOUD, name=f"replication/{seed}", seed=seed,
+        duration=45.0,
+    )
+    run = run_rubbos(scenario)
+    rts = run.client_requests().column("response_time")
+    util = run.util_monitors["mysql"].series.between(
+        scenario.warmup, scenario.duration
+    )
+    return {
+        "client_p95_s": float(np.percentile(rts, 95)),
+        "client_p50_ms": float(np.percentile(rts, 50) * 1e3),
+        "fraction_above_rto": float(np.mean(rts > 1.0)),
+        "mysql_avg_util": util.mean(),
+        "drops": float(run.app.front.drops),
+    }
+
+
+#: Table name -> how to compute and render it.  ``python -m repro
+#: <name>`` runs every key equal to ``name`` or starting with
+#: ``name_``; ``tests/test_figures.py`` checks each table against its
+#: committed copy and asserts the paper claims on the result.
+FIGURES: Dict[str, Figure] = {
+    "fig2": Figure(
         "tail amplification per tier (EC2 + private cloud)",
-        _fig2,
+        lambda ex: run_fig2_both(executor=ex),
+        _fig2_text,
     ),
-    "fig3": (
+    "fig3": Figure(
         "memory bandwidth degradation under the two attacks",
-        lambda: run_fig3().render(),
+        lambda ex: run_fig3(executor=ex),
     ),
-    "fig6": (
+    "fig3_ec2": Figure(
+        "Fig 3 bandwidth profiling on the EC2 host spec",
+        lambda ex: run_fig3(spec=EC2_E5_2680, executor=ex),
+    ),
+    "fig3_hypervisors": Figure(
+        "Fig 3 under KVM, Xen, VMware and Hyper-V",
+        lambda ex: run_fig3_hypervisors(executor=ex),
+        _fig3_hypervisors_text,
+    ),
+    "fig6": Figure(
         "cross-tier queue overflow vs tandem queue",
-        lambda: run_fig6().render(),
+        lambda ex: run_fig6(executor=ex),
+        _fig6_text,
     ),
-    "fig7": (
+    "fig7": Figure(
         "percentile RT under the three queueing models",
-        lambda: run_fig7().render(),
+        lambda ex: run_fig7(executor=ex),
     ),
-    "fig9": (
+    "fig9": Figure(
         "8-second fine-grained damage snapshot",
-        lambda: run_fig9().render(),
+        lambda ex: run_fig9(duration=40.0, window_start=16.0, executor=ex),
     ),
-    "fig10": (
+    "fig10": Figure(
         "stealthiness vs monitoring granularity / auto-scaling",
-        lambda: run_fig10().render(),
+        lambda ex: run_fig10(executor=ex),
     ),
-    "fig11": (
+    "fig11": Figure(
         "LLC-miss signatures of the two attack programs",
-        lambda: run_fig11().render(),
+        lambda ex: run_fig11(duration=45.0, executor=ex),
     ),
-    "validation": (
+    "model_validation": Figure(
         "Eqs. 2-10 closed-form model vs DES measurements",
-        lambda: run_validation().render(),
+        lambda ex: run_validation(),
     ),
-    "controller": (
+    "controller": Figure(
         "MemCA-BE feedback control convergence",
-        lambda: run_controller().render(),
+        lambda ex: run_controller(),
     ),
-    "ablation": (
-        "sweeps: L, I, D, Condition 1, RPC vs tandem, programs, targets",
-        _ablation,
+    "ablation_length": Figure(
+        "burst length L: damage vs stealth",
+        lambda ex: sweep_burst_length(executor=ex),
     ),
-    "defense": (
+    "ablation_interval": Figure(
+        "burst interval I: rho dilution",
+        lambda ex: sweep_interval(executor=ex),
+    ),
+    "ablation_degradation": Figure(
+        "degradation index D: the Condition 2 threshold",
+        lambda ex: sweep_degradation(executor=ex),
+    ),
+    "ablation_condition1": Figure(
+        "queue-size ordering (Condition 1)",
+        lambda ex: condition1_ablation(executor=ex),
+    ),
+    "ablation_rpc": Figure(
+        "inter-tier coupling: sync RPC vs tandem",
+        lambda ex: rpc_vs_tandem(executor=ex),
+    ),
+    "ablation_programs": Figure(
+        "attack programs: lock vs bus saturation vs LLC cleansing",
+        lambda ex: compare_attack_programs(executor=ex),
+    ),
+    "ablation_target": Figure(
+        "which tier to co-locate with",
+        lambda ex: sweep_target_tier(executor=ex),
+    ),
+    "ablation_distribution": Figure(
+        "service-demand distribution at equal means",
+        lambda ex: sweep_service_distribution(executor=ex),
+    ),
+    "ablation_dual_tier": Figure(
+        "multi-tier adversaries: intensity does not split",
+        lambda ex: dual_tier_attack(executor=ex),
+    ),
+    "ablation_switch_buffer": Figure(
+        "fabric buffer depth: drop early vs absorb",
+        lambda ex: sweep_switch_buffer(executor=ex),
+    ),
+    "ablation_ecn": Figure(
+        "ECN marking threshold vs drop-tail",
+        lambda ex: sweep_ecn_threshold(executor=ex),
+    ),
+    "ablation_rto": Figure(
+        "link RTO schedule: floor and backoff",
+        lambda ex: sweep_rto_schedule(executor=ex),
+    ),
+    "defense": Figure(
         "millibottleneck-triggered migration defense (extension)",
-        _defense,
+        lambda ex: run_defense(executor=ex),
     ),
-    "capacity": (
+    "defense_cat_and_mouse": Figure(
+        "migration defense against re-co-location after 25 s",
+        lambda ex: run_defense(recolocate_after=25.0, executor=ex),
+    ),
+    "capacity": Figure(
         "baseline capacity: DES vs Mean Value Analysis",
-        lambda: run_capacity_validation().render(),
+        lambda ex: run_capacity_validation(executor=ex),
     ),
-    "baselines": (
+    "baselines": Figure(
         "MemCA vs flooding vs pulsating HTTP attacks",
-        lambda: run_baseline_comparison().render(),
+        lambda ex: run_baseline_comparison(executor=ex),
     ),
-    "placement": (
+    "placement": Figure(
         "co-residency campaigns (the threat-model precondition)",
-        lambda: run_placement_study().render(),
+        lambda ex: run_placement_study(strategies=("random",), executor=ex),
     ),
-    "dial": (
+    "dial": Figure(
         "DIAL-style interference-aware load balancing (extension)",
-        lambda: run_dial().render(),
+        lambda ex: run_dial(),
     ),
-    "overhead": (
+    "overhead": Figure(
         "the monitoring dilemma: agent cost vs attack visibility",
-        lambda: run_overhead_study().render(),
+        lambda ex: run_overhead_study(),
     ),
-    "netcompare": (
+    "netcompare": Figure(
         "memory vs NIC vs combined cross-resource attack",
-        lambda: run_net_comparison().render(),
+        lambda ex: run_net_comparison(executor=ex),
+    ),
+    "replication": Figure(
+        "the Fig 2 private-cloud scenario across 5 seeds",
+        lambda ex: replicate(_replication_metrics, seeds=(1, 2, 3, 5, 8)),
+        lambda reps: format_replications(
+            reps, title="Fig 2 scenario across 5 seeds"
+        ),
     ),
 }
 
 
-def _sweep_experiments() -> Dict[str, Callable]:
-    """Experiment name -> ``fn(executor, quick) -> printable text``.
+def _select(name: str) -> List[str]:
+    """Registry keys for ``name``: all for ``all``, else it and ``name_*``."""
+    if name == "all":
+        return list(FIGURES)
+    return [k for k in FIGURES if k == name or k.startswith(name + "_")]
 
-    Every entry here routes its simulations through the given
-    :class:`~repro.experiments.parallel.SweepExecutor`, so workers and
-    the run cache apply.  ``quick`` shrinks durations/grids for CI
-    smoke runs (a quick run is a *different* cache universe — the
-    shrunk scenarios hash differently).
-    """
-    from .experiments.configs import PRIVATE_CLOUD
 
-    def fig2(executor, quick):
-        ec2, private = run_fig2_both(
-            duration=10.0 if quick else None, executor=executor
-        )
-        return ec2.render() + "\n\n" + private.render()
+def _render_figures(
+    keys: List[str], executor: SweepExecutor, out: Optional[str]
+) -> None:
+    """Print each selected table; with ``out``, also write ``<key>.txt``."""
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+    for key in keys:
+        figure = FIGURES[key]
+        print(f"=== {key}: {figure.description} ===")
+        started = time.time()
+        text = figure.render(figure.run(executor))
+        print(text)
+        if out is not None:
+            with open(os.path.join(out, f"{key}.txt"), "w") as fh:
+                fh.write(text + "\n")
+        print(f"[{key} done in {time.time() - started:.1f}s]\n")
 
-    def ablation(executor, quick):
-        duration = 25.0 if quick else 45.0
-        parts = [
-            sweep_burst_length(executor=executor).render(),
-            sweep_interval(executor=executor).render(),
-            sweep_degradation(executor=executor).render(),
-            condition1_ablation(executor=executor).render(),
-            rpc_vs_tandem(executor=executor).render(),
-            compare_attack_programs(
-                duration=duration, executor=executor
-            ).render(),
-            sweep_target_tier(duration=duration, executor=executor).render(),
-            sweep_service_distribution(
-                duration=duration, executor=executor
-            ).render(),
-            dual_tier_attack(duration=duration, executor=executor).render(),
-        ]
-        return "\n\n".join(parts)
 
-    def baselines(executor, quick):
-        scenario = (
-            replace(PRIVATE_CLOUD, duration=30.0) if quick else None
-        )
-        return run_baseline_comparison(
-            scenario, executor=executor
-        ).render()
-
-    def netcompare(executor, quick):
-        from .experiments.configs import NET_BASELINE
-
-        scenario = (
-            replace(NET_BASELINE, duration=30.0) if quick else None
-        )
-        return run_net_comparison(scenario, executor=executor).render()
-
-    return {
-        "fig2": fig2,
-        "fig3": lambda ex, quick: run_fig3(
-            max_vms=3 if quick else 6, executor=ex
-        ).render(),
-        "fig6": lambda ex, quick: run_fig6(executor=ex).render(),
-        "fig7": lambda ex, quick: run_fig7(executor=ex).render(),
-        "fig9": lambda ex, quick: run_fig9(
-            duration=30.0 if quick else None, executor=ex
-        ).render(),
-        "fig11": lambda ex, quick: run_fig11(
-            duration=30.0 if quick else None, executor=ex
-        ).render(),
-        "ablation": ablation,
-        "capacity": lambda ex, quick: run_capacity_validation(
-            duration=15.0 if quick else 40.0, executor=ex
-        ).render(),
-        "baselines": baselines,
-        "placement": lambda ex, quick: run_placement_study(
-            trials=2 if quick else 5, executor=ex
-        ).render(),
-        "defense": lambda ex, quick: run_defense(executor=ex).render(),
-        "netcompare": netcompare,
-    }
+def _unknown(message: str) -> int:
+    print(
+        f"{message}; known tables: {', '.join(FIGURES)} "
+        "(a prefix before '_' selects a group, 'all' every table)",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _append_sweep_record(path: str, record: Dict) -> None:
@@ -259,21 +329,15 @@ def _append_sweep_record(path: str, record: Dict) -> None:
 
 
 def _run_sweep(args) -> int:
-    """The ``sweep`` subcommand: executor-routed figure regeneration."""
-    from .experiments.parallel import RunCache, SweepExecutor
-
-    sweeps = _sweep_experiments()
-    if args.scenario is None or args.scenario not in sweeps:
-        known = ", ".join(sorted(sweeps))
-        print(
-            f"sweep needs an experiment name (one of: {known})",
-            file=sys.stderr,
-        )
-        return 2
+    """The ``sweep`` subcommand: the tables through workers and the cache."""
+    if args.scenario is None:
+        return _unknown("sweep needs an experiment name")
+    if not _select(args.scenario):
+        return _unknown(f"sweep: unknown experiment {args.scenario!r}")
     cache = None if args.no_cache else RunCache(args.cache_dir)
     executor = SweepExecutor(max_workers=args.workers, cache=cache)
     started = time.time()
-    print(sweeps[args.scenario](executor, args.quick))
+    _render_figures(_select(args.scenario), executor, args.out)
     total = time.time() - started
     stats = executor.stats
     print(
@@ -288,7 +352,6 @@ def _run_sweep(args) -> int:
             args.json,
             {
                 "experiment": args.scenario,
-                "quick": bool(args.quick),
                 "workers": executor.max_workers,
                 "cpu_count": os.cpu_count(),
                 "cache": None if cache is None else args.cache_dir,
@@ -355,8 +418,6 @@ def _print_kernel_profile(kernel, duration: float) -> None:
 
 def _run_trace(args) -> int:
     """The ``trace`` subcommand: traced run + exports + attribution."""
-    import numpy as np
-
     from .analysis.attribution import attribute_run
     from .analysis.export import write_chrome_trace, write_spans_jsonl
     from .experiments.runner import run_rubbos
@@ -398,9 +459,10 @@ def _run_trace(args) -> int:
     run = run_rubbos(scenario, tracing=tracing)
     finished = run.app.completed + run.app.failed
 
-    os.makedirs(args.out, exist_ok=True)
-    spans_path = os.path.join(args.out, f"{args.scenario}-spans.jsonl")
-    chrome_path = os.path.join(args.out, f"{args.scenario}-trace.json")
+    out = "." if args.out is None else args.out
+    os.makedirs(out, exist_ok=True)
+    spans_path = os.path.join(out, f"{args.scenario}-spans.jsonl")
+    chrome_path = os.path.join(out, f"{args.scenario}-trace.json")
     n_traces = write_spans_jsonl(spans_path, finished)
     n_events = write_chrome_trace(chrome_path, finished)
     print(f"wrote {n_traces} span trees to {spans_path}")
@@ -528,8 +590,6 @@ def _run_datacenter(args, name) -> int:
     host) partitions the hosts into worker processes synchronized by
     the conservative safe-window protocol (DESIGN.md §12).
     """
-    import numpy as np
-
     from .experiments.datacenter import run_datacenter
 
     scenario = _datacenter_scenario(args, name)
@@ -696,8 +756,6 @@ def _run_run(args) -> int:
     only ``--sample-fraction`` of the users run discretely; the rest
     advance as mean-field fluid state coupled back as background load.
     """
-    import numpy as np
-
     from .experiments.datacenter import DATACENTERS
     from .experiments.runner import run_rubbos
     from .experiments.summary import summarize_rubbos
@@ -978,8 +1036,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=".",
-        help="output directory for 'trace' span/trace files",
+        default=None,
+        help="output directory: each table's <name>.txt for experiments "
+             "and 'sweep', span/trace files for 'trace' (default: .)",
     )
     parser.add_argument(
         "--duration",
@@ -1072,11 +1131,6 @@ def main(argv=None) -> int:
         help="sweep run-cache directory (default: .sweep-cache)",
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink sweep durations/grids for smoke runs",
-    )
-    parser.add_argument(
         "--expect-cached",
         action="store_true",
         help="exit nonzero if any sweep cell had to be re-simulated",
@@ -1102,10 +1156,10 @@ def main(argv=None) -> int:
         return _run_sweep(args)
 
     if args.experiment == "list":
-        width = max(len(name) for name in EXPERIMENTS)
+        width = max(len(name) for name in FIGURES)
         print("available experiments:\n")
-        for name, (description, _fn) in EXPERIMENTS.items():
-            print(f"  {name.ljust(width)}  {description}")
+        for name, figure in FIGURES.items():
+            print(f"  {name.ljust(width)}  {figure.description}")
         print(f"\n  {'all'.ljust(width)}  run everything above")
         print(
             f"  {'trace <scenario>'.ljust(width)}  traced run + span "
@@ -1126,24 +1180,10 @@ def main(argv=None) -> int:
         )
         return 0
 
-    if args.experiment == "all":
-        names = list(EXPERIMENTS)
-    elif args.experiment in EXPERIMENTS:
-        names = [args.experiment]
-    else:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            "try 'python -m repro list'",
-            file=sys.stderr,
-        )
-        return 2
-
-    for name in names:
-        description, runner = EXPERIMENTS[name]
-        print(f"=== {name}: {description} ===")
-        started = time.time()
-        print(runner())
-        print(f"[{name} done in {time.time() - started:.1f}s]\n")
+    keys = _select(args.experiment)
+    if not keys:
+        return _unknown(f"unknown experiment {args.experiment!r}")
+    _render_figures(keys, SweepExecutor.inline(), args.out)
     return 0
 
 

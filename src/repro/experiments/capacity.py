@@ -56,12 +56,6 @@ class CapacityPoint:
     measured_mean_rt: float
     predicted_mean_rt: float
 
-    @property
-    def throughput_error(self) -> float:
-        return abs(
-            self.measured_throughput - self.predicted_throughput
-        ) / self.predicted_throughput
-
 
 @dataclass
 class CapacityResult:
@@ -94,9 +88,6 @@ class CapacityResult:
             f"saturation knee N* ~= {self.knee:.0f} users "
             f"(paper operates at 3500, well below)"
         )
-
-    def within(self, tolerance: float = 0.15) -> bool:
-        return all(p.throughput_error <= tolerance for p in self.points)
 
 
 def run_capacity_validation(

@@ -41,16 +41,6 @@ class ControllerResult:
             for e in self.history
         )
 
-    @property
-    def epochs_to_goal(self) -> Optional[int]:
-        for index, epoch in enumerate(self.history):
-            if (
-                epoch.filtered_rt is not None
-                and epoch.filtered_rt >= self.goals.rt_target
-            ):
-                return index + 1
-        return None
-
     def render(self) -> str:
         rows = []
         for e in self.history:

@@ -51,16 +51,6 @@ class DefenseResult:
     recolocations: List[float]
     summary: Optional[RunSummary]
 
-    def p95_between(self, t0: float, t1: float) -> float:
-        samples = [
-            p95
-            for start, p95, _n in self.timeline
-            if t0 <= start < t1
-        ]
-        if not samples:
-            raise ValueError(f"no windows in [{t0}, {t1})")
-        return float(np.median(samples))
-
     def render(self) -> str:
         rows = []
         events = [(m.time, f"-> migrated to {m.new_host}")

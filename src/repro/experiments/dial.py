@@ -91,14 +91,6 @@ class DialResult:
             ),
         )
 
-    @property
-    def dial_protects(self) -> bool:
-        """DIAL pushes the tail well below the static-dispatch tail."""
-        return (
-            self.cases["dial"].client_p95
-            < 0.5 * self.cases["static"].client_p95
-        )
-
 
 def _build(scenario: RubbosScenario, with_attack: bool,
            with_dial: bool, seed_offset: int = 0):

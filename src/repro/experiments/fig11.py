@@ -32,14 +32,6 @@ class Fig11Result:
     reports: Dict[str, DetectionReport]
     summaries: Dict[str, RunSummary]
 
-    @property
-    def saturation_leaves_signature(self) -> bool:
-        return self.reports["saturate"].detected
-
-    @property
-    def lock_is_invisible(self) -> bool:
-        return not self.reports["lock"].detected
-
     def render(self) -> str:
         rows = []
         for program, series in self.miss_series.items():

@@ -51,12 +51,6 @@ class Fig2Result:
         )
         return body
 
-    def amplified(self, percentile: float = 95.0) -> bool:
-        """Client tail exceeds the bottleneck tier's tail."""
-        return self.curves["client"].at(percentile) > self.curves[
-            "mysql"
-        ].at(percentile)
-
 
 def fig2_cell(scenario: RubbosScenario) -> SweepCell:
     """The sweep cell for one Fig 2 panel."""

@@ -113,12 +113,6 @@ class Fig3Result:
     #: (placement, attack) -> list of (n_vms, bandwidth MB/s).
     series: Dict[Tuple[str, str], List[Tuple[int, float]]]
 
-    def bandwidth(self, placement: str, attack: str, n: int) -> float:
-        for point_n, bw in self.series[(placement, attack)]:
-            if point_n == n:
-                return bw
-        raise KeyError(f"no point for n={n}")
-
     def render(self) -> str:
         max_n = max(n for pts in self.series.values() for n, _ in pts)
         headers = ["placement", "attack"] + [
@@ -139,26 +133,6 @@ class Fig3Result:
                 f"{self.spec.model}"
             ),
             float_format="{:.0f}",
-        )
-
-    # -- the three Section III findings ---------------------------------
-
-    def finding1_single_attacker_insufficient(self) -> bool:
-        """Bandwidth left under 1 saturating VM stays well above lock."""
-        saturate = self.bandwidth("same-package", "saturate", 1)
-        lock = self.bandwidth("same-package", "lock", 1)
-        return saturate > 2 * lock
-
-    def finding2_decreases_with_vms(self, placement: str) -> bool:
-        points = self.series[(placement, "none")]
-        values = [bw for _n, bw in sorted(points)]
-        return all(a > b for a, b in zip(values, values[1:]))
-
-    def finding3_lock_beats_saturation(self) -> bool:
-        return all(
-            self.bandwidth("same-package", "lock", n)
-            < self.bandwidth("same-package", "saturate", n)
-            for n, _bw in self.series[("same-package", "lock")]
         )
 
 
@@ -199,8 +173,8 @@ def run_fig3_hypervisors(
     """Section III's cross-platform check: repeat Fig 3 per hypervisor.
 
     The paper reports "similar results under the same memory attacks"
-    for KVM, Xen, VMware, and Hyper-V; the bench asserts all three
-    findings hold under every profile.
+    for KVM, Xen, VMware, and Hyper-V; the ``fig3_hypervisors`` claim
+    test asserts all three findings hold under every profile.
     """
     return {
         profile.name: run_fig3(

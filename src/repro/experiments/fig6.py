@@ -88,24 +88,6 @@ class Fig6Result:
         )
         return f"{table}\n{chart}"
 
-    def overflow_propagates(self) -> bool:
-        """Attack model: every tier's queue reaches (close to) its cap."""
-        return all(
-            self.peak_occupancy("attack", tier) >= 0.9 * q
-            for tier, q in zip(
-                self.scenario.tier_names, self.scenario.queue_sizes
-            )
-        )
-
-    def tandem_confined_to_back(self) -> bool:
-        """Tandem model: only the bottleneck station builds a big queue."""
-        back = self.scenario.tier_names[-1]
-        back_peak = self.peak_occupancy("tandem", back)
-        return all(
-            self.peak_occupancy("tandem", tier) < back_peak / 2
-            for tier in self.scenario.tier_names[:-1]
-        )
-
 
 def run_fig6(
     scenario: ModelScenario = MODEL_3TIER,

@@ -57,37 +57,6 @@ class Fig7Result:
             )
         return "\n\n".join(blocks)
 
-    # -- the figure's three claims ------------------------------------------
-
-    def tandem_curves_overlap(self, percentile: float = 99.0) -> bool:
-        """7a: client and all tier curves nearly coincide."""
-        curves = self.cases["tandem"]
-        values = [
-            curves[name].at(percentile)
-            for name in ("client",) + tuple(self.scenario.tier_names)
-        ]
-        return max(values) <= 1.5 * min(values) + 1e-3
-
-    def amplification_without_drops(self, percentile: float = 99.0) -> bool:
-        """7b: client tail exceeds bottleneck tail, with no drops."""
-        curves = self.cases["attack-infinite-front"]
-        back = self.scenario.tier_names[-1]
-        return (
-            self.drops["attack-infinite-front"] == 0
-            and curves["client"].at(percentile)
-            > curves[back].at(percentile)
-        )
-
-    def finite_queues_worst_for_clients(
-        self, percentile: float = 99.0
-    ) -> bool:
-        """7c: the finite-queue client peak dominates both other cases."""
-        finite = self.cases["attack-finite"]["client"].at(percentile)
-        return finite >= max(
-            self.cases[c]["client"].at(percentile)
-            for c in ("tandem", "attack-infinite-front")
-        )
-
 
 def run_fig7(
     scenario: ModelScenario = MODEL_3TIER,

@@ -39,16 +39,6 @@ class Fig9Result:
 
     # -- panel assertions ---------------------------------------------------
 
-    def transient_saturations(self, threshold: float = 0.95) -> int:
-        """Count of distinct CPU-saturation episodes (panel b)."""
-        return len(self.mysql_util.intervals_above(threshold))
-
-    def queues_propagate(self) -> bool:
-        """Each burst pushes queueing beyond MySQL into Tomcat (panel c)."""
-        mysql_cap = self.scenario.mysql_connections
-        tomcat = self.queue_series["tomcat"]
-        return tomcat.max() > mysql_cap
-
     def client_peak(self) -> float:
         """Worst client response time in the window (panel d)."""
         if not self.client_points:

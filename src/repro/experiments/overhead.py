@@ -95,33 +95,6 @@ class OverheadResult:
             ),
         )
 
-    def sweet_spots(self) -> List[OverheadPoint]:
-        """Granularities both within budget and attack-revealing.
-
-        Non-empty in the per-VM setting — the opening the targeted
-        defense exploits.  At fleet scale, multiply the overhead by the
-        metric count and VM density (see :meth:`fleet_overhead`) and
-        the set empties out, which is the paper's argument for why
-        providers stay coarse.
-        """
-        return [
-            p for p in self.points
-            if p.within_budget and p.sees_the_attack
-        ]
-
-    @staticmethod
-    def fleet_overhead(
-        point: OverheadPoint, vms_per_host: int = 6
-    ) -> float:
-        """Scale one VM's agent cost to provider-side host monitoring.
-
-        The provider's agent collects for every resident VM (plus the
-        host itself), so the per-host cost is roughly the per-VM cost
-        times the VM density — which is what empties the sweet spot at
-        fleet scale.
-        """
-        return point.overhead_fraction * vms_per_host
-
 
 def run_overhead_study(
     scenario: Optional[RubbosScenario] = None,

@@ -148,17 +148,6 @@ class ValidationResult:
             title="Model validation (all times in ms, DES vs Eqs. 2-10)",
         )
 
-    def conservative_within(self, tolerance: float = 0.5) -> bool:
-        """DES matches the conservative model within rel. tolerance."""
-        for row in self.rows:
-            m = row.measured
-            if m.millibottleneck is None:
-                return False
-            pred = row.conservative.millibottleneck
-            if abs(m.millibottleneck - pred) > tolerance * pred:
-                return False
-        return True
-
 
 def run_validation(
     scenario: ModelScenario = MODEL_3TIER,

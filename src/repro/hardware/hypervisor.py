@@ -72,7 +72,7 @@ def memory_subsystem_for(
     bandwidth; the sharing curve uses the VMM's coefficient.  The
     qualitative attack behaviour (Fig 3's shapes, the lock > saturation
     ordering) must survive any of these profiles — that is exactly
-    what the cross-hypervisor bench asserts.
+    what the cross-hypervisor claim test asserts.
     """
     if getattr(host, "_hypervisor", None) is not None:
         raise ValueError(

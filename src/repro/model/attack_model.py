@@ -87,7 +87,7 @@ def fill_times_conservative(
     *net* rate ``lambda - C_n,ON`` once its downstream is full.  The
     DES matches this variant; the paper's own wording ("approximately")
     acknowledges the approximation.  Both are provided so the
-    validation bench can quantify the difference.
+    ``model_validation`` table can quantify the difference.
     """
     system.require_condition1()
     c_on = degraded_capacity(system, burst)

@@ -26,8 +26,8 @@ def make_request(rid, rt, tiers=None, failed=False):
 class TestPercentileCurve:
     def test_basic_percentiles(self):
         curve = percentile_curve("x", range(101), percentiles=(50, 99))
-        assert curve.at(50) == pytest.approx(50.0)
-        assert curve.at(99) == pytest.approx(99.0)
+        assert curve.as_dict()[50] == pytest.approx(50.0)
+        assert curve.as_dict()[99] == pytest.approx(99.0)
         assert curve.samples == 101
 
     def test_empty_samples_rejected(self):
@@ -37,7 +37,7 @@ class TestPercentileCurve:
     def test_missing_percentile_lookup(self):
         curve = percentile_curve("x", [1, 2, 3], percentiles=(50,))
         with pytest.raises(KeyError):
-            curve.at(99)
+            curve.as_dict()[99]
 
     def test_as_dict(self):
         curve = percentile_curve("x", [1.0], percentiles=(50, 90))
@@ -49,7 +49,7 @@ class TestRequestCurves:
         requests = [make_request(i, 0.1) for i in range(10)]
         requests.append(make_request(99, 50.0, failed=True))
         curve = client_percentile_curve(requests, percentiles=(99,))
-        assert curve.at(99) < 1.0
+        assert curve.as_dict()[99] < 1.0
 
     def test_tier_curves_only_for_visited(self):
         requests = [

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments import PRIVATE_CLOUD, run_capacity_validation
 from repro.experiments.capacity import mva_stations_for
 from repro.workload import RubbosWorkload
+from tests import _claims as claims
 
 
 class TestCapacityValidation:
@@ -17,7 +18,7 @@ class TestCapacityValidation:
         )
 
     def test_throughput_matches_mva(self, result):
-        assert result.within(0.15)
+        assert claims.capacity_within(result, 0.15)
 
     def test_points_cover_populations(self, result):
         assert [p.users for p in result.points] == [800, 2000]

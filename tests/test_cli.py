@@ -1,15 +1,19 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import FIGURES, main
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestCli:
     def test_list_is_default(self, capsys):
         assert main([]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in FIGURES:
             assert name in out
 
     def test_list_explicit(self, capsys):
@@ -18,12 +22,15 @@ class TestCli:
 
     def test_unknown_experiment_fails(self, capsys):
         assert main(["rowhammer"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown experiment" in err
+        for name in FIGURES:
+            assert name in err
 
     def test_every_figure_has_an_entry(self):
         for figure in ("fig2", "fig3", "fig6", "fig7", "fig9", "fig10",
                        "fig11"):
-            assert figure in EXPERIMENTS
+            assert figure in FIGURES
 
     def test_run_fig3(self, capsys):
         # fig3 is analytic and instant — safe to execute in a unit test.
@@ -32,10 +39,20 @@ class TestCli:
         assert "Fig 3" in out
         assert "done in" in out
 
+    def test_out_writes_the_committed_fig3_tables(self, tmp_path):
+        # "fig3" selects fig3, fig3_ec2 and fig3_hypervisors.
+        assert main(["fig3", "--out", str(tmp_path)]) == 0
+        names = ["fig3.txt", "fig3_ec2.txt", "fig3_hypervisors.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (
+                RESULTS / name
+            ).read_bytes(), name
+
     def test_descriptions_are_informative(self):
-        for name, (description, runner) in EXPERIMENTS.items():
-            assert len(description) > 10
-            assert callable(runner)
+        for name, figure in FIGURES.items():
+            assert len(figure.description) > 10, name
+            assert callable(figure.run) and callable(figure.render)
 
     def test_trace_unknown_scenario_fails(self, capsys):
         assert main(["trace", "nope"]) == 2

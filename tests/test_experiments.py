@@ -21,6 +21,7 @@ from repro.experiments import (
 )
 from repro.core import MemoryBusSaturation, MemoryLockAttack
 from repro.model import AttackBurst
+from tests import _claims as claims
 
 
 #: A short RUBBoS scenario for tests (same structure, less wall time).
@@ -77,10 +78,10 @@ class TestFig3Harness:
 
     def test_fig3_reproduces_section3_findings(self):
         result = run_fig3(max_vms=4)
-        assert result.finding1_single_attacker_insufficient()
-        assert result.finding2_decreases_with_vms("same-package")
-        assert result.finding2_decreases_with_vms("random-package")
-        assert result.finding3_lock_beats_saturation()
+        assert claims.finding1_single_attacker_insufficient(result)
+        assert claims.finding2_decreases_with_vms(result, "same-package")
+        assert claims.finding2_decreases_with_vms(result, "random-package")
+        assert claims.finding3_lock_beats_saturation(result)
 
     def test_fig3_render_is_table(self):
         text = run_fig3(max_vms=3).render()
@@ -114,8 +115,8 @@ class TestModelRuns:
 class TestFig6Fig7:
     def test_fig6_cross_tier_overflow(self):
         result = run_fig6(FAST_MODEL, burst_index=2)
-        assert result.overflow_propagates()
-        assert result.tandem_confined_to_back()
+        assert claims.overflow_propagates(result)
+        assert claims.tandem_confined_to_back(result)
 
     def test_fig6_insufficient_bursts_rejected(self):
         with pytest.raises(ValueError):
@@ -123,9 +124,9 @@ class TestFig6Fig7:
 
     def test_fig7_three_claims(self):
         result = run_fig7(FAST_MODEL)
-        assert result.tandem_curves_overlap()
-        assert result.amplification_without_drops()
-        assert result.finite_queues_worst_for_clients()
+        assert claims.tandem_curves_overlap(result)
+        assert claims.amplification_without_drops(result)
+        assert claims.finite_queues_worst_for_clients(result)
         text = result.render()
         assert "Fig 7a" in text and "Fig 7c" in text
 

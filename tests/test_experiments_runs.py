@@ -1,8 +1,9 @@
 """Scaled-down executions of the remaining experiment modules.
 
-The benches run the full-size versions; these shrunken runs give the
-unit suite end-to-end coverage of figs 9-11, validation, and the
-controller without bench-scale runtimes.
+``tests/test_figures.py`` runs the full-size versions under
+``--perf``; these shrunken runs give the unit suite end-to-end coverage
+of figs 9-11, validation, and the controller without full-scale
+runtimes.
 """
 
 from dataclasses import replace
@@ -22,6 +23,7 @@ from repro.experiments import (
     run_rubbos,
     run_validation,
 )
+from tests import _claims as claims
 
 #: One shared attacked run reused by the fig9/fig10 tests.
 FAST = replace(
@@ -48,7 +50,7 @@ class TestFig9Module:
                           window_length=8.0)
         assert result.window == (10.0, 18.0)
         assert 3 <= len(result.bursts) <= 6
-        assert result.transient_saturations() >= 2
+        assert claims.transient_saturations(result) >= 2
         assert len(result.client_points) > 100
 
     def test_window_past_run_rejected(self, fast_run):
@@ -83,8 +85,8 @@ class TestFig11Module:
     def test_signature_asymmetry(self):
         scenario = replace(FAST, name="fast-llc", duration=30.0)
         result = run_fig11(scenario)
-        assert result.saturation_leaves_signature
-        assert result.lock_is_invisible
+        assert claims.saturation_leaves_signature(result)
+        assert claims.lock_is_invisible(result)
 
     def test_render_has_both_programs(self):
         scenario = replace(FAST, name="fast-llc2", duration=30.0)
@@ -96,7 +98,7 @@ class TestValidationModule:
     def test_small_validation_tracks_model(self):
         scenario = replace(MODEL_3TIER, duration=30.0)
         result = run_validation(scenario)
-        assert result.conservative_within(0.6)
+        assert claims.conservative_within(result, 0.6)
         for row in result.rows:
             assert row.measured.bursts_observed >= 10
 

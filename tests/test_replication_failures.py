@@ -7,6 +7,7 @@ from repro.analysis import Replication, format_replications, replicate
 from repro.hardware import Host, MemorySubsystem, VirtualMachine
 from repro.ntier import NTierApplication, Request, Tier, fetch
 from repro.sim import Interrupt, RandomStreams, Simulator
+from tests import _claims as claims
 
 
 class TestReplicate:
@@ -33,9 +34,9 @@ class TestReplicate:
 
     def test_all_above_below(self):
         rep = Replication("m", seeds=(1, 2), values=(3.0, 4.0))
-        assert rep.all_above(2.9)
-        assert not rep.all_above(3.5)
-        assert rep.all_below(4.1)
+        assert claims.all_above(rep, 2.9)
+        assert not claims.all_above(rep, 3.5)
+        assert claims.all_below(rep, 4.1)
 
     def test_single_seed_degenerate(self):
         rep = Replication("m", seeds=(1,), values=(5.0,))

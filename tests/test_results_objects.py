@@ -7,6 +7,7 @@ from repro.core import AttackEffect, BurstRecord
 from repro.experiments.baselines import BaselineComparison, BaselineRow
 from repro.experiments.defense import DefenseResult
 from repro.experiments.configs import PRIVATE_CLOUD
+from tests import _claims as claims
 
 
 def make_row(campaign, p95, autoscale=False, rate=False, llc=False):
@@ -109,11 +110,11 @@ class TestDefenseResult:
 
     def test_p95_between_uses_median_of_windows(self):
         result = self._result()
-        assert result.p95_between(20.0, 40.0) == pytest.approx(0.0175)
+        assert claims.p95_between(result, 20.0, 40.0) == pytest.approx(0.0175)
 
     def test_p95_between_empty_raises(self):
         with pytest.raises(ValueError):
-            self._result().p95_between(100.0, 200.0)
+            claims.p95_between(self._result(), 100.0, 200.0)
 
     def test_render_marks_windows(self):
         text = self._result().render()
